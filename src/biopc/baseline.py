@@ -19,7 +19,7 @@ from .linalg import (
     as_matrix,
     matmul,
 )
-from .network import _xavier_uniform
+from .network import _xavier_uniform, predict_sweep
 
 
 class MLP:
@@ -68,8 +68,12 @@ class MLP:
         return a, p
 
     def predict(self, x) -> np.ndarray:
-        a, _ = self.forward(x)
-        return a[self.n_levels]
+        """Output activations: what `forward` computes, without keeping the
+        hidden layers (see `network.predict_sweep`)."""
+        x = as_matrix(x)
+        if x.shape[0] != self.dims[0]:
+            raise ShapeMismatchError(f"input has {x.shape[0]} rows, expected {self.dims[0]}")
+        return predict_sweep(self, x, rectify=False)
 
     def loss(self, x, y) -> float:
         y = as_matrix(y)

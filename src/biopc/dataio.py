@@ -68,7 +68,9 @@ def load_idx_images(path) -> np.ndarray:
             f"{rows}x{cols} (payload starts at offset 16)"
         )
     pixels = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-    return np.ascontiguousarray(pixels.T).astype(np.float64) / 255.0
+    images = np.ascontiguousarray(pixels.T).astype(np.float64)
+    images /= 255.0
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:

@@ -64,13 +64,18 @@ def hadamard(a, b) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow in exp() for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # With e = exp(-|x|) this is 1 / (1 + exp(-x)) for x >= 0 and
+    # exp(x) / (1 + exp(x)) below: the overflow-free piecewise form, bit for
+    # bit, without masked gathers and scatters. exp() never sees a positive
+    # argument. minimum(x, -x) is -|x| that leaves a NaN's sign bit alone,
+    # so NaN inputs give the same NaN bits as the piecewise form too.
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, x >= 0)
+    e += 1.0
+    s /= e
+    return s
 
 
 def activate(kind: ActivationKind, x) -> np.ndarray:

@@ -28,9 +28,6 @@ from .linalg import (
     activate,
     activate_deriv,
     as_matrix,
-    hadamard,
-    matmul,
-    outer,
 )
 
 
@@ -82,6 +79,41 @@ class NetworkState:
     @property
     def batch_size(self) -> int:
         return self.a[0].shape[1]
+
+
+# Columns per block of a prediction sweep. A 4096-sample evaluation chunk
+# would make every level's arrays 9.8 MB (300 x 4096 float64), fresh pages
+# on each call; 512-column blocks keep them at 1.2 MB, which stay in cache
+# and in the allocator's free lists from one block to the next.
+PREDICT_BLOCK = 512
+
+
+def predict_sweep(model, x: np.ndarray, rectify: bool) -> np.ndarray:
+    """Output activities of the forward sweep through `model`'s weights,
+    `activation_at` and `bias_at`, with max(., 0) after each level when
+    `rectify`. Each level's array is updated in place and dropped once the
+    next is computed.
+
+    Wide batches run in column blocks that start at multiples of
+    PREDICT_BLOCK; the last one takes the remainder, so no block is
+    narrower than PREDICT_BLOCK unless the batch is. BLAS kernels handle
+    columns in groups of a few, with a separate path for a product's last
+    N mod (group width) columns; with these bounds those columns are the
+    batch's last ones in both cases, so every output is the same bits as
+    one product over the whole batch (the tests compare the two)."""
+    n = x.shape[1]
+    k = max(1, n // PREDICT_BLOCK)
+    out = np.empty((model.dims[-1], n))
+    for i in range(k):
+        lo, hi = i * PREDICT_BLOCK, n if i == k - 1 else (i + 1) * PREDICT_BLOCK
+        a = x[:, lo:hi]
+        for l in range(1, model.n_levels + 1):
+            a = activate(model.activation_at(l), model.weights[l - 1] @ a)
+            a += model.bias_at(l)
+            if rectify:
+                np.maximum(a, 0.0, out=a)
+        out[:, lo:hi] = a
+    return out
 
 
 def _xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -163,7 +195,7 @@ class PCNetwork:
         fp = [None]
         phat = [None]
         for l in range(1, self.n_levels + 1):
-            pl = matmul(self.weights[l - 1], a[l - 1])
+            pl = self.weights[l - 1] @ a[l - 1]
             fl = activate(self.activation_at(l), pl)
             ph = fl + self.bias_at(l)
             al = np.maximum(ph, 0.0) if self.positive_activities else ph.copy()
@@ -185,6 +217,8 @@ class PCNetwork:
         """Start inference on a batch: activities are set to the effective
         predictions level by level, so all errors start at zero."""
         x = self._check_level_shape(x, 0, "input batch").copy()
+        if x.shape[1] == 0:
+            raise ShapeMismatchError("input batch is empty")
         a, p, fp, phat = self._sweep(x)
         L = self.n_levels
         return NetworkState(
@@ -203,18 +237,21 @@ class PCNetwork:
         return state
 
     def predict(self, x) -> np.ndarray:
-        """Pure forward sweep; no relaxation, returns the output activities."""
+        """Pure forward sweep; no relaxation, returns the output activities.
+        Computes what `_sweep` does, without keeping the hidden levels (see
+        `predict_sweep`)."""
         x = self._check_level_shape(x, 0, "input batch")
-        a, _, _, _ = self._sweep(x)
-        return a[self.n_levels]
+        return predict_sweep(self, x, self.positive_activities)
 
     def compute_errors(self, state: NetworkState) -> NetworkState:
+        # Shapes were checked when the batch entered (init_forward,
+        # clamp_output); the encodings' domain checks still run every call.
         for l in range(1, self.n_levels + 1):
             ph = state.phat[l]
             if isinstance(self.encoding, enc.Subtractive):
-                state.e[l] = enc.subtractive_error(state.a[l], ph)
+                state.e[l] = state.a[l] - ph
             elif isinstance(self.encoding, enc.SubtractiveThreshold):
-                raw = enc.subtractive_error(state.a[l], ph)
+                raw = state.a[l] - ph
                 estar = enc.threshold_encode(raw, self.encoding.e_min, self.encoding.e_max)
                 state.e_star[l] = estar
                 # Update rules see the decoded value; round-trip is exact up
@@ -230,7 +267,7 @@ class PCNetwork:
         # and the default skips it; gradient checking perturbs W_0 and asks
         # for a full rebuild from level 1.
         for l in range(from_level, self.n_levels + 1):
-            pl = matmul(self.weights[l - 1], state.a[l - 1])
+            pl = self.weights[l - 1] @ state.a[l - 1]
             state.p[l] = pl
             state.fp[l] = activate(self.activation_at(l), pl)
             state.phat[l] = state.fp[l] + self.bias_at(l)
@@ -262,13 +299,13 @@ class PCNetwork:
             for l in range(1, L):
                 f_up = self._act_deriv(state, l + 1)
                 rising = 0.5 * np.log(state.e[l + 1]) * f_up / (state.phat[l + 1] + eps)
-                bottom_up = matmul(self.feedback_matrix(l), rising)
+                bottom_up = self.feedback_matrix(l) @ rising
                 top_down = 0.5 * np.log(state.e[l]) / (state.a[l] + eps)
                 dirs[l] = bottom_up - top_down
         else:
             for l in range(1, L):
                 f_up = self._act_deriv(state, l + 1)
-                bottom_up = matmul(self.feedback_matrix(l), hadamard(state.e[l + 1], f_up))
+                bottom_up = self.feedback_matrix(l) @ (state.e[l + 1] * f_up)
                 dirs[l] = bottom_up - state.e[l]
         return dirs
 
@@ -299,16 +336,17 @@ class PCNetwork:
         learning rate or optimizer) decreases the configured objective.
         Requires current errors."""
         out = []
+        batch = state.batch_size
         if isinstance(self.encoding, enc.Division):
             eps = self.encoding.epsilon
             for l in range(self.n_levels):
                 f_up = self._act_deriv(state, l + 1)
                 rising = 0.5 * np.log(state.e[l + 1]) * f_up / (state.phat[l + 1] + eps)
-                out.append(outer(rising, state.a[l]))
+                out.append((rising @ state.a[l].T) / batch)
         else:
             for l in range(self.n_levels):
                 f_up = self._act_deriv(state, l + 1)
-                out.append(outer(hadamard(state.e[l + 1], f_up), state.a[l]))
+                out.append(((state.e[l + 1] * f_up) @ state.a[l].T) / batch)
         return out
 
     def objective(self, state: NetworkState) -> float:

@@ -38,11 +38,24 @@ def adam_step(state: AdamState, direction) -> np.ndarray:
         raise ValueError(f"adam_step: direction shape {g.shape} does not match state {state.m.shape}")
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    return state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # The moments are updated in place, with the same products and sums in
+    # the same order as m = beta1 m + (1 - beta1) g and
+    # v = beta2 v + (1 - beta2) g^2, so the results are bit-identical.
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    g2 = g * g
+    g2 *= 1.0 - state.beta2
+    state.v *= state.beta2
+    state.v += g2
+    # increment = lr * m_hat / (sqrt(v_hat) + eps), built in fresh buffers so
+    # it never aliases the state
+    denom = state.v / (1.0 - state.beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    increment = state.m / (1.0 - state.beta1 ** t)
+    increment *= state.lr
+    increment /= denom
+    return increment
 
 
 def sgd_step(lr: float, direction) -> np.ndarray:

@@ -4,8 +4,9 @@ One weight update per minibatch: the state is initialized by a forward
 sweep, the output level is clamped to the target, the hidden activities
 relax for a fixed number of steps, and the batch-averaged local directions
 go through per-matrix Adam optimizers (plus the Kolen-Pollack decay pair
-when that feedback scheme is selected). Evaluation always uses the pure
-forward sweep.
+when that feedback scheme is selected). Evaluation uses the pure forward
+sweep, run once per chunk of 4096 samples; a split's classification error
+and output objective are both read from those outputs.
 
 The metrics CSV has the schema `epoch,split,error,objective,seconds` with
 one train row and one test row per epoch. The train row's objective is the
@@ -29,7 +30,7 @@ from . import encodings as enc
 from .baseline import MLP, init_mlp
 from .checkpoint import save_checkpoint
 from .config import NETWORK_DIMS, TrainConfig
-from .linalg import ActivationKind
+from .linalg import ActivationKind, ShapeMismatchError, as_matrix
 from .network import KolenPollack, PCNetwork, Transpose, init_network, kp_step
 from .optim import AdamState, adam_step
 
@@ -70,25 +71,49 @@ def build_model(cfg: TrainConfig):
                         seed=cfg.seed)
 
 
-def classification_error(model, split: dataio.DatasetSplit, chunk: int = 4096) -> float:
-    """Fraction of samples whose argmax output misses the label."""
-    wrong = 0
-    for start in range(0, split.n_samples, chunk):
-        x = split.images[:, start:start + chunk]
-        labels = split.labels[start:start + chunk]
-        wrong += int(np.sum(np.argmax(model.predict(x), axis=0) != labels))
+EVAL_CHUNK = 4096
+
+
+def predict_split(model, split: dataio.DatasetSplit) -> np.ndarray:
+    """Forward-sweep outputs for every sample of a split, one column per
+    sample; the sweep runs chunk by chunk to bound its memory."""
+    return np.concatenate([model.predict(split.images[:, start:start + EVAL_CHUNK])
+                           for start in range(0, split.n_samples, EVAL_CHUNK)], axis=1)
+
+
+def _split_outputs(model, split: dataio.DatasetSplit, outputs) -> np.ndarray:
+    if outputs is None:
+        return predict_split(model, split)
+    outputs = as_matrix(outputs)
+    if outputs.shape[1] != split.n_samples:
+        raise ShapeMismatchError(
+            f"outputs have {outputs.shape[1]} columns, the split has {split.n_samples} samples"
+        )
+    return outputs
+
+
+def classification_error(model, split: dataio.DatasetSplit, outputs=None) -> float:
+    """Fraction of samples whose argmax output misses the label.
+
+    `outputs` are the model's forward-sweep outputs for the split (see
+    `predict_split`); they are computed when not given."""
+    outputs = _split_outputs(model, split, outputs)
+    wrong = int(np.count_nonzero(np.argmax(outputs, axis=0) != split.labels))
     return wrong / split.n_samples
 
 
-def output_objective(model, split: dataio.DatasetSplit, chunk: int = 4096) -> float:
+def output_objective(model, split: dataio.DatasetSplit, outputs=None) -> float:
     """Output-level mismatch between forward-sweep predictions and targets,
-    in the model's objective family, mean per sample."""
+    in the model's objective family, mean per sample.
+
+    `outputs` are as for `classification_error`. The per-sample cost is
+    summed one 4096-sample chunk at a time."""
+    outputs = _split_outputs(model, split, outputs)
     division = isinstance(model, PCNetwork) and isinstance(model.encoding, enc.Division)
     total = 0.0
-    for start in range(0, split.n_samples, chunk):
-        x = split.images[:, start:start + chunk]
-        y = dataio.one_hot(split.labels[start:start + chunk])
-        out = model.predict(x)
+    for start in range(0, split.n_samples, EVAL_CHUNK):
+        y = dataio.one_hot(split.labels[start:start + EVAL_CHUNK])
+        out = outputs[:, start:start + EVAL_CHUNK]
         n = y.shape[1]
         if division:
             eps = model.encoding.epsilon
@@ -99,8 +124,11 @@ def output_objective(model, split: dataio.DatasetSplit, chunk: int = 4096) -> fl
 
 
 def evaluate(model, split: dataio.DatasetSplit):
-    """Returns (classification error, output objective) for a split."""
-    return classification_error(model, split), output_objective(model, split)
+    """Returns (classification error, output objective) for a split, both
+    from one forward sweep."""
+    outputs = predict_split(model, split)
+    return (classification_error(model, split, outputs),
+            output_objective(model, split, outputs))
 
 
 def _train_batch_pc(net: PCNetwork, x, y, cfg: TrainConfig, adams) -> float:

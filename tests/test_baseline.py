@@ -37,6 +37,11 @@ class TestForward:
         x, _ = _data([6, 4, 3], 5, 3)
         np.testing.assert_array_equal(mlp.predict(x), mlp.predict(x))
 
+    def test_wide_batch_matches_forward(self):
+        mlp = init_mlp([784, 300, 300, 10], seed=3)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=(784, 1204))
+        np.testing.assert_array_equal(mlp.predict(x), mlp.forward(x)[0][3])
+
     def test_input_shape_checked(self):
         mlp = init_mlp([6, 3], seed=0)
         with pytest.raises(ShapeMismatchError):

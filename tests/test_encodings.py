@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -133,11 +133,19 @@ class TestDivision:
         hnp.arrays(np.float64, (4, 3), elements=st.floats(0.0, 5.0)),
         st.floats(1e-6, 1e-1),
     )
+    @example(a=np.zeros((4, 3)), phat=np.full((4, 3), 1.72e-18), epsilon=1e-6)
     def test_strictly_positive_and_one_iff_matched(self, a, phat, epsilon):
         got = enc.division_error(a, phat, epsilon)
         assert np.all(got > 0.0)
+        assert np.all(got[a == phat] == 1.0)
+        # e = sqrt(1 + d) with d = (a - phat) / (phat + eps), so |e - 1| is
+        # |d| / 2 to first order: |e - 1| <= 1e-12 means |d| <= 2e-12. A 1%
+        # band around that boundary, far wider than the few-ulp rounding of
+        # e, is left to rounding.
         matched = np.abs(got - 1.0) <= 1e-12
-        np.testing.assert_array_equal(matched, np.abs(a - phat) <= 1e-12 * (phat + epsilon))
+        d = np.abs(a - phat) / (phat + epsilon)
+        assert np.all(matched[d <= 2e-12 * 0.99])
+        assert not np.any(matched[d >= 2e-12 * 1.01])
 
 
 class TestDivisionCost:

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from biopc.linalg import (
     ActivationKind,
     ShapeMismatchError,
+    _sigmoid,
     activate,
     activate_deriv,
     hadamard,
@@ -18,6 +19,20 @@ from biopc.linalg import (
 )
 
 ALL_KINDS = list(ActivationKind)
+
+
+def _piecewise_sigmoid(x):
+    # Reference: the masked piecewise sigmoid that _sigmoid replaced.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestMatmul:
@@ -174,3 +189,31 @@ class TestActivations:
             activate(kind, x)
             activate_deriv(kind, x)
         np.testing.assert_array_equal(x, kept)
+
+
+class TestSigmoidMatchesPiecewise:
+    """The branch-free sigmoid must reproduce the piecewise form bit for bit,
+    NaN sign and payload included, so no checkpoint byte moves."""
+
+    SPECIAL = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                         5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                         745.0, -745.0, 745.2, -745.2, 709.8, -709.8, 36.0, -36.0,
+                         1e308, -1e308, 1.0, -1.0]])
+
+    def test_special_values(self):
+        nan_bits = np.array([[0x7FF8000000000000, 0xFFF8000000000000,
+                              0x7FF0000000000001, 0xFFFBEEF000000000]], dtype=np.uint64)
+        for x in (self.SPECIAL, nan_bits.view(np.float64)):
+            assert _same_bits(_sigmoid(x), _piecewise_sigmoid(x))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2021)
+        for shape in ((1024, 1024), (300, 64), (3, 5)):
+            x = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(np.float64)
+            assert _same_bits(_sigmoid(x), _piecewise_sigmoid(x))
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=16),
+                      elements=st.floats(allow_nan=True, allow_infinity=True,
+                                         allow_subnormal=True)))
+    def test_any_float64_matrix(self, x):
+        assert _same_bits(_sigmoid(x), _piecewise_sigmoid(x))

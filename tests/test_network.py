@@ -11,6 +11,7 @@ from biopc import encodings as enc
 from biopc.baseline import init_mlp
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import (
+    PREDICT_BLOCK,
     KolenPollack,
     PCNetwork,
     RandomFixed,
@@ -103,6 +104,8 @@ class TestInitForward:
         net = init_network([6, 3], seed=0)
         with pytest.raises(ShapeMismatchError):
             net.init_forward(np.zeros((5, 2)))
+        with pytest.raises(ShapeMismatchError, match="empty"):
+            net.init_forward(np.zeros((6, 0)))
 
     def test_input_copied_not_aliased(self):
         net = init_network([3, 2], seed=0)
@@ -377,6 +380,18 @@ class TestPredict:
         net = init_network([6, 5, 3], seed=23)
         x, _ = _random_batch(net, 4, 4)
         np.testing.assert_array_equal(net.predict(x), net.predict(x))
+
+    @pytest.mark.parametrize("width", [PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK - 1, 1204, 4096, 4500])
+    def test_wide_batch_matches_one_sweep(self, width):
+        # Blocked prediction gives the bits of one product over the whole
+        # batch, the last columns (a separate path in BLAS) included.
+        x = np.random.default_rng(width).uniform(0.0, 1.0, size=(784, width))
+        before = x.copy()
+        for positive in (False, True):
+            net = init_network([784, 300, 300, 10], seed=3, bias=0.1,
+                               positive_activities=positive)
+            np.testing.assert_array_equal(net.predict(x), net._sweep(x)[0][3])
+        np.testing.assert_array_equal(x, before)
 
 
 class TestFeedbackSchemes:

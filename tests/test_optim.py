@@ -68,3 +68,33 @@ def test_adam_shape_mismatch():
     state = AdamState.for_shape((2, 2))
     with pytest.raises(ValueError):
         adam_step(state, np.ones((3, 2)))
+
+
+def _reference_adam_step(state, g):
+    # Reference: the out-of-place Adam update the in-place one replaced.
+    state.step_count += 1
+    t = state.step_count
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    m_hat = state.m / (1.0 - state.beta1 ** t)
+    v_hat = state.v / (1.0 - state.beta2 ** t)
+    return state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+@pytest.mark.parametrize("shape, lr", [((300, 784), 1e-3), ((10, 300), 0.05), ((3, 4), 1.0)])
+def test_adam_in_place_matches_out_of_place_reference(shape, lr):
+    rng = np.random.default_rng(17)
+    ours = AdamState.for_shape(shape, lr=lr)
+    ref = AdamState.for_shape(shape, lr=lr)
+    for k in range(6):
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3)
+        if k == 3:
+            g[0, 0] = 0.0
+        m_before, v_before = ours.m, ours.v
+        inc = adam_step(ours, g)
+        np.testing.assert_array_equal(inc, _reference_adam_step(ref, g))
+        np.testing.assert_array_equal(ours.m, ref.m)
+        np.testing.assert_array_equal(ours.v, ref.v)
+        assert ours.step_count == ref.step_count
+        assert ours.m is m_before and ours.v is v_before  # updated in place
+        assert not np.shares_memory(inc, ours.m) and not np.shares_memory(inc, ours.v)

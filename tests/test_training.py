@@ -7,10 +7,12 @@ import pytest
 from biopc import encodings as enc
 from biopc.checkpoint import load_checkpoint
 from biopc.config import TrainConfig
-from biopc.dataio import IdxError, synthetic_split
-from biopc.linalg import ActivationKind
-from biopc.network import KolenPollack, RandomFixed
-from biopc.training import evaluate, run_gradcheck, train
+from biopc.baseline import init_mlp
+from biopc.dataio import IdxError, one_hot, synthetic_split
+from biopc.linalg import ActivationKind, ShapeMismatchError
+from biopc.network import KolenPollack, RandomFixed, init_network
+from biopc.training import (classification_error, evaluate, output_objective,
+                            predict_split, run_gradcheck, train)
 
 TRAIN = synthetic_split(512, seed=1)
 TEST = synthetic_split(128, seed=2, name="test")
@@ -82,6 +84,56 @@ class TestTrainLoop:
                     TRAIN, TEST, write_outputs=False)
         for wa, wb in zip(sub.model.weights, thr.model.weights):
             np.testing.assert_allclose(wa, wb, atol=1e-10)
+
+
+def _two_sweep_evaluate(model, split, chunk=4096):
+    # Reference: evaluation as two independent chunked sweeps, one for the
+    # error and one for the objective.
+    wrong = 0
+    for start in range(0, split.n_samples, chunk):
+        x = split.images[:, start:start + chunk]
+        wrong += int(np.sum(np.argmax(model.predict(x), axis=0)
+                            != split.labels[start:start + chunk]))
+    division = isinstance(getattr(model, "encoding", None), enc.Division)
+    total = 0.0
+    for start in range(0, split.n_samples, chunk):
+        out = model.predict(split.images[:, start:start + chunk])
+        y = one_hot(split.labels[start:start + chunk])
+        if division:
+            total += enc.division_cost(enc.division_error(y, out, model.encoding.epsilon)) * y.shape[1]
+        else:
+            total += enc.energy([y - out]) * y.shape[1]
+    return wrong / split.n_samples, total / split.n_samples
+
+
+class TestEvaluate:
+    LARGE = synthetic_split(5000, seed=7, name="large")  # two chunks, the second partial
+
+    @pytest.mark.parametrize("kind", ["pc", "pc_div", "bp"])
+    def test_matches_two_sweep_reference(self, kind):
+        if kind == "bp":
+            model = init_mlp([784, 300, 300, 10], seed=2)
+        elif kind == "pc_div":
+            model = init_network([784, 300, 300, 10], encoding=enc.Division(),
+                                 positive_activities=True, bias=0.1, seed=2)
+        else:
+            model = init_network([784, 300, 300, 10], seed=2)
+        assert evaluate(model, self.LARGE) == _two_sweep_evaluate(model, self.LARGE)
+
+    def test_one_forward_sweep_per_chunk(self):
+        net = init_network([784, 300, 300, 10], seed=2)
+        calls = []
+        predict = net.predict
+        net.predict = lambda x: calls.append(x.shape[1]) or predict(x)
+        evaluate(net, self.LARGE)
+        assert calls == [4096, 5000 - 4096]
+
+    def test_outputs_must_cover_the_split(self):
+        net = init_network([784, 300, 300, 10], seed=2)
+        outputs = predict_split(net, TEST)
+        assert classification_error(net, TEST, outputs) == classification_error(net, TEST)
+        with pytest.raises(ShapeMismatchError):
+            output_objective(net, TEST, outputs[:, :-1])
 
 
 class TestKolenPollackTraining:
