@@ -22,7 +22,7 @@ from .network import (
     init_network,
     kp_step,
 )
-from .optim import AdamState, adam_step, sgd_step
+from .optim import AdamState, adam_step
 from .training import run_gradcheck, train
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "load_split",
     "one_hot",
     "run_gradcheck",
-    "sgd_step",
     "synthetic_split",
     "train",
 ]

@@ -7,10 +7,12 @@ Layout, all little-endian after the magic:
     model_kind      u8       0 = predictive-coding network, 1 = backprop MLP
     n_levels        u32      number of layer sizes (input..output)
     dims            u32 * n_levels
-    hidden_act      u8       0 sigmoid, 1 tanh, 2 relu, 3 identity
+    hidden_act      u8       0 sigmoid, 1 tanh
     output_act      u8
-    encoding        u8       0 subtractive, 1 subtractive-threshold, 2 division
-    feedback        u8       0 transpose, 1 random fixed, 2 kolen-pollack
+    encoding        u8       its `tag`: 0 subtractive, 1 subtractive-threshold,
+                             2 division
+    feedback        u8       its `tag`: 0 transpose, 1 random fixed,
+                             2 kolen-pollack
     positive        u8       0/1 positivity constraint on activities
     bias            f64
     e_min, e_max    f64, f64 threshold-encoding range (zeros otherwise)
@@ -24,10 +26,13 @@ Layout, all little-endian after the magic:
                              m matrix block, v matrix block
 
 Round trips are bit-exact: matrices are written as raw float64 bytes.
+The loader raises `CheckpointError`, naming the path, for any input it
+cannot turn into a model.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from pathlib import Path
 from typing import Optional, Union
@@ -37,18 +42,13 @@ import numpy as np
 from . import encodings as enc
 from .baseline import MLP
 from .linalg import ActivationKind
-from .network import KolenPollack, PCNetwork, RandomFixed, Transpose
+from .network import FEEDBACK_SCHEMES, PCNetwork
 from .optim import AdamState
 
 MAGIC = b"PCCK"
 VERSION = 1
 
-_ACT_TAGS = {
-    ActivationKind.SIGMOID: 0,
-    ActivationKind.TANH: 1,
-    ActivationKind.RELU: 2,
-    ActivationKind.IDENTITY: 3,
-}
+_ACT_TAGS = {ActivationKind.SIGMOID: 0, ActivationKind.TANH: 1}
 _ACT_FROM_TAG = {v: k for k, v in _ACT_TAGS.items()}
 
 
@@ -56,20 +56,9 @@ class CheckpointError(ValueError):
     pass
 
 
-def _encoding_tag(encoding: enc.ErrorEncoding) -> int:
-    if isinstance(encoding, enc.Subtractive):
-        return 0
-    if isinstance(encoding, enc.SubtractiveThreshold):
-        return 1
-    return 2
-
-
-def _feedback_tag(feedback) -> int:
-    if isinstance(feedback, Transpose):
-        return 0
-    if isinstance(feedback, RandomFixed):
-        return 1
-    return 2
+# The encoding and feedback parameters, in their slot order; a slot the
+# model's encoding and feedback scheme have no field for holds zero.
+_PARAM_SLOTS = ("e_min", "e_max", "epsilon", "gamma")
 
 
 def _pack_matrix(m: np.ndarray) -> bytes:
@@ -122,18 +111,12 @@ def save_checkpoint(path, model: Union[PCNetwork, MLP],
     parts.append(struct.pack("<B", _ACT_TAGS[model.output_activation]))
 
     if is_mlp:
-        parts.append(struct.pack("<BBB", 0, 0, 0))
-        parts.append(struct.pack("<5d", model.bias, 0.0, 0.0, 0.0, 0.0))
+        tags, params = (0, 0, 0), {}
     else:
-        encoding = model.encoding
-        feedback = model.feedback
-        e_min = encoding.e_min if isinstance(encoding, enc.SubtractiveThreshold) else 0.0
-        e_max = encoding.e_max if isinstance(encoding, enc.SubtractiveThreshold) else 0.0
-        epsilon = encoding.epsilon if isinstance(encoding, enc.Division) else 0.0
-        gamma = feedback.gamma if isinstance(feedback, KolenPollack) else 0.0
-        parts.append(struct.pack("<BBB", _encoding_tag(encoding), _feedback_tag(feedback),
-                                 1 if model.positive_activities else 0))
-        parts.append(struct.pack("<5d", model.bias, e_min, e_max, epsilon, gamma))
+        tags = (model.encoding.tag, model.feedback.tag, 1 if model.positive_activities else 0)
+        params = {**dataclasses.asdict(model.encoding), **dataclasses.asdict(model.feedback)}
+    parts.append(struct.pack("<BBB", *tags))
+    parts.append(struct.pack("<5d", model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS)))
 
     parts.append(struct.pack("<I", len(model.weights)))
     for w in model.weights:
@@ -178,10 +161,7 @@ def load_checkpoint(path):
     feedback_tag = r.u8("feedback")
     positive = bool(r.u8("positivity flag"))
     bias = r.f64("bias")
-    e_min = r.f64("e_min")
-    e_max = r.f64("e_max")
-    epsilon = r.f64("epsilon")
-    gamma = r.f64("gamma")
+    params = {k: r.f64(k) for k in _PARAM_SLOTS}
 
     n_w = r.u32("weight count")
     weights = [r.matrix(f"W[{l}]") for l in range(n_w)]
@@ -208,33 +188,18 @@ def load_checkpoint(path):
     if r.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - r.pos} trailing bytes at offset {r.pos}")
 
-    if model_kind == 1:
-        model = MLP(dims, weights, bias=bias,
-                    hidden_activation=hidden_act, output_activation=output_act)
-        return model, optimizers
-    if model_kind != 0:
+    if model_kind not in (0, 1):
         raise CheckpointError(f"{path}: unknown model kind {model_kind}")
-
-    if encoding_tag == 0:
-        encoding = enc.Subtractive()
-    elif encoding_tag == 1:
-        encoding = enc.SubtractiveThreshold(e_min=e_min, e_max=e_max)
-    elif encoding_tag == 2:
-        encoding = enc.Division(epsilon=epsilon)
-    else:
-        raise CheckpointError(f"{path}: unknown encoding tag {encoding_tag}")
-
-    if feedback_tag == 0:
-        feedback = Transpose()
-    elif feedback_tag == 1:
-        feedback = RandomFixed()
-    elif feedback_tag == 2:
-        feedback = KolenPollack(gamma=gamma)
-    else:
-        raise CheckpointError(f"{path}: unknown feedback tag {feedback_tag}")
-
-    model = PCNetwork(dims, weights, feedback_weights, bias=bias,
-                      hidden_activation=hidden_act, output_activation=output_act,
-                      encoding=encoding, feedback=feedback,
-                      positive_activities=positive)
+    try:
+        if model_kind == 1:
+            model = MLP(dims, weights, bias=bias,
+                        hidden_activation=hidden_act, output_activation=output_act)
+        else:
+            model = PCNetwork(dims, weights, feedback_weights, bias=bias,
+                              hidden_activation=hidden_act, output_activation=output_act,
+                              encoding=enc.build(enc.ENCODINGS, "tag", encoding_tag, params),
+                              feedback=enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params),
+                              positive_activities=positive)
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from None
     return model, optimizers

@@ -1,27 +1,31 @@
 """Command-line front end: train, eval and gradcheck.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 gradient
-check failure.
+check failure, 4 encoding-domain error (an error neuron's input left the
+range its encoding can represent, for example a threshold error below
+e-min; the message names the epoch, the batch and the level).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
 from . import dataio
 from . import encodings as enc
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, TrainConfig, merge_config, parse_bool, parse_config_file
+from .config import _CHOICES, ConfigError, TrainConfig, _coerce, merge_config, parse_config_file
 from .linalg import ActivationKind, ShapeMismatchError
-from .network import KolenPollack, RandomFixed, Transpose
+from .network import FEEDBACK_SCHEMES
 from .training import evaluate, run_gradcheck, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_GRADCHECK = 3
+EXIT_ENCODING_DOMAIN = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,44 +35,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_HELP = {
+    "beta": "inference rate",
+    "n_updates": "activity updates per minibatch",
+    "gamma": "Kolen-Pollack decay",
+    "epsilon": "division-encoding constant",
+    "e_min": "threshold-encoding floor",
+    "e_max": "threshold-encoding span",
+}
+
+
+def _flag_type(field: str):
+    def parse(text: str):
+        try:
+            return _coerce(field, text)
+        except ConfigError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per `TrainConfig` field, plus `--config`."""
     p.add_argument("--config", default=None, help="config file of 'key = value' lines")
-    p.add_argument("--dataset", choices=["mnist", "fashion"], default=None)
-    p.add_argument("--data-dir", dest="data_dir", default=None)
-    p.add_argument("--model", choices=["pc", "bp"], default=None)
-    p.add_argument("--feedback", choices=["transpose", "random", "kp"], default=None)
-    p.add_argument("--encoding", choices=["subtractive", "threshold", "division"], default=None)
-    p.add_argument("--hidden-activation", dest="hidden_activation",
-                   choices=["sigmoid", "tanh"], default=None)
-    p.add_argument("--positive-activities", dest="positive_activities",
-                   type=parse_bool, metavar="BOOL", default=None)
-    p.add_argument("--bias", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None, help="inference rate")
-    p.add_argument("--n-updates", dest="n_updates", type=int, default=None,
-                   help="activity updates per minibatch")
-    p.add_argument("--gamma", type=float, default=None, help="Kolen-Pollack decay")
-    p.add_argument("--epsilon", type=float, default=None, help="division-encoding constant")
-    p.add_argument("--e-min", dest="e_min", type=float, default=None,
-                   help="threshold-encoding floor")
-    p.add_argument("--e-max", dest="e_max", type=float, default=None,
-                   help="threshold-encoding span")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-
-
-_CONFIG_FIELDS = [
-    "dataset", "data_dir", "model", "feedback", "encoding", "hidden_activation",
-    "positive_activities", "bias", "epochs", "batch_size", "lr", "beta",
-    "n_updates", "gamma", "epsilon", "e_min", "e_max", "seed", "out_dir",
-]
+    for field in dataclasses.fields(TrainConfig):
+        p.add_argument("--" + field.name.replace("_", "-"), dest=field.name, default=None,
+                       type=_flag_type(field.name), choices=_CHOICES.get(field.name),
+                       help=_HELP.get(field.name))
 
 
 def _config_from_args(args) -> TrainConfig:
     file_entries = parse_config_file(args.config) if args.config else None
-    flag_entries = {f: getattr(args, f) for f in _CONFIG_FIELDS}
+    flag_entries = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
     return merge_config(file_entries, flag_entries)
 
 
@@ -107,16 +104,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    encoding = {
-        "subtractive": enc.Subtractive(),
-        "threshold": enc.SubtractiveThreshold(),
-        "division": enc.Division(),
-    }[args.encoding]
-    feedback = {
-        "transpose": Transpose(),
-        "random": RandomFixed(),
-        "kp": KolenPollack(),
-    }[args.feedback]
+    encoding = enc.build(enc.ENCODINGS, "name", args.encoding)
+    feedback = enc.build(FEEDBACK_SCHEMES, "name", args.feedback)
     report = run_gradcheck(encoding, feedback,
                            hidden_activation=ActivationKind(args.hidden_activation),
                            seed=args.seed)
@@ -143,19 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--dataset", choices=["mnist", "fashion"], default="mnist")
+    p_eval.add_argument("--dataset", choices=_CHOICES["dataset"], default="mnist")
     p_eval.add_argument("--data-dir", dest="data_dir", default="data")
     p_eval.add_argument("--split", choices=["train", "test"], default="test")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_grad = sub.add_parser("gradcheck",
                             help="compare update rules against finite differences")
-    p_grad.add_argument("--encoding", choices=["subtractive", "threshold", "division"],
-                        default="subtractive")
-    p_grad.add_argument("--feedback", choices=["transpose", "random", "kp"],
-                        default="transpose")
-    p_grad.add_argument("--hidden-activation", dest="hidden_activation",
-                        choices=["sigmoid", "tanh"], default="sigmoid")
+    for field in ("encoding", "feedback", "hidden_activation"):
+        p_grad.add_argument("--" + field.replace("_", "-"), dest=field,
+                            choices=_CHOICES[field], default=getattr(TrainConfig, field))
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(func=_cmd_gradcheck)
     return parser
@@ -172,6 +158,9 @@ def main(argv=None) -> int:
     except (dataio.IdxError, CheckpointError, ShapeMismatchError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
+    except enc.EncodingDomainError as err:
+        print(f"encoding domain error: {err}", file=sys.stderr)
+        return EXIT_ENCODING_DOMAIN
 
 
 if __name__ == "__main__":

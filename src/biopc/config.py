@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import encodings as enc
 from .linalg import ActivationKind
-from .network import KolenPollack, RandomFixed, Transpose
+from .network import FEEDBACK_SCHEMES
 
 NETWORK_DIMS = [784, 300, 300, 10]
 
@@ -26,11 +26,11 @@ DATASET_DEFAULTS = {
 }
 
 _CHOICES = {
-    "dataset": ("mnist", "fashion"),
+    "dataset": tuple(DATASET_DEFAULTS),
     "model": ("pc", "bp"),
-    "feedback": ("transpose", "random", "kp"),
-    "encoding": ("subtractive", "threshold", "division"),
-    "hidden_activation": ("sigmoid", "tanh"),
+    "feedback": tuple(s.name for s in FEEDBACK_SCHEMES),
+    "encoding": tuple(e.name for e in enc.ENCODINGS),
+    "hidden_activation": tuple(k.value for k in ActivationKind),
 }
 
 
@@ -78,11 +78,6 @@ class TrainConfig:
         return filled
 
     def _validate(self) -> None:
-        if self.encoding == "division" and not self.positive_activities:
-            raise ConfigError(
-                "encoding=division requires positive-activities=true: the ratio "
-                "error is only defined on non-negative rates"
-            )
         if self.bias < 0:
             raise ConfigError(f"bias must be >= 0, got {self.bias}")
         if self.epochs < 1:
@@ -105,22 +100,21 @@ class TrainConfig:
             raise ConfigError(f"e-max must be > 0, got {self.e_max}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # Last: building the encoding reruns its own parameter checks, which
+        # raise ValueError rather than ConfigError.
+        if self.encoding_value().needs_positive and not self.positive_activities:
+            raise ConfigError(
+                f"encoding={self.encoding} requires positive-activities=true: its "
+                "error is only defined on non-negative rates"
+            )
 
     # -- pieces consumed by the model builders -------------------------------
 
     def encoding_value(self) -> enc.ErrorEncoding:
-        if self.encoding == "subtractive":
-            return enc.Subtractive()
-        if self.encoding == "threshold":
-            return enc.SubtractiveThreshold(e_min=self.e_min, e_max=self.e_max)
-        return enc.Division(epsilon=self.epsilon)
+        return enc.build(enc.ENCODINGS, "name", self.encoding, vars(self))
 
     def feedback_value(self):
-        if self.feedback == "transpose":
-            return Transpose()
-        if self.feedback == "random":
-            return RandomFixed()
-        return KolenPollack(gamma=self.gamma)
+        return enc.build(FEEDBACK_SCHEMES, "name", self.feedback, vars(self))
 
     def hidden_activation_value(self) -> ActivationKind:
         return ActivationKind(self.hidden_activation)

@@ -35,6 +35,8 @@ class DatasetSplit:
     name: str
 
     def __post_init__(self):
+        if self.labels.shape[0] == 0:
+            raise IdxError(f"{self.name}: the split holds no samples")
         if self.images.shape[1] != self.labels.shape[0]:
             raise IdxError(
                 f"{self.name}: {self.images.shape[1]} image columns vs "

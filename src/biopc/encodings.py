@@ -12,29 +12,67 @@ effective prediction f(p) + b:
 * ``Division`` -- the square-root ratio sqrt((a + eps) / (f(p) + b + eps)),
   always positive, equal to 1 when activity matches prediction. Its
   objective is the squared log of the ratio.
+
+Each encoding class owns everything that varies with it: its config
+`name` and checkpoint `tag`, whether it `needs_positive` rates, its
+`error`, the `rising` term that carries a level's error into both the
+bottom-up activity update below it and the weight update, the `top_down`
+term that pulls an activity toward its prediction, its per-level `cost`
+and the `output_cost` of forward-sweep outputs against targets. Its
+dataclass fields are its parameters, named as in the run config and the
+checkpoint. `ENCODINGS` lists the classes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import ActivationKind, activate, as_matrix
+from .linalg import as_matrix
 
 
 class EncodingDomainError(ValueError):
     """Inputs fall outside the domain an encoding is defined on."""
 
 
-@dataclass(frozen=True)
-class Subtractive:
-    pass
+class _SubtractiveFamily:
+    """Update terms of the encodings whose decoded error is the signed
+    difference a - phat."""
+
+    needs_positive = False
+
+    def rising(self, e, f_up, phat):
+        return e * f_up
+
+    def top_down(self, e, a):
+        return e
+
+    def cost(self, e) -> float:
+        return energy([e])
+
+    def output_cost(self, y, out) -> float:
+        return energy([y - out])
 
 
 @dataclass(frozen=True)
-class SubtractiveThreshold:
+class Subtractive(_SubtractiveFamily):
+    name = "subtractive"
+    tag = 0
+
+    def error(self, a, phat):
+        """(e, e_star): the error the update rules consume and, for encodings
+        whose neurons fire something else, the encoded rates (else None)."""
+        return a - phat, None
+
+
+@dataclass(frozen=True)
+class SubtractiveThreshold(_SubtractiveFamily):
+    name = "threshold"
+    tag = 1
+
     e_min: float = -1.0
     e_max: float = 2.1
 
@@ -44,30 +82,57 @@ class SubtractiveThreshold:
         if self.e_min > 0:
             raise ValueError(f"e_min must be <= 0, got {self.e_min}")
 
+    def error(self, a, phat):
+        estar = threshold_encode(a - phat, self.e_min, self.e_max)
+        # Update rules see the decoded value; the round trip is exact up to
+        # float rounding, which is what makes this scheme track the plain
+        # subtractive one.
+        return threshold_decode(estar, self.e_min, self.e_max), estar
+
 
 @dataclass(frozen=True)
 class Division:
+    name = "division"
+    tag = 2
+    needs_positive = True
+
     epsilon: float = 1e-3
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
+    def error(self, a, phat):
+        return division_error(a, phat, self.epsilon), None
+
+    def rising(self, e, f_up, phat):
+        return 0.5 * np.log(e) * f_up / (phat + self.epsilon)
+
+    def top_down(self, e, a):
+        return 0.5 * np.log(e) / (a + self.epsilon)
+
+    def cost(self, e) -> float:
+        return division_cost(e)
+
+    def output_cost(self, y, out) -> float:
+        return division_cost(division_error(y, out, self.epsilon))
+
 
 ErrorEncoding = Union[Subtractive, SubtractiveThreshold, Division]
+ENCODINGS = (Subtractive, SubtractiveThreshold, Division)
 
 
-def predicted_rate(p, kind: ActivationKind, bias: float) -> np.ndarray:
-    """Effective prediction f(p) + b that activities are compared against."""
-    return activate(kind, p) + bias
-
-
-def subtractive_error(a, phat) -> np.ndarray:
-    a = as_matrix(a)
-    phat = as_matrix(phat)
-    if a.shape != phat.shape:
-        raise EncodingDomainError(f"subtractive_error: shapes disagree, {a.shape} vs {phat.shape}")
-    return a - phat
+def build(registry, key: str, value, params: Optional[dict] = None):
+    """An instance of the class in `registry` whose `key` attribute ("name"
+    or "tag") equals `value`, its fields taken from `params` where present
+    (defaults otherwise). Raises ValueError when no class matches or the
+    parameters are invalid."""
+    params = params or {}
+    for cls in registry:
+        if getattr(cls, key) == value:
+            return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls)
+                          if f.name in params})
+    raise ValueError(f"none of {[c.__name__ for c in registry]} has {key} {value!r}")
 
 
 def threshold_encode(e, e_min: float, e_max: float) -> np.ndarray:

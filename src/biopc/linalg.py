@@ -19,8 +19,6 @@ class ShapeMismatchError(ValueError):
 class ActivationKind(Enum):
     SIGMOID = "sigmoid"
     TANH = "tanh"
-    RELU = "relu"
-    IDENTITY = "identity"
 
 
 def as_matrix(x) -> np.ndarray:
@@ -85,18 +83,11 @@ def activate(kind: ActivationKind, x) -> np.ndarray:
         return _sigmoid(x)
     if kind is ActivationKind.TANH:
         return np.tanh(x)
-    if kind is ActivationKind.RELU:
-        return np.maximum(x, 0.0)
-    if kind is ActivationKind.IDENTITY:
-        return x.copy()
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
 def activate_deriv(kind: ActivationKind, x) -> np.ndarray:
-    """Element-wise derivative f'(x), evaluated at the pre-activation.
-
-    ReLU' at exactly 0 is defined as 0.
-    """
+    """Element-wise derivative f'(x), evaluated at the pre-activation."""
     x = as_matrix(x)
     if kind is ActivationKind.SIGMOID:
         s = _sigmoid(x)
@@ -104,8 +95,4 @@ def activate_deriv(kind: ActivationKind, x) -> np.ndarray:
     if kind is ActivationKind.TANH:
         t = np.tanh(x)
         return 1.0 - t * t
-    if kind is ActivationKind.RELU:
-        return (x > 0).astype(np.float64)
-    if kind is ActivationKind.IDENTITY:
-        return np.ones_like(x)
     raise ValueError(f"unknown activation kind: {kind!r}")

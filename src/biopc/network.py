@@ -12,37 +12,56 @@ levels (0 and L stay clamped); learning adds the batch-averaged local outer
 products to the weights. With transpose feedback both updates are exact
 negative gradients of the configured objective, which is what `gradcheck`
 verifies.
+
+Each feedback scheme class owns its config `name` and checkpoint `tag`,
+whether it `has_matrices` of its own, and the `matrix` that sends level
+l+1 errors down to level l; its dataclass fields are its parameters, named
+as in the run config and the checkpoint. `FEEDBACK_SCHEMES` lists the
+classes. The encoding (see `encodings`) owns every per-encoding term, so
+`PCNetwork` holds no branch on either. `LayeredModel` is what the network
+and the backprop `MLP` share: the level structure, the fixed hidden shift
+and the forward sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from . import encodings as enc
-from .linalg import (
-    ActivationKind,
-    ShapeMismatchError,
-    activate,
-    activate_deriv,
-    as_matrix,
-)
+from .linalg import ActivationKind, ShapeMismatchError, activate, as_matrix
 
 
 @dataclass(frozen=True)
 class Transpose:
-    pass
+    name = "transpose"
+    tag = 0
+    has_matrices = False
+
+    def matrix(self, net, l: int) -> np.ndarray:
+        return net.weights[l].T
+
+
+class _OwnMatrices:
+    has_matrices = True
+
+    def matrix(self, net, l: int) -> np.ndarray:
+        return net.feedback_weights[l]
 
 
 @dataclass(frozen=True)
-class RandomFixed:
-    pass
+class RandomFixed(_OwnMatrices):
+    name = "random"
+    tag = 1
 
 
 @dataclass(frozen=True)
-class KolenPollack:
+class KolenPollack(_OwnMatrices):
+    name = "kp"
+    tag = 2
+
     # Decay must be weak enough that the gradient/decay equilibrium sits well
     # above the weight scale the task needs; 0.01 per update strangles
     # learning at these layer sizes while 0.003 both learns and aligns.
@@ -54,19 +73,21 @@ class KolenPollack:
 
 
 FeedbackScheme = Union[Transpose, RandomFixed, KolenPollack]
+FEEDBACK_SCHEMES = (Transpose, RandomFixed, KolenPollack)
 
 
 @dataclass
 class NetworkState:
     """Per-minibatch inference state.
 
-    Lists are indexed by level; index 0 of `p`, `fp`, `phat`, `e` is unused.
-    `fp` is the raw activation f(p) and `phat` the effective prediction
-    (f(p) plus the level's shift); keeping both lets derivative evaluations
-    reuse the activation value. `e` holds whatever the update rules consume:
-    the signed difference for the subtractive family (threshold errors are
-    decoded back before use, with the encoded rates kept in `e_star`) or the
-    ratio for the division scheme.
+    Lists are indexed by level; index 0 of `p`, `fp`, `phat`, `e`, `e_star`
+    is unused. `fp` is the raw activation f(p) and `phat` the effective
+    prediction (f(p) plus the level's shift); keeping both lets derivative
+    evaluations reuse the activation value. `e` holds whatever the update
+    rules consume: the signed difference for the subtractive family
+    (threshold errors are decoded back before use, with the encoded rates
+    kept in `e_star`, which stays None for the other encodings) or the ratio
+    for the division scheme.
     """
 
     a: list
@@ -74,7 +95,7 @@ class NetworkState:
     fp: list
     phat: list
     e: list
-    e_star: Optional[list] = None
+    e_star: list
 
     @property
     def batch_size(self) -> int:
@@ -88,46 +109,21 @@ class NetworkState:
 PREDICT_BLOCK = 512
 
 
-def predict_sweep(model, x: np.ndarray, rectify: bool) -> np.ndarray:
-    """Output activities of the forward sweep through `model`'s weights,
-    `activation_at` and `bias_at`, with max(., 0) after each level when
-    `rectify`. Each level's array is updated in place and dropped once the
-    next is computed.
-
-    Wide batches run in column blocks that start at multiples of
-    PREDICT_BLOCK; the last one takes the remainder, so no block is
-    narrower than PREDICT_BLOCK unless the batch is. BLAS kernels handle
-    columns in groups of a few, with a separate path for a product's last
-    N mod (group width) columns; with these bounds those columns are the
-    batch's last ones in both cases, so every output is the same bits as
-    one product over the whole batch (the tests compare the two)."""
-    n = x.shape[1]
-    k = max(1, n // PREDICT_BLOCK)
-    out = np.empty((model.dims[-1], n))
-    for i in range(k):
-        lo, hi = i * PREDICT_BLOCK, n if i == k - 1 else (i + 1) * PREDICT_BLOCK
-        a = x[:, lo:hi]
-        for l in range(1, model.n_levels + 1):
-            a = activate(model.activation_at(l), model.weights[l - 1] @ a)
-            a += model.bias_at(l)
-            if rectify:
-                np.maximum(a, 0.0, out=a)
-        out[:, lo:hi] = a
-    return out
-
-
 def _xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-class PCNetwork:
-    def __init__(self, dims, weights, feedback_weights=None, *, bias: float = 0.0,
+class LayeredModel:
+    """Levels 0..L joined by forward weights. Hidden level l computes
+    f(W_{l-1} a_{l-1}) + b with a fixed scalar shift b; the output level is
+    unshifted. With `positive_activities` each level is rectified."""
+
+    positive_activities = False
+
+    def __init__(self, dims, weights, *, bias: float = 0.0,
                  hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-                 output_activation: ActivationKind = ActivationKind.SIGMOID,
-                 encoding: enc.ErrorEncoding = enc.Subtractive(),
-                 feedback: FeedbackScheme = Transpose(),
-                 positive_activities: bool = False):
+                 output_activation: ActivationKind = ActivationKind.SIGMOID):
         dims = [int(d) for d in dims]
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must hold at least two positive sizes, got {dims}")
@@ -140,32 +136,11 @@ class PCNetwork:
             want = (dims[l + 1], dims[l])
             if w.shape != want:
                 raise ShapeMismatchError(f"W[{l}] has shape {w.shape}, expected {want}")
-
-        if isinstance(feedback, Transpose):
-            if feedback_weights is not None:
-                raise ValueError("transpose feedback carries no separate feedback matrices")
-            self.feedback_weights = None
-        else:
-            if feedback_weights is None or len(feedback_weights) != L:
-                raise ValueError(f"{type(feedback).__name__} feedback needs {L} feedback matrices")
-            self.feedback_weights = [np.array(b, dtype=np.float64) for b in feedback_weights]
-            for l, b in enumerate(self.feedback_weights):
-                want = (dims[l], dims[l + 1])
-                if b.shape != want:
-                    raise ShapeMismatchError(f"B[{l}] has shape {b.shape}, expected {want}")
-
         if bias < 0:
             raise ValueError(f"bias must be >= 0, got {bias}")
-        if isinstance(encoding, enc.Division) and not positive_activities:
-            raise ValueError("division encoding requires positive_activities=True")
         self.bias = float(bias)
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
-        self.encoding = encoding
-        self.feedback = feedback
-        self.positive_activities = bool(positive_activities)
-
-    # -- structure ----------------------------------------------------------
 
     @property
     def n_levels(self) -> int:
@@ -175,21 +150,22 @@ class PCNetwork:
     def activation_at(self, level: int) -> ActivationKind:
         return self.output_activation if level == self.n_levels else self.hidden_activation
 
-    def feedback_matrix(self, l: int) -> np.ndarray:
-        """Matrix that carries level l+1 errors down to level l."""
-        if isinstance(self.feedback, Transpose):
-            return self.weights[l].T
-        return self.feedback_weights[l]
-
     def bias_at(self, level: int) -> float:
         """The shift keeps *hidden* rates away from the rectifier; the output
         level stays unshifted so clamped targets remain reachable."""
         return 0.0 if level == self.n_levels else self.bias
 
-    # -- inference ----------------------------------------------------------
+    def _check_level_shape(self, x, level: int, what: str) -> np.ndarray:
+        x = as_matrix(x)
+        if x.shape[0] != self.dims[level]:
+            raise ShapeMismatchError(
+                f"{what} has {x.shape[0]} rows, level {level} expects {self.dims[level]}"
+            )
+        return x
 
     def _sweep(self, x: np.ndarray):
-        """Forward pass: predictions, effective predictions and activities."""
+        """Forward pass: per level the prediction p, the activation f(p),
+        the effective prediction and the activity."""
         a = [x]
         p = [None]
         fp = [None]
@@ -205,13 +181,76 @@ class PCNetwork:
             a.append(al)
         return a, p, fp, phat
 
-    def _check_level_shape(self, x, level: int, what: str) -> np.ndarray:
-        x = as_matrix(x)
-        if x.shape[0] != self.dims[level]:
-            raise ShapeMismatchError(
-                f"{what} has {x.shape[0]} rows, level {level} expects {self.dims[level]}"
-            )
-        return x
+    def _act_deriv(self, fp: list, level: int) -> np.ndarray:
+        """Activation derivative at a level's pre-activation, from the
+        stored activation value f(p)."""
+        fl = fp[level]
+        if self.activation_at(level) is ActivationKind.SIGMOID:
+            return fl * (1.0 - fl)
+        return 1.0 - fl * fl
+
+    def predict(self, x) -> np.ndarray:
+        """Output activities of the forward sweep, what `_sweep` computes
+        without keeping the hidden levels: each level's array is updated in
+        place and dropped once the next is computed.
+
+        Wide batches run in column blocks that start at multiples of
+        PREDICT_BLOCK; the last one takes the remainder, so no block is
+        narrower than PREDICT_BLOCK unless the batch is. BLAS kernels handle
+        columns in groups of a few, with a separate path for a product's
+        last N mod (group width) columns; with these bounds those columns
+        are the batch's last ones in both cases, so every output is the same
+        bits as one product over the whole batch (the tests compare the
+        two)."""
+        x = self._check_level_shape(x, 0, "input batch")
+        n = x.shape[1]
+        k = max(1, n // PREDICT_BLOCK)
+        out = np.empty((self.dims[-1], n))
+        for i in range(k):
+            lo, hi = i * PREDICT_BLOCK, n if i == k - 1 else (i + 1) * PREDICT_BLOCK
+            a = x[:, lo:hi]
+            for l in range(1, self.n_levels + 1):
+                a = activate(self.activation_at(l), self.weights[l - 1] @ a)
+                a += self.bias_at(l)
+                if self.positive_activities:
+                    np.maximum(a, 0.0, out=a)
+            out[:, lo:hi] = a
+        return out
+
+
+class PCNetwork(LayeredModel):
+    def __init__(self, dims, weights, feedback_weights=None, *, bias: float = 0.0,
+                 hidden_activation: ActivationKind = ActivationKind.SIGMOID,
+                 output_activation: ActivationKind = ActivationKind.SIGMOID,
+                 encoding: enc.ErrorEncoding = enc.Subtractive(),
+                 feedback: FeedbackScheme = Transpose(),
+                 positive_activities: bool = False):
+        super().__init__(dims, weights, bias=bias, hidden_activation=hidden_activation,
+                         output_activation=output_activation)
+        L = self.n_levels
+        if not feedback.has_matrices:
+            if feedback_weights is not None:
+                raise ValueError(f"{feedback.name} feedback carries no separate feedback matrices")
+            self.feedback_weights = None
+        else:
+            if feedback_weights is None or len(feedback_weights) != L:
+                raise ValueError(f"{feedback.name} feedback needs {L} feedback matrices")
+            self.feedback_weights = [np.array(b, dtype=np.float64) for b in feedback_weights]
+            for l, b in enumerate(self.feedback_weights):
+                want = (self.dims[l], self.dims[l + 1])
+                if b.shape != want:
+                    raise ShapeMismatchError(f"B[{l}] has shape {b.shape}, expected {want}")
+        if encoding.needs_positive and not positive_activities:
+            raise ValueError(f"{encoding.name} encoding requires positive_activities=True")
+        self.encoding = encoding
+        self.feedback = feedback
+        self.positive_activities = bool(positive_activities)
+
+    def feedback_matrix(self, l: int) -> np.ndarray:
+        """Matrix that carries level l+1 errors down to level l."""
+        return self.feedback.matrix(self, l)
+
+    # -- inference ----------------------------------------------------------
 
     def init_forward(self, x) -> NetworkState:
         """Start inference on a batch: activities are set to the effective
@@ -221,11 +260,7 @@ class PCNetwork:
             raise ShapeMismatchError("input batch is empty")
         a, p, fp, phat = self._sweep(x)
         L = self.n_levels
-        return NetworkState(
-            a=a, p=p, fp=fp, phat=phat,
-            e=[None] * (L + 1),
-            e_star=[None] * (L + 1) if isinstance(self.encoding, enc.SubtractiveThreshold) else None,
-        )
+        return NetworkState(a=a, p=p, fp=fp, phat=phat, e=[None] * (L + 1), e_star=[None] * (L + 1))
 
     def clamp_output(self, state: NetworkState, y) -> NetworkState:
         y = self._check_level_shape(y, self.n_levels, "target batch")
@@ -236,30 +271,14 @@ class PCNetwork:
         state.a[self.n_levels] = y.copy()
         return state
 
-    def predict(self, x) -> np.ndarray:
-        """Pure forward sweep; no relaxation, returns the output activities.
-        Computes what `_sweep` does, without keeping the hidden levels (see
-        `predict_sweep`)."""
-        x = self._check_level_shape(x, 0, "input batch")
-        return predict_sweep(self, x, self.positive_activities)
-
     def compute_errors(self, state: NetworkState) -> NetworkState:
         # Shapes were checked when the batch entered (init_forward,
         # clamp_output); the encodings' domain checks still run every call.
         for l in range(1, self.n_levels + 1):
-            ph = state.phat[l]
-            if isinstance(self.encoding, enc.Subtractive):
-                state.e[l] = state.a[l] - ph
-            elif isinstance(self.encoding, enc.SubtractiveThreshold):
-                raw = state.a[l] - ph
-                estar = enc.threshold_encode(raw, self.encoding.e_min, self.encoding.e_max)
-                state.e_star[l] = estar
-                # Update rules see the decoded value; round-trip is exact up
-                # to float rounding, which is what makes this scheme track
-                # the plain subtractive one.
-                state.e[l] = enc.threshold_decode(estar, self.encoding.e_min, self.encoding.e_max)
-            else:
-                state.e[l] = enc.division_error(state.a[l], ph, self.encoding.epsilon)
+            try:
+                state.e[l], state.e_star[l] = self.encoding.error(state.a[l], state.phat[l])
+            except enc.EncodingDomainError as err:
+                raise enc.EncodingDomainError(f"level {l}: {err}") from None
         return state
 
     def _refresh_predictions(self, state: NetworkState, from_level: int = 2) -> None:
@@ -272,41 +291,26 @@ class PCNetwork:
             state.fp[l] = activate(self.activation_at(l), pl)
             state.phat[l] = state.fp[l] + self.bias_at(l)
 
-    def _act_deriv(self, state: NetworkState, level: int) -> np.ndarray:
-        """Activation derivative at a level's pre-activation, reusing the
-        stored activation value where the derivative is a function of it."""
-        kind = self.activation_at(level)
-        fl = state.fp[level]
-        if kind is ActivationKind.SIGMOID:
-            return fl * (1.0 - fl)
-        if kind is ActivationKind.TANH:
-            return 1.0 - fl * fl
-        return activate_deriv(kind, state.p[level])
+    def _rising(self, state: NetworkState, level: int) -> np.ndarray:
+        """The encoding's rising term at `level`: what the level below
+        receives through the feedback matrix, and what the weights into
+        `level` learn from."""
+        return self.encoding.rising(state.e[level], self._act_deriv(state.fp, level),
+                                    state.phat[level])
 
     def activity_directions(self, state: NetworkState) -> list:
         """Proposed change of each hidden level's activities (levels 0 and L
-        are clamped and get None). Requires current errors.
+        are clamped and get None): the fed-back rising term from above minus
+        the encoding's top-down term. Requires current errors.
 
-        For the subtractive family this is the negative energy gradient when
-        feedback is the weight transpose; separate feedback matrices replace
-        the transpose in the bottom-up term. For the division scheme it is
-        the negative gradient of the log-ratio cost.
+        With transpose feedback this is the negative gradient of the
+        configured objective; separate feedback matrices replace the
+        transpose in the bottom-up term.
         """
-        L = self.n_levels
-        dirs = [None] * (L + 1)
-        if isinstance(self.encoding, enc.Division):
-            eps = self.encoding.epsilon
-            for l in range(1, L):
-                f_up = self._act_deriv(state, l + 1)
-                rising = 0.5 * np.log(state.e[l + 1]) * f_up / (state.phat[l + 1] + eps)
-                bottom_up = self.feedback_matrix(l) @ rising
-                top_down = 0.5 * np.log(state.e[l]) / (state.a[l] + eps)
-                dirs[l] = bottom_up - top_down
-        else:
-            for l in range(1, L):
-                f_up = self._act_deriv(state, l + 1)
-                bottom_up = self.feedback_matrix(l) @ (state.e[l + 1] * f_up)
-                dirs[l] = bottom_up - state.e[l]
+        dirs = [None] * (self.n_levels + 1)
+        for l in range(1, self.n_levels):
+            bottom_up = self.feedback_matrix(l) @ self._rising(state, l + 1)
+            dirs[l] = bottom_up - self.encoding.top_down(state.e[l], state.a[l])
         return dirs
 
     def activity_step(self, state: NetworkState, beta: float) -> NetworkState:
@@ -335,26 +339,14 @@ class PCNetwork:
         """Batch-averaged increment for each W_l; adding it (scaled by a
         learning rate or optimizer) decreases the configured objective.
         Requires current errors."""
-        out = []
-        batch = state.batch_size
-        if isinstance(self.encoding, enc.Division):
-            eps = self.encoding.epsilon
-            for l in range(self.n_levels):
-                f_up = self._act_deriv(state, l + 1)
-                rising = 0.5 * np.log(state.e[l + 1]) * f_up / (state.phat[l + 1] + eps)
-                out.append((rising @ state.a[l].T) / batch)
-        else:
-            for l in range(self.n_levels):
-                f_up = self._act_deriv(state, l + 1)
-                out.append(((state.e[l + 1] * f_up) @ state.a[l].T) / batch)
-        return out
+        return [(self._rising(state, l + 1) @ state.a[l].T) / state.batch_size
+                for l in range(self.n_levels)]
 
     def objective(self, state: NetworkState) -> float:
-        """Monitored objective: total squared error for the subtractive
-        family, summed log-ratio cost for division. Requires current errors."""
-        if isinstance(self.encoding, enc.Division):
-            return float(sum(enc.division_cost(state.e[l]) for l in range(1, self.n_levels + 1)))
-        return enc.energy([state.e[l] for l in range(1, self.n_levels + 1)])
+        """Monitored objective: the encoding's cost summed over levels (total
+        squared error for the subtractive family, log-ratio cost for
+        division). Requires current errors."""
+        return float(sum(self.encoding.cost(state.e[l]) for l in range(1, self.n_levels + 1)))
 
 
 def kp_step(w: np.ndarray, b: np.ndarray, adjustment: np.ndarray, gamma: float):
@@ -391,7 +383,7 @@ def init_network(dims, *, encoding: enc.ErrorEncoding = enc.Subtractive(),
     L = len(dims) - 1
     weights = [_xavier_uniform(rng, dims[l + 1], dims[l]) for l in range(L)]
     fb = None
-    if not isinstance(feedback, Transpose):
+    if feedback.has_matrices:
         fb = [_xavier_uniform(rng, dims[l], dims[l + 1]) for l in range(L)]
     return PCNetwork(
         dims, weights, fb,

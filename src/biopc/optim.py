@@ -1,7 +1,7 @@
-"""Per-matrix optimizers.
+"""Per-matrix Adam optimizer.
 
-Both steppers take the *descent direction* (the quantity to be added to the
-parameter) and return the increment to add; there is no internal sign flip.
+`adam_step` takes the *descent direction* (the quantity to be added to the
+parameter) and returns the increment to add; there is no internal sign flip.
 Each weight matrix owns its own state.
 """
 
@@ -56,7 +56,3 @@ def adam_step(state: AdamState, direction) -> np.ndarray:
     increment *= state.lr
     increment /= denom
     return increment
-
-
-def sgd_step(lr: float, direction) -> np.ndarray:
-    return lr * as_matrix(direction)

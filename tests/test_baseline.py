@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from biopc.baseline import MLP, init_mlp
-from biopc.linalg import ActivationKind, ShapeMismatchError
+from biopc.linalg import ActivationKind, ShapeMismatchError, activate_deriv
 from biopc.network import init_network
 
 
@@ -40,7 +40,7 @@ class TestForward:
     def test_wide_batch_matches_forward(self):
         mlp = init_mlp([784, 300, 300, 10], seed=3)
         x = np.random.default_rng(0).uniform(0.0, 1.0, size=(784, 1204))
-        np.testing.assert_array_equal(mlp.predict(x), mlp.forward(x)[0][3])
+        np.testing.assert_array_equal(mlp.predict(x), mlp._sweep(x)[0][3])
 
     def test_input_shape_checked(self):
         mlp = init_mlp([6, 3], seed=0)
@@ -83,6 +83,24 @@ class TestBackward:
                     numeric[i, j] = (up - down) / (2 * h)
             scale = max(np.max(np.abs(grads[l])), np.max(np.abs(numeric)), 1e-12)
             assert np.max(np.abs(grads[l] - numeric)) / scale <= 1e-6
+
+    @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.TANH])
+    def test_same_bits_as_preactivation_derivatives(self, hidden):
+        # backward takes f' from the stored activation value; that must give
+        # the bits of f' evaluated at the pre-activation
+        dims = [7, 6, 5, 4]
+        mlp = init_mlp(dims, seed=12, bias=0.1, hidden_activation=hidden)
+        x, y = _data(dims, 9, 13)
+        a, p, _, _ = mlp._sweep(x)
+        L = mlp.n_levels
+        want = [None] * L
+        g = (a[L] - y) * activate_deriv(mlp.activation_at(L), p[L])
+        for l in range(L, 0, -1):
+            want[l - 1] = (g @ a[l - 1].T) / 9
+            if l > 1:
+                g = (mlp.weights[l - 1].T @ g) * activate_deriv(mlp.activation_at(l - 1), p[l - 1])
+        for got, ref in zip(mlp.backward(x, y), want):
+            np.testing.assert_array_equal(got, ref)
 
     def test_finite_difference_many_trials(self):
         dims = [5, 4, 3]

@@ -1,5 +1,7 @@
 """Checkpoint container: bit-exact round trips across model variants."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,64 @@ def test_reloaded_model_predicts_bit_identically(tmp_path):
     loaded, _ = load_checkpoint(path)
     x = np.random.default_rng(5).uniform(0, 1, size=(8, 10))
     np.testing.assert_array_equal(net.predict(x), loaded.predict(x))
+
+
+@pytest.mark.parametrize("tag", [2, 3])
+def test_removed_activation_tags_rejected(tmp_path, tag):
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, init_network([4, 3], seed=0))
+    blob = bytearray(path.read_bytes())
+    hidden_at = 4 + 4 + 1 + 4 + 2 * 4  # magic, version, kind, level count, dims
+    blob[hidden_at] = tag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="activation tag"):
+        load_checkpoint(path)
+
+
+def _with_param(blob: bytes, slot: int, value: float, n_dims: int) -> bytes:
+    # the f64 slots after the three tag bytes: bias, e_min, e_max, epsilon, gamma
+    at = 4 + 4 + 1 + 4 + 4 * n_dims + 2 + 3 + 8 * slot
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+
+
+@pytest.mark.parametrize("net,slot,value", [
+    (dict(feedback=KolenPollack()), 4, 5.0),
+    (dict(encoding=enc.Division(), positive_activities=True), 3, -1.0),
+    (dict(), 0, -0.5),
+])
+def test_invalid_parameters_are_checkpoint_errors(tmp_path, net, slot, value):
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, init_network([5, 4, 3], seed=0, **net))
+    path.write_bytes(_with_param(path.read_bytes(), slot, value, 3))
+    with pytest.raises(CheckpointError, match=str(path)):
+        load_checkpoint(path)
+
+
+def _small_models():
+    kp = init_network([3, 2, 2], feedback=KolenPollack(), seed=4)
+    mlp = init_mlp([3, 2, 2], seed=4)
+    return [(model, [AdamState.for_shape(w.shape) for w in model.weights])
+            for model in (kp, mlp)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["kp", "mlp"])
+def test_corrupt_files_raise_only_checkpoint_error(tmp_path, which):
+    # every single-bit flip and every truncation of a valid file either
+    # loads or raises CheckpointError
+    model, adams = _small_models()[which]
+    good = tmp_path / "good.pcck"
+    save_checkpoint(good, model, adams)
+    blob = good.read_bytes()
+    variants = [blob[:n] for n in range(len(blob))]
+    for i in range(len(blob)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[i] ^= 1 << bit
+            variants.append(bytes(flipped))
+    bad = tmp_path / "bad.pcck"
+    for data in variants:
+        bad.write_bytes(data)
+        try:
+            load_checkpoint(bad)
+        except CheckpointError:
+            pass

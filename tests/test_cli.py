@@ -1,9 +1,23 @@
 """CLI surface: flags, config precedence, exit codes, metrics/checkpoint
 outputs. Runs against small synthetic IDX datasets on disk."""
 
+import argparse
+import dataclasses
+
+import numpy as np
 import pytest
 
-from biopc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_GRADCHECK, EXIT_OK, main
+from biopc import dataio
+from biopc.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_ENCODING_DOMAIN,
+    EXIT_GRADCHECK,
+    EXIT_OK,
+    build_parser,
+    main,
+)
+from biopc.config import TrainConfig
 from biopc.training import METRICS_HEADER
 
 
@@ -72,6 +86,32 @@ class TestTrainCommand:
         assert main(["train", "--does-not-exist", "1"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_flags_are_the_config_fields(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices["train"]._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
+        assert flags == fields | {"--config", "--help"}
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--epochs", "two"), ("--lr", "fast"), ("--positive-activities", "maybe"),
+        ("--encoding", "other"), ("--hidden-activation", "relu"),
+    ])
+    def test_bad_flag_value_is_config_error(self, flag, value, capsys):
+        assert main(["train", flag, value]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_encoding_domain_error_exit_code(self, fake_data_dir, tmp_path, capsys):
+        # a threshold floor of 0 cannot represent the negative output errors
+        # of the very first batch
+        code = main(_train_args(fake_data_dir, tmp_path / "x",
+                                "--encoding", "threshold", "--e-min", "0"))
+        assert code == EXIT_ENCODING_DOMAIN
+        err = capsys.readouterr().err
+        assert "encoding domain error: epoch 1, batch 1, level 3:" in err
+        assert "e_min=0.0" in err
+
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path / "nowhere"),
                      "--out-dir", str(tmp_path / "out"), "--epochs", "1"])
@@ -115,6 +155,19 @@ class TestEvalCommand:
                      "--dataset", "mnist", "--data-dir", str(tmp_path / "smalldata")])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_empty_split_is_data_error(self, fake_data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(_train_args(fake_data_dir, out)) == EXIT_OK
+        empty = tmp_path / "empty" / "mnist"
+        empty.mkdir(parents=True)
+        dataio.write_idx_images(empty / "t10k-images-idx3-ubyte", np.zeros((0, 784)))
+        dataio.write_idx_labels(empty / "t10k-labels-idx1-ubyte", np.zeros(0))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "model.pcck"),
+                     "--data-dir", str(tmp_path / "empty")])
+        assert code == EXIT_DATA
+        assert "no samples" in capsys.readouterr().err
 
     def test_untrained_network_near_chance(self, fake_data_dir, tmp_path, capsys):
         out = tmp_path / "run"

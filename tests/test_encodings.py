@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from biopc import encodings as enc
 from biopc.linalg import ActivationKind
+from biopc.network import PCNetwork
 
 M = lambda *rows: np.array(rows, dtype=np.float64)
 
@@ -34,37 +35,40 @@ class TestVariants:
         assert enc.Division().epsilon == 1e-3
 
 
+def _effective_prediction(kind, bias):
+    # a level's effective prediction f(p) + b at p = 0: the hidden level of a
+    # zero-weight 1-1-1 network
+    net = PCNetwork([1, 1, 1], [np.zeros((1, 1))] * 2, bias=bias, hidden_activation=kind)
+    return net.init_forward(M([1.0])).phat[1]
+
+
 class TestPredictedRate:
     def test_sigmoid_no_bias(self):
-        got = enc.predicted_rate(M([0.0]), ActivationKind.SIGMOID, 0.0)
-        assert got[0, 0] == 0.5
+        assert _effective_prediction(ActivationKind.SIGMOID, 0.0)[0, 0] == 0.5
 
     def test_tanh_with_bias(self):
-        got = enc.predicted_rate(M([0.0]), ActivationKind.TANH, 0.1)
+        got = _effective_prediction(ActivationKind.TANH, 0.1)
         assert got[0, 0] == pytest.approx(0.1, abs=1e-15)
 
     def test_sigmoid_with_bias(self):
-        got = enc.predicted_rate(M([0.0]), ActivationKind.SIGMOID, 0.1)
+        got = _effective_prediction(ActivationKind.SIGMOID, 0.1)
         assert got[0, 0] == pytest.approx(0.6, abs=1e-15)
 
 
 class TestSubtractive:
     def test_zero_when_matched(self):
         a = M([0.3, 0.7])
-        assert np.all(enc.subtractive_error(a, a) == 0.0)
+        e, e_star = enc.Subtractive().error(a, a)
+        assert np.all(e == 0.0) and e_star is None
 
     def test_simple_difference(self):
-        assert enc.subtractive_error(M([1.0]), M([0.5]))[0, 0] == 0.5
+        assert enc.Subtractive().error(M([1.0]), M([0.5]))[0][0, 0] == 0.5
 
     def test_bias_enters_through_prediction(self):
         # a = 1 against f(p) = 0.5 shifted by b = 0.1
-        phat = enc.predicted_rate(M([0.0]), ActivationKind.SIGMOID, 0.1)
-        got = enc.subtractive_error(M([1.0]), phat)
+        phat = _effective_prediction(ActivationKind.SIGMOID, 0.1)
+        got, _ = enc.Subtractive().error(M([1.0]), phat)
         assert got[0, 0] == pytest.approx(0.4, abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(enc.EncodingDomainError):
-            enc.subtractive_error(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestThreshold:

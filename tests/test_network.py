@@ -2,6 +2,8 @@
 directions, feedback schemes. The backprop baseline serves as the oracle for
 the output-layer update identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from biopc import encodings as enc
 from biopc.baseline import init_mlp
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import (
+    FEEDBACK_SCHEMES,
     PREDICT_BLOCK,
     KolenPollack,
     PCNetwork,
@@ -414,3 +417,31 @@ class TestFeedbackSchemes:
         with pytest.raises(ValueError):
             PCNetwork([3, 2], [np.zeros((2, 3))], [np.zeros((3, 2))],
                       feedback=Transpose())
+
+
+class TestRegistries:
+    @pytest.mark.parametrize("registry", [enc.ENCODINGS, FEEDBACK_SCHEMES])
+    def test_names_and_tags_unique(self, registry):
+        assert len({c.name for c in registry}) == len({c.tag for c in registry}) == len(registry)
+
+    @pytest.mark.parametrize("scheme", [enc.SubtractiveThreshold(e_min=-1.5, e_max=3.0),
+                                        enc.Division(epsilon=5e-4), KolenPollack(gamma=0.01),
+                                        Transpose()])
+    def test_build_by_name_and_tag(self, scheme):
+        registry = FEEDBACK_SCHEMES if type(scheme) in FEEDBACK_SCHEMES else enc.ENCODINGS
+        params = dataclasses.asdict(scheme)
+        assert enc.build(registry, "name", scheme.name, params) == scheme
+        assert enc.build(registry, "tag", scheme.tag, params) == scheme
+
+    def test_build_rejects_unknown(self):
+        with pytest.raises(ValueError, match="tag 9"):
+            enc.build(enc.ENCODINGS, "tag", 9)
+        with pytest.raises(ValueError):
+            enc.build(FEEDBACK_SCHEMES, "name", "kp", {"gamma": 5.0})
+
+    def test_domain_error_names_the_level(self):
+        net = init_network([5, 4, 3], encoding=enc.SubtractiveThreshold(e_min=0.0), seed=1)
+        x, y = _random_batch(net, 3, 2)
+        state = net.clamp_output(net.init_forward(x), y)
+        with pytest.raises(enc.EncodingDomainError, match="^level 2: threshold_encode"):
+            net.compute_errors(state)

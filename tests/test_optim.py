@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from biopc.optim import AdamState, adam_step, sgd_step
-
-
-def test_sgd_points():
-    np.testing.assert_array_equal(sgd_step(0.0, np.ones((2, 2))), np.zeros((2, 2)))
-    g = np.array([[1.0, -2.0]])
-    np.testing.assert_array_equal(sgd_step(1.0, g), g)
-    np.testing.assert_array_equal(sgd_step(0.5, np.array([[2.0]])), [[1.0]])
+from biopc.optim import AdamState, adam_step
 
 
 def test_adam_first_step_is_signed_learning_rate():
