@@ -24,16 +24,24 @@ class MLP(LayeredModel):
     # output cost.
     encoding = enc.Subtractive()
 
-    def loss(self, x, y) -> float:
+    def loss(self, x, y, outputs=None) -> float:
+        """Mean squared-error loss of the batch. `outputs` are the model's
+        forward-sweep outputs for `x` (see `predict`); they are computed
+        when not given."""
         y = as_matrix(y)
-        out = self.predict(x)
+        out = self.predict(x) if outputs is None else as_matrix(outputs)
         if out.shape != y.shape:
             raise ShapeMismatchError(f"target shape {y.shape} does not match output {out.shape}")
         return self.encoding.output_cost(y, out)
 
-    def backward(self, x, y):
-        """Exact gradients of the mean squared-error loss w.r.t. each W."""
-        a, _, fp, _ = self._sweep(self._check_level_shape(x, 0, "input batch"))
+    def backward(self, x, y, *, sweep=None):
+        """Exact gradients of the mean squared-error loss w.r.t. each W.
+
+        `sweep` is `_sweep(x)` when the caller has already run it (its
+        output level then also gives the loss without a second sweep)."""
+        if sweep is None:
+            sweep = self._sweep(self._check_level_shape(x, 0, "input batch"))
+        a, _, fp, _ = sweep
         y = as_matrix(y)
         L = self.n_levels
         if a[L].shape != y.shape:

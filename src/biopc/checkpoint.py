@@ -25,7 +25,8 @@ Layout, all little-endian after the magic:
                              step u64, lr f64, beta1 f64, beta2 f64, eps f64,
                              m matrix block, v matrix block
 
-Round trips are bit-exact: matrices are written as raw float64 bytes.
+Round trips are bit-exact: matrices are written as raw float64 bytes,
+straight from each array's buffer, and each is copied once on loading.
 The loader raises `CheckpointError`, naming the path, for any input it
 cannot turn into a model.
 """
@@ -61,11 +62,12 @@ class CheckpointError(ValueError):
 _PARAM_SLOTS = ("e_min", "e_max", "epsilon", "gamma")
 
 
-def _pack_matrix(m: np.ndarray) -> bytes:
-    m = np.ascontiguousarray(m, dtype=np.float64)
+def _write_matrix(f, m: np.ndarray) -> None:
+    m = np.ascontiguousarray(m, dtype="<f8")
     if m.ndim != 2:
         raise CheckpointError(f"can only store 2-D matrices, got ndim={m.ndim}")
-    return struct.pack("<II", m.shape[0], m.shape[1]) + m.tobytes()
+    f.write(struct.pack("<II", m.shape[0], m.shape[1]))
+    f.write(m)
 
 
 class _Reader:
@@ -74,12 +76,16 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def skip(self, n: int, what: str) -> int:
+        """Moves past the next n bytes; returns their offset."""
         if self.pos + n > len(self.buf):
             raise CheckpointError(f"{self.path}: truncated while reading {what} at offset {self.pos}")
-        out = self.buf[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.skip(n, what)
+        return self.buf[start:start + n]
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -94,50 +100,50 @@ class _Reader:
         return struct.unpack("<d", self.take(8, what))[0]
 
     def matrix(self, what: str) -> np.ndarray:
+        """A read-only view of the next matrix block's data in the buffer;
+        whoever keeps it makes the one copy."""
         rows = self.u32(f"{what} rows")
         cols = self.u32(f"{what} cols")
-        data = self.take(8 * rows * cols, f"{what} data")
-        return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+        start = self.skip(8 * rows * cols, f"{what} data")
+        return np.frombuffer(self.buf, dtype="<f8", count=rows * cols,
+                             offset=start).reshape(rows, cols)
 
 
 def save_checkpoint(path, model: Union[PCNetwork, MLP],
                     optimizer_states: Optional[list] = None) -> None:
-    parts = [MAGIC, struct.pack("<I", VERSION)]
     is_mlp = isinstance(model, MLP)
-    parts.append(struct.pack("<B", 1 if is_mlp else 0))
-    parts.append(struct.pack("<I", len(model.dims)))
-    parts.append(struct.pack(f"<{len(model.dims)}I", *model.dims))
-    parts.append(struct.pack("<B", _ACT_TAGS[model.hidden_activation]))
-    parts.append(struct.pack("<B", _ACT_TAGS[model.output_activation]))
-
     if is_mlp:
         tags, params = (0, 0, 0), {}
     else:
         tags = (model.encoding.tag, model.feedback.tag, 1 if model.positive_activities else 0)
         params = {**dataclasses.asdict(model.encoding), **dataclasses.asdict(model.feedback)}
-    parts.append(struct.pack("<BBB", *tags))
-    parts.append(struct.pack("<5d", model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS)))
-
-    parts.append(struct.pack("<I", len(model.weights)))
-    for w in model.weights:
-        parts.append(_pack_matrix(w))
-
     fb = None if is_mlp else model.feedback_weights
-    parts.append(struct.pack("<B", 0 if fb is None else 1))
-    if fb is not None:
-        parts.append(struct.pack("<I", len(fb)))
-        for b in fb:
-            parts.append(_pack_matrix(b))
 
-    parts.append(struct.pack("<B", 0 if optimizer_states is None else 1))
-    if optimizer_states is not None:
-        parts.append(struct.pack("<I", len(optimizer_states)))
-        for s in optimizer_states:
-            parts.append(struct.pack("<Q4d", s.step_count, s.lr, s.beta1, s.beta2, s.eps))
-            parts.append(_pack_matrix(s.m))
-            parts.append(_pack_matrix(s.v))
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<IBI", VERSION, 1 if is_mlp else 0, len(model.dims)))
+        f.write(struct.pack(f"<{len(model.dims)}I", *model.dims))
+        f.write(struct.pack("<BB", _ACT_TAGS[model.hidden_activation],
+                            _ACT_TAGS[model.output_activation]))
+        f.write(struct.pack("<BBB", *tags))
+        f.write(struct.pack("<5d", model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS)))
 
-    Path(path).write_bytes(b"".join(parts))
+        f.write(struct.pack("<I", len(model.weights)))
+        for w in model.weights:
+            _write_matrix(f, w)
+
+        f.write(struct.pack("<B", 0 if fb is None else 1))
+        if fb is not None:
+            f.write(struct.pack("<I", len(fb)))
+            for b in fb:
+                _write_matrix(f, b)
+
+        f.write(struct.pack("<B", 0 if optimizer_states is None else 1))
+        if optimizer_states is not None:
+            f.write(struct.pack("<I", len(optimizer_states)))
+            for s in optimizer_states:
+                f.write(struct.pack("<Q4d", s.step_count, s.lr, s.beta1, s.beta2, s.eps))
+                _write_matrix(f, s.m)
+                _write_matrix(f, s.v)
 
 
 def load_checkpoint(path):
@@ -180,8 +186,8 @@ def load_checkpoint(path):
             beta1 = r.f64(f"opt[{i}] beta1")
             beta2 = r.f64(f"opt[{i}] beta2")
             eps = r.f64(f"opt[{i}] eps")
-            m = r.matrix(f"opt[{i}] m")
-            v = r.matrix(f"opt[{i}] v")
+            m = r.matrix(f"opt[{i}] m").copy()
+            v = r.matrix(f"opt[{i}] v").copy()
             optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr,
                                         beta1=beta1, beta2=beta2, eps=eps))
 

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 gradient
 check failure, 4 encoding-domain error (an error neuron's input left the
 range its encoding can represent, for example a threshold error below
-e-min; the message names the epoch, the batch and the level).
+e-min; the message names the epoch, the batch and the level), 5 non-finite
+training objective (a batch's objective was NaN or infinite; training stops
+at that batch, which the message names, and writes no outputs).
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import _CHOICES, ConfigError, TrainConfig, _coerce, merge_config, parse_config_file
 from .linalg import ActivationKind, ShapeMismatchError
 from .network import FEEDBACK_SCHEMES
-from .training import evaluate, run_gradcheck, train
+from .training import NonFiniteError, evaluate, run_gradcheck, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_GRADCHECK = 3
 EXIT_ENCODING_DOMAIN = 4
+EXIT_NON_FINITE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,6 +164,9 @@ def main(argv=None) -> int:
     except enc.EncodingDomainError as err:
         print(f"encoding domain error: {err}", file=sys.stderr)
         return EXIT_ENCODING_DOMAIN
+    except NonFiniteError as err:
+        print(f"non-finite objective: {err}", file=sys.stderr)
+        return EXIT_NON_FINITE
 
 
 if __name__ == "__main__":

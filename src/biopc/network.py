@@ -314,14 +314,15 @@ class PCNetwork(LayeredModel):
         return dirs
 
     def activity_step(self, state: NetworkState, beta: float) -> NetworkState:
-        """Move hidden activities along their directions with step size beta,
-        rectify them if the network is positivity-constrained, then refresh
-        the predictions. Requires current errors."""
+        """Move hidden activities, in place, along their directions with step
+        size beta, rectify them if the network is positivity-constrained,
+        then refresh the predictions. Requires current errors."""
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"inference rate beta out of range [0, 1]: {beta}")
         dirs = self.activity_directions(state)
         for l in range(1, self.n_levels):
-            state.a[l] = state.a[l] + beta * dirs[l]
+            dirs[l] *= beta
+            state.a[l] += dirs[l]
             if self.positive_activities:
                 np.maximum(state.a[l], 0.0, out=state.a[l])
         self._refresh_predictions(state)

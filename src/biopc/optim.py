@@ -2,16 +2,26 @@
 
 `adam_step` takes the *descent direction* (the quantity to be added to the
 parameter) and returns the increment to add; there is no internal sign flip.
-Each weight matrix owns its own state.
+Each weight matrix owns its own state. The increment is a buffer that the
+state owns and overwrites on its next step: add it to the weights (or copy
+it) before stepping the same state again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .linalg import as_matrix
+
+# Elements per block of an Adam step, rounded down to whole rows (at least
+# one). Every pass of the step runs over one block before the next block
+# starts, so the block's slices of g, m, v, the scratch and the increment
+# (5 x 128 KiB) stay in L2 across the passes instead of streaming each
+# whole matrix (1.9 MB at 300 x 784) through the cache once per pass.
+ADAM_BLOCK = 16384
 
 
 @dataclass
@@ -23,6 +33,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # Work buffers, made on the first step (so states built by the
+    # checkpoint loader get them too): one block of scratch, and the
+    # increment that `adam_step` returns.
+    _scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _increment: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_shape(cls, shape, lr: float = 1e-3, beta1: float = 0.9,
@@ -30,29 +45,44 @@ class AdamState:
         return cls(m=np.zeros(shape), v=np.zeros(shape),
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
+    def _buffers(self):
+        rows, cols = self.m.shape
+        if self._increment is None or self._increment.shape != self.m.shape:
+            self._increment = np.empty((rows, cols))
+            self._scratch = np.empty((max(1, min(rows, ADAM_BLOCK // max(1, cols))), cols))
+        return self._scratch, self._increment
+
 
 def adam_step(state: AdamState, direction) -> np.ndarray:
-    """One Adam step with bias correction; returns the increment to add."""
+    """One Adam step with bias correction; returns the increment to add,
+    a state-owned buffer valid until the next step on `state`."""
     g = as_matrix(direction)
     if g.shape != state.m.shape:
         raise ValueError(f"adam_step: direction shape {g.shape} does not match state {state.m.shape}")
     state.step_count += 1
     t = state.step_count
-    # The moments are updated in place, with the same products and sums in
-    # the same order as m = beta1 m + (1 - beta1) g and
-    # v = beta2 v + (1 - beta2) g^2, so the results are bit-identical.
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    g2 = g * g
-    g2 *= 1.0 - state.beta2
-    state.v *= state.beta2
-    state.v += g2
-    # increment = lr * m_hat / (sqrt(v_hat) + eps), built in fresh buffers so
-    # it never aliases the state
-    denom = state.v / (1.0 - state.beta2 ** t)
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    increment = state.m / (1.0 - state.beta1 ** t)
-    increment *= state.lr
-    increment /= denom
+    scratch, increment = state._buffers()
+    c1, c2 = 1.0 - state.beta1, 1.0 - state.beta2
+    bc1, bc2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+    rows = scratch.shape[0]
+    # Per block, the same products and sums in the same order as
+    # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
+    # increment = lr * (m / bc1) / (sqrt(v / bc2) + eps), so the results are
+    # bit-identical to the whole-matrix form; m and v are updated in place.
+    for lo in range(0, g.shape[0], rows):
+        gb, m, v = g[lo:lo + rows], state.m[lo:lo + rows], state.v[lo:lo + rows]
+        s, inc = scratch[:gb.shape[0]], increment[lo:lo + rows]
+        m *= state.beta1
+        np.multiply(gb, c1, out=s)
+        m += s
+        np.multiply(gb, gb, out=s)
+        s *= c2
+        v *= state.beta2
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += state.eps
+        np.divide(m, bc1, out=inc)
+        inc *= state.lr
+        inc /= s
     return increment

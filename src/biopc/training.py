@@ -4,9 +4,11 @@ One weight update per minibatch: the state is initialized by a forward
 sweep, the output level is clamped to the target, the hidden activities
 relax for a fixed number of steps, and the batch-averaged local directions
 go through per-matrix Adam optimizers (plus the Kolen-Pollack decay pair
-when that feedback scheme is selected). Evaluation uses the pure forward
-sweep, run once per chunk of 4096 samples; a split's classification error
-and output objective are both read from those outputs.
+when that feedback scheme is selected); the weights are updated in place.
+A backprop batch runs one forward sweep, which gives both its loss and its
+gradients. Evaluation uses the pure forward sweep, run once per chunk of
+4096 samples; a split's classification error and output objective are both
+read from those outputs.
 
 The metrics CSV has the schema `epoch,split,error,objective,seconds` with
 one train row and one test row per epoch. The train row's objective is the
@@ -14,10 +16,14 @@ epoch mean of the relaxed energy/cost at weight-update time; the test row's
 objective is the model encoding's `output_cost` (subtractive for backprop)
 of the forward-sweep outputs. `seconds` is wall time and is the only column that
 is not reproducible bit-for-bit across same-seed runs.
+
+Training stops with `NonFiniteError` at the first batch whose objective is
+NaN or infinite.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +41,10 @@ from .network import KolenPollack, PCNetwork, Transpose, init_network, kp_step
 from .optim import AdamState, adam_step
 
 METRICS_HEADER = "epoch,split,error,objective,seconds"
+
+
+class NonFiniteError(ArithmeticError):
+    """A training batch's objective is NaN or infinite."""
 
 
 @dataclass
@@ -140,15 +150,18 @@ def _train_batch_pc(net: PCNetwork, x, y, cfg: TrainConfig, adams) -> float:
             net.weights[l], net.feedback_weights[l] = kp_step(
                 net.weights[l], net.feedback_weights[l], increment, net.feedback.gamma)
         else:
-            net.weights[l] = net.weights[l] + increment
+            net.weights[l] += increment
     return objective
 
 
 def _train_batch_bp(mlp: MLP, x, y, adams) -> float:
-    objective = mlp.loss(x, y)
-    grads = mlp.backward(x, y)
-    for l, grad in enumerate(grads):
-        mlp.weights[l] = mlp.weights[l] + adam_step(adams[l], -grad)
+    # One forward sweep gives both the loss (from its output level) and the
+    # gradients.
+    sweep = mlp._sweep(mlp._check_level_shape(x, 0, "input batch"))
+    objective = mlp.loss(x, y, outputs=sweep[0][-1])
+    for l, grad in enumerate(mlp.backward(x, y, sweep=sweep)):
+        np.negative(grad, out=grad)
+        mlp.weights[l] += adam_step(adams[l], grad)
     return objective
 
 
@@ -191,6 +204,9 @@ def train(cfg: TrainConfig, train_split: Optional[dataio.DatasetSplit] = None,
                     batch_objective = _train_batch_bp(model, x, y, adams)
             except enc.EncodingDomainError as err:
                 raise enc.EncodingDomainError(f"epoch {epoch}, batch {batch}, {err}") from None
+            if not math.isfinite(batch_objective):
+                raise NonFiniteError(
+                    f"epoch {epoch}, batch {batch}: the batch objective is {batch_objective!r}")
             objective_sum += batch_objective * idx.shape[0]
         train_seconds = time.perf_counter() - t0
 

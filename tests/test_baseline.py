@@ -129,3 +129,21 @@ class TestBackward:
         x = np.zeros((2, 3))
         y = np.ones((2, 3))  # out = 0.5, per-sample loss = 2 * 0.5 * 0.25
         assert mlp.loss(x, y) == pytest.approx(0.25, abs=1e-15)
+
+    def test_loss_from_given_outputs(self):
+        mlp = init_mlp([5, 4, 3], seed=1)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(5, 6))
+        y = rng.uniform(size=(3, 6))
+        out = mlp.predict(x)
+        assert mlp.loss(x, y, outputs=out) == mlp.loss(x, y)
+        with pytest.raises(ShapeMismatchError):
+            mlp.loss(x, y, outputs=out[:, :-1])
+
+    def test_backward_from_given_sweep(self):
+        mlp = init_mlp([5, 4, 3], seed=1)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(5, 6))
+        y = rng.uniform(size=(3, 6))
+        for ga, gb in zip(mlp.backward(x, y, sweep=mlp._sweep(x)), mlp.backward(x, y)):
+            np.testing.assert_array_equal(ga, gb)

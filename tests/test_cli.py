@@ -13,6 +13,7 @@ from biopc.cli import (
     EXIT_DATA,
     EXIT_ENCODING_DOMAIN,
     EXIT_GRADCHECK,
+    EXIT_NON_FINITE,
     EXIT_OK,
     build_parser,
     main,
@@ -111,6 +112,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "encoding domain error: epoch 1, batch 1, level 3:" in err
         assert "e_min=0.0" in err
+
+    def test_non_finite_objective_exit_code(self, fake_data_dir, tmp_path, capsys):
+        # the first Adam step moves every weight by about lr = 1e308, so the
+        # second batch's products overflow to +-inf, which sum to NaN
+        with np.errstate(all="ignore"):
+            code = main(_train_args(fake_data_dir, tmp_path / "x", "--lr", "1e308"))
+        assert code == EXIT_NON_FINITE
+        assert "non-finite objective: epoch 1, batch 2: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path / "nowhere"),

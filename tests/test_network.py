@@ -197,6 +197,20 @@ class TestActivityStep:
         for l in range(1, len(before_p)):
             np.testing.assert_array_equal(state.p[l], before_p[l])
 
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_moves_activities_in_place(self, positive):
+        net = init_network([5, 4, 4, 3], bias=0.1, positive_activities=positive, seed=9)
+        x, y = _random_batch(net, 3, 3)
+        state = net.init_forward(x)
+        net.clamp_output(state, y)
+        net.compute_errors(state)
+        hidden = state.a[1:-1]
+        expected = [a + 0.3 * d for a, d in zip(hidden, net.activity_directions(state)[1:-1])]
+        net.activity_step(state, 0.3)
+        for l, (a, want) in enumerate(zip(hidden, expected), start=1):
+            assert state.a[l] is a
+            np.testing.assert_array_equal(a, np.maximum(want, 0.0) if positive else want)
+
     def test_beta_out_of_range(self):
         net = init_network([5, 4, 3], seed=9)
         x, y = _random_batch(net, 3, 3)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from biopc.optim import AdamState, adam_step
+from biopc.checkpoint import load_checkpoint, save_checkpoint
+from biopc.network import init_network
+from biopc.optim import ADAM_BLOCK, AdamState, adam_step
 
 
 def test_adam_first_step_is_signed_learning_rate():
@@ -91,3 +95,72 @@ def test_adam_in_place_matches_out_of_place_reference(shape, lr):
         assert ours.step_count == ref.step_count
         assert ours.m is m_before and ours.v is v_before  # updated in place
         assert not np.shares_memory(inc, ours.m) and not np.shares_memory(inc, ours.v)
+
+
+def _block_rows(shape):
+    return max(1, min(shape[0], ADAM_BLOCK // shape[1]))
+
+
+# 300 x 784 spans many blocks (in elements, not a multiple of ADAM_BLOCK),
+# 300 x 300 ends in a partial block of rows, 3 x 4 is smaller than one
+# block, and a row longer than ADAM_BLOCK makes one-row blocks.
+BLOCKED_SHAPES = [(300, 784), (300, 300), (3, 4), (3, ADAM_BLOCK + 5)]
+
+
+def test_blocked_shapes_cover_the_block_edges():
+    assert (300 * 784) % ADAM_BLOCK != 0
+    assert 300 % _block_rows((300, 300)) != 0
+    assert 3 * 4 < ADAM_BLOCK
+    assert _block_rows((3, ADAM_BLOCK + 5)) == 1
+
+
+@pytest.mark.parametrize("shape", BLOCKED_SHAPES)
+def test_blocked_adam_matches_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(23)
+    ours = AdamState.for_shape(shape, lr=0.01)
+    ref = AdamState.for_shape(shape, lr=0.01)
+    increments = []
+    for _ in range(4):
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+        inc = adam_step(ours, g)
+        np.testing.assert_array_equal(inc, _reference_adam_step(ref, g))
+        np.testing.assert_array_equal(ours.m, ref.m)
+        np.testing.assert_array_equal(ours.v, ref.v)
+        increments.append(inc)
+    # the increment is one state-owned buffer, overwritten by each step
+    assert all(inc is increments[0] for inc in increments)
+
+
+def test_blocked_adam_after_checkpoint_round_trip(tmp_path):
+    net = init_network([784, 300, 10], seed=4)
+    rng = np.random.default_rng(8)
+    adams = [AdamState.for_shape(w.shape, lr=0.003) for w in net.weights]
+    refs = [AdamState.for_shape(w.shape, lr=0.003) for w in net.weights]
+    for _ in range(2):
+        for state, ref, w in zip(adams, refs, net.weights):
+            g = rng.normal(size=w.shape)
+            adam_step(state, g)
+            _reference_adam_step(ref, g)
+    save_checkpoint(tmp_path / "m.pcck", net, adams)
+    _, loaded = load_checkpoint(tmp_path / "m.pcck")
+    for state, ref, w in zip(loaded, refs, net.weights):
+        for _ in range(2):
+            g = rng.normal(size=w.shape)
+            np.testing.assert_array_equal(adam_step(state, g), _reference_adam_step(ref, g))
+        np.testing.assert_array_equal(state.m, ref.m)
+        np.testing.assert_array_equal(state.v, ref.v)
+
+
+def test_warm_adam_step_allocates_less_than_one_matrix():
+    shape = (300, 784)
+    rng = np.random.default_rng(2)
+    state = AdamState.for_shape(shape)
+    g = rng.normal(size=shape)
+    adam_step(state, g)  # makes the state's buffers
+    tracemalloc.start()
+    try:
+        adam_step(state, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.nbytes

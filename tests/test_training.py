@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from biopc import encodings as enc
+from biopc import training
+from biopc.baseline import MLP, init_mlp
 from biopc.checkpoint import load_checkpoint
 from biopc.config import TrainConfig
-from biopc.baseline import init_mlp
-from biopc.dataio import IdxError, one_hot, synthetic_split
+from biopc.dataio import BatchPlan, DatasetSplit, IdxError, one_hot, synthetic_split
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import KolenPollack, RandomFixed, init_network
-from biopc.training import (classification_error, evaluate, output_objective,
+from biopc.optim import AdamState
+from biopc.training import (NonFiniteError, classification_error, evaluate, output_objective,
                             predict_split, run_gradcheck, train)
 
 TRAIN = synthetic_split(512, seed=1)
@@ -104,6 +106,63 @@ def _two_sweep_evaluate(model, split, chunk=4096):
         else:
             total += enc.energy([y - out]) * y.shape[1]
     return wrong / split.n_samples, total / split.n_samples
+
+
+class TestInPlaceTraining:
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(feedback="random"),
+        dict(encoding="division", positive_activities=True, bias=0.1), dict(model="bp"),
+    ])
+    def test_weights_keep_their_identity_across_batches(self, overrides, monkeypatch):
+        # Kolen-Pollack is left out: `kp_step` returns new matrices.
+        build = training.build_model
+        initial = None
+
+        def record(cfg):
+            nonlocal initial
+            model = build(cfg)
+            initial = [(w, w.copy()) for w in model.weights]
+            return model
+
+        monkeypatch.setattr(training, "build_model", record)
+        result = train(_cfg(epochs=2, **overrides), TRAIN, TEST, write_outputs=False)
+        for w, (w0, before) in zip(result.model.weights, initial):
+            assert w is w0
+            assert not np.array_equal(w, before)
+
+    def test_backprop_batch_runs_one_sweep(self, monkeypatch):
+        mlp = init_mlp([784, 300, 300, 10], seed=4)
+        x = TRAIN.images[:, :64]
+        y = one_hot(TRAIN.labels[:64])
+        expected = mlp.loss(x, y)
+        calls = {"_sweep": 0, "predict": 0}
+        for name in calls:
+            method = getattr(MLP, name)
+
+            def counted(self, *args, _method=method, _name=name, **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(MLP, name, counted)
+        adams = [AdamState.for_shape(w.shape) for w in mlp.weights]
+        objective = training._train_batch_bp(mlp, x, y, adams)
+        assert calls == {"_sweep": 1, "predict": 0}
+        assert objective == expected
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("overrides", [dict(), dict(model="bp")])
+    def test_nan_pixel_stops_training_at_its_batch(self, overrides, tmp_path):
+        sample = 300
+        images = TRAIN.images.copy()
+        images[10, sample] = np.nan
+        split = DatasetSplit(images=images, labels=TRAIN.labels, name="nan")
+        cfg = _cfg(out_dir=str(tmp_path / "out"), **overrides)
+        batch = next(b for b, idx in enumerate(BatchPlan(cfg.batch_size, cfg.seed)
+                                               .batches(1, split.n_samples), start=1)
+                     if sample in idx)
+        with pytest.raises(NonFiniteError, match=rf"^epoch 1, batch {batch}: .* nan$"):
+            train(cfg, split, TEST)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:
