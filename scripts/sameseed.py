@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Write same-seed digests of one biopc source tree, to compare two trees.
+
+Imports biopc from SRC_DIR and writes OUT_JSON holding, for each row
+configuration (the six table rows, `pc_threshold`, `tanh_pos_bias` and a
+Kolen-Pollack + threshold + tanh row), trained for 2 epochs on 640
+synthetic MNIST-shaped samples:
+
+* the SHA-256 of the `.pcck` checkpoint bytes,
+* the SHA-256 of the metrics CSV without its `seconds` column,
+* the reprs of `evaluate` (error, objective) on a 9001-sample split;
+
+plus the `max_rel_err` reprs and the verdict of `run_gradcheck` (or the
+encoding-domain error it raised) for every encoding x feedback x
+hidden-activation combination that `biopc gradcheck` accepts. A refactor
+that moves no output bit gives the same file as its parent commit.
+
+Example, against the parent commit:
+    git worktree add ../parent HEAD~1
+    python scripts/sameseed.py ../parent/src parent.json
+    python scripts/sameseed.py src change.json
+    cmp parent.json change.json && echo same
+    git worktree remove ../parent
+
+Matrix products can round differently at another BLAS thread count, so
+compare files written at the same one: set OPENBLAS_NUM_THREADS (or the
+variable of the BLAS in use) for both runs.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+EPOCHS = 2
+TRAIN_SAMPLES = 640
+TEST_SAMPLES = 256
+EVAL_SAMPLES = 9001
+SEED = 1
+
+
+def _rows(experiments) -> dict:
+    rows = {name: overrides for name, (overrides, _, _) in experiments.TABLE_ROWS.items()}
+    rows["pc_threshold"] = dict(encoding="threshold")
+    rows["tanh_pos_bias"] = experiments.POSITIVITY_ROWS["tanh_pos_bias"]
+    rows["kp_threshold_tanh"] = dict(feedback="kp", encoding="threshold",
+                                     hidden_activation="tanh")
+    return rows
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(work_dir: Path) -> dict:
+    from biopc import dataio, experiments
+    from biopc import encodings as enc
+    from biopc.linalg import ActivationKind
+    from biopc.network import FEEDBACK_SCHEMES
+    from biopc.training import evaluate, run_gradcheck, train
+
+    train_split = dataio.synthetic_split(TRAIN_SAMPLES, seed=1)
+    test_split = dataio.synthetic_split(TEST_SAMPLES, seed=2, name="test")
+    eval_split = dataio.synthetic_split(EVAL_SAMPLES, seed=3, name="test")
+    out = {"rows": {}, "gradcheck": {}}
+    for name, overrides in _rows(experiments).items():
+        cfg = experiments.make_config("mnist", SEED, overrides, epochs=EPOCHS,
+                                      out_dir=str(work_dir / name))
+        result = train(cfg, train_split, test_split)
+        metrics = "".join(line.rsplit(",", 1)[0] + "\n"
+                          for line in result.metrics_path.read_text().splitlines())
+        out["rows"][name] = {
+            "pcck_sha256": _sha256(result.checkpoint_path.read_bytes()),
+            "metrics_sha256": _sha256(metrics.encode()),
+            "evaluate": [repr(v) for v in evaluate(result.model, eval_split)],
+        }
+    for encoding in enc.ENCODINGS:
+        for feedback in FEEDBACK_SCHEMES:
+            for act in ActivationKind:
+                key = f"{encoding.name}/{feedback.name}/{act.value}"
+                try:
+                    report = run_gradcheck(encoding(), feedback(), hidden_activation=act)
+                except enc.EncodingDomainError as err:
+                    out["gradcheck"][key] = {"error": str(err)}
+                    continue
+                out["gradcheck"][key] = {
+                    "max_rel_err": [repr(c.max_rel_err) for c in report.checks],
+                    "passed": report.passed,
+                }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_dir", help="directory holding the biopc package")
+    parser.add_argument("out_json", help="where to write the digests")
+    args = parser.parse_args(argv)
+
+    src = Path(args.src_dir).resolve()
+    sys.path.insert(0, str(src))
+    import biopc
+    if Path(biopc.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"biopc was imported from {biopc.__file__}, not from {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        result = digests(Path(tmp))
+    Path(args.out_json).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

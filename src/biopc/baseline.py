@@ -41,7 +41,7 @@ class MLP(LayeredModel):
         output level then also gives the loss without a second sweep)."""
         if sweep is None:
             sweep = self._sweep(self._check_level_shape(x, 0, "input batch"))
-        a, _, fp, _ = sweep
+        a, fp, _ = sweep
         y = as_matrix(y)
         L = self.n_levels
         if a[L].shape != y.shape:

@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (dataio.IdxError, CheckpointError, ShapeMismatchError, FileNotFoundError) as err:
+    except (dataio.IdxError, CheckpointError, ShapeMismatchError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except enc.EncodingDomainError as err:

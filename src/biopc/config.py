@@ -90,18 +90,16 @@ class TrainConfig:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if self.n_updates < 0:
             raise ConfigError(f"n-updates must be >= 0, got {self.n_updates}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.e_min > 0:
-            raise ConfigError(f"e-min must be <= 0, got {self.e_min}")
-        if not self.e_max > 0:
-            raise ConfigError(f"e-max must be > 0, got {self.e_max}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # Last: building the encoding reruns its own parameter checks, which
-        # raise ValueError rather than ConfigError.
+        # Each encoding and feedback scheme checks its own parameters; build
+        # every one, selected or not, so that any bad value is reported.
+        for registry in (enc.ENCODINGS, FEEDBACK_SCHEMES):
+            for cls in registry:
+                try:
+                    enc.build(registry, "name", cls.name, vars(self))
+                except ValueError as err:
+                    raise ConfigError(f"{cls.name}: {err}") from None
         if self.encoding_value().needs_positive and not self.positive_activities:
             raise ConfigError(
                 f"encoding={self.encoding} requires positive-activities=true: its "

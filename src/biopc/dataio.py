@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,9 +51,10 @@ class DatasetSplit:
 
 def _read_payload(path) -> bytes:
     raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
-    return raw
+    try:
+        return gzip.decompress(raw) if raw[:2] == b"\x1f\x8b" else raw
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+        raise IdxError(f"{path}: corrupt or truncated gzip data: {err}") from None
 
 
 def load_idx_images(path) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense float64 matrix kernels and element-wise activations.
 
 Everything here operates on 2-D numpy arrays of float64; minibatches are
-stored with one column per sample. These are the only numerical primitives
-the rest of the package builds on.
+stored with one column per sample. The models' loops use `@` directly;
+`matmul`, the shape-checked product, is what the benchmark times, and
+`activate_deriv` (f' at the pre-activation) is the tests' reference.
 """
 
 from __future__ import annotations
@@ -35,30 +36,6 @@ def matmul(a, b) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     return a @ b
-
-
-def outer(u, v) -> np.ndarray:
-    """Batch-averaged outer product.
-
-    `u` is m x B and `v` is n x B, one column per sample. Returns the mean
-    over the batch of the per-sample outer products u[:, s] v[:, s]^T, an
-    m x n matrix. With single-column inputs this is the plain outer product.
-    """
-    u = as_matrix(u)
-    v = as_matrix(v)
-    if u.shape[1] != v.shape[1]:
-        raise ShapeMismatchError(f"outer: batch sizes disagree, {u.shape} vs {v.shape}")
-    if u.shape[1] == 0:
-        raise ShapeMismatchError("outer: empty batch")
-    return (u @ v.T) / u.shape[1]
-
-
-def hadamard(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"hadamard: shapes disagree, {a.shape} vs {b.shape}")
-    return a * b
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ One weight update per minibatch: the state is initialized by a forward
 sweep, the output level is clamped to the target, the hidden activities
 relax for a fixed number of steps, and the batch-averaged local directions
 go through per-matrix Adam optimizers (plus the Kolen-Pollack decay pair
-when that feedback scheme is selected); the weights are updated in place.
+when that feedback scheme is selected); the weights, and the Kolen-Pollack
+feedback matrices, are updated in place.
 A backprop batch runs one forward sweep, which gives both its loss and its
 gradients. Evaluation uses the pure forward sweep, run once per chunk of
 4096 samples; a split's classification error and output objective are both
@@ -19,6 +20,9 @@ is not reproducible bit-for-bit across same-seed runs.
 
 Training stops with `NonFiniteError` at the first batch whose objective is
 NaN or infinite.
+
+`run_gradcheck` compares the activity and weight directions with central
+differences of the objective, one loop for both kinds of matrix.
 """
 
 from __future__ import annotations
@@ -147,8 +151,7 @@ def _train_batch_pc(net: PCNetwork, x, y, cfg: TrainConfig, adams) -> float:
     for l, direction in enumerate(directions):
         increment = adam_step(adams[l], direction)
         if kp:
-            net.weights[l], net.feedback_weights[l] = kp_step(
-                net.weights[l], net.feedback_weights[l], increment, net.feedback.gamma)
+            kp_step(net.weights[l], net.feedback_weights[l], increment, net.feedback.gamma)
         else:
             net.weights[l] += increment
     return objective
@@ -172,24 +175,48 @@ def train(cfg: TrainConfig, train_split: Optional[dataio.DatasetSplit] = None,
 
     Dataset splits may be passed in directly (synthetic data, tests); when
     omitted they are loaded from cfg.data_dir. With write_outputs the metrics
-    CSV and final checkpoint land in cfg.out_dir.
+    CSV and final checkpoint land in cfg.out_dir, made before the first batch
+    and removed again (with any parents it needed) if training stops early.
     """
     cfg = cfg.finalize()
     if train_split is None:
         train_split = dataio.load_split(cfg.data_dir, cfg.dataset, "train")
     if test_split is None:
         test_split = dataio.load_split(cfg.data_dir, cfg.dataset, "test")
-    if train_split.images.shape[0] != NETWORK_DIMS[0]:
-        raise dataio.IdxError(
-            f"train images have {train_split.images.shape[0]} features, "
-            f"the network expects {NETWORK_DIMS[0]}"
-        )
+    for role, split in (("train", train_split), ("test", test_split)):
+        if split.images.shape[0] != NETWORK_DIMS[0]:
+            raise dataio.IdxError(f"{role} images have {split.images.shape[0]} features, "
+                                  f"the network expects {NETWORK_DIMS[0]}")
 
     model = build_model(cfg)
     adams = [AdamState.for_shape(w.shape, lr=cfg.lr) for w in model.weights]
+    made = []
+    if write_outputs:
+        out_dir = Path(cfg.out_dir)
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        metrics = _fit(cfg, model, adams, train_split, test_split, log)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
+
+    metrics_path = checkpoint_path = None
+    if write_outputs:
+        metrics_path = out_dir / "metrics.csv"
+        write_metrics(metrics_path, metrics)
+        checkpoint_path = out_dir / "model.pcck"
+        save_checkpoint(checkpoint_path, model, adams)
+    return TrainResult(metrics=metrics, metrics_path=metrics_path,
+                       checkpoint_path=checkpoint_path, model=model)
+
+
+def _fit(cfg: TrainConfig, model, adams, train_split: dataio.DatasetSplit,
+         test_split: dataio.DatasetSplit, log) -> list:
+    """The epochs of a run: trains `model` in place and returns the metrics."""
     plan = dataio.BatchPlan(cfg.batch_size, cfg.seed)
     is_pc = isinstance(model, PCNetwork)
-
     metrics = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -220,17 +247,7 @@ def train(cfg: TrainConfig, train_split: Optional[dataio.DatasetSplit] = None,
         if log is not None:
             log(f"epoch {epoch:3d}  train_err {train_error:.4f}  "
                 f"test_err {test_error:.4f}  objective {metrics[-2].objective:.5f}")
-
-    metrics_path = checkpoint_path = None
-    if write_outputs:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_path = out_dir / "metrics.csv"
-        write_metrics(metrics_path, metrics)
-        checkpoint_path = out_dir / "model.pcck"
-        save_checkpoint(checkpoint_path, model, adams)
-    return TrainResult(metrics=metrics, metrics_path=metrics_path,
-                       checkpoint_path=checkpoint_path, model=model)
+    return metrics
 
 
 def write_metrics(path, metrics) -> None:
@@ -266,13 +283,25 @@ class GradcheckReport:
         return max((c.max_rel_err for c in self.checks if c.gated), default=0.0)
 
 
-def _state_objective(net: PCNetwork, state) -> float:
-    net.compute_errors(state)
-    return net.objective(state)
-
-
-def _rebuild_predictions(net: PCNetwork, state) -> None:
+def _central_differences(net: PCNetwork, state, m: np.ndarray, scale: int, h: float) -> np.ndarray:
+    """-scale times the central-difference derivative of the objective with
+    respect to each entry of `m`, an activity or weight matrix of `state` or
+    `net`; each perturbation rebuilds all predictions."""
+    numeric = np.empty_like(m)
+    for ij in np.ndindex(*m.shape):
+        orig = m[ij]
+        sides = []
+        for value in (orig + h, orig - h):
+            m[ij] = value
+            net._refresh_predictions(state, from_level=1)
+            net.compute_errors(state)
+            sides.append(net.objective(state))
+        m[ij] = orig
+        up, down = sides
+        numeric[ij] = -scale * (up - down) / (2.0 * h)
     net._refresh_predictions(state, from_level=1)
+    net.compute_errors(state)
+    return numeric
 
 
 def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -296,9 +325,11 @@ def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
     gradient magnitude in that layer.
     """
     positive = encoding.needs_positive
+    # A positive-rate encoding needs non-negative predictions: tanh ones
+    # reach -1, so they take the shift 1.0, as the tanh_pos_bias row does.
+    bias = (1.0 if hidden_activation is ActivationKind.TANH else 0.1) if positive else 0.0
     net = init_network(dims, encoding=encoding, feedback=feedback,
-                       hidden_activation=hidden_activation,
-                       bias=0.1 if positive else 0.0,
+                       hidden_activation=hidden_activation, bias=bias,
                        positive_activities=positive, seed=seed)
     rng = np.random.default_rng([seed, 17])
     x = rng.uniform(0.0, 1.0, size=(dims[0], batch))
@@ -314,43 +345,11 @@ def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
 
     checks = []
     for l in range(1, net.n_levels):
-        analytic = activity_dirs[l]
-        numeric = np.empty_like(analytic)
-        base = state.a[l]
-        for i in range(base.shape[0]):
-            for j in range(base.shape[1]):
-                orig = base[i, j]
-                base[i, j] = orig + h
-                _rebuild_predictions(net, state)
-                up = _state_objective(net, state)
-                base[i, j] = orig - h
-                _rebuild_predictions(net, state)
-                down = _state_objective(net, state)
-                base[i, j] = orig
-                # objective is mean over batch; directions are per sample
-                numeric[i, j] = -batch * (up - down) / (2.0 * h)
-        _rebuild_predictions(net, state)
-        net.compute_errors(state)
-        checks.append(LayerCheck("activities", l, _relative_error(analytic, numeric),
+        numeric = _central_differences(net, state, state.a[l], batch, h)
+        checks.append(LayerCheck("activities", l, _relative_error(activity_dirs[l], numeric),
                                  gated=not feedback.has_matrices))
-
     for l in range(net.n_levels):
-        analytic = weight_dirs[l]
-        numeric = np.empty_like(analytic)
-        w = net.weights[l]
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                orig = w[i, j]
-                w[i, j] = orig + h
-                _rebuild_predictions(net, state)
-                up = _state_objective(net, state)
-                w[i, j] = orig - h
-                _rebuild_predictions(net, state)
-                down = _state_objective(net, state)
-                w[i, j] = orig
-                numeric[i, j] = -(up - down) / (2.0 * h)
-        _rebuild_predictions(net, state)
-        net.compute_errors(state)
-        checks.append(LayerCheck("weights", l, _relative_error(analytic, numeric), gated=True))
-
+        numeric = _central_differences(net, state, net.weights[l], 1, h)
+        checks.append(LayerCheck("weights", l, _relative_error(weight_dirs[l], numeric),
+                                 gated=True))
     return GradcheckReport(checks=checks, threshold=threshold)

@@ -91,8 +91,9 @@ class TestBackward:
         dims = [7, 6, 5, 4]
         mlp = init_mlp(dims, seed=12, bias=0.1, hidden_activation=hidden)
         x, y = _data(dims, 9, 13)
-        a, p, _, _ = mlp._sweep(x)
+        a = mlp._sweep(x)[0]
         L = mlp.n_levels
+        p = [None] + [mlp.weights[l - 1] @ a[l - 1] for l in range(1, L + 1)]
         want = [None] * L
         g = (a[L] - y) * activate_deriv(mlp.activation_at(L), p[L])
         for l in range(L, 0, -1):

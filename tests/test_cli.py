@@ -3,6 +3,7 @@ outputs. Runs against small synthetic IDX datasets on disk."""
 
 import argparse
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -122,6 +123,29 @@ class TestTrainCommand:
         assert "non-finite objective: epoch 1, batch 2: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_truncated_gzip_is_data_error(self, fake_data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(fake_data_dir, data)
+        gz = data / "mnist" / "t10k-images-idx3-ubyte.gz"
+        gz.write_bytes(gz.read_bytes()[:-100])
+        assert main(_train_args(data, tmp_path / "out")) == EXIT_DATA
+        assert "t10k-images-idx3-ubyte.gz" in capsys.readouterr().err
+
+    def test_directory_as_config_is_data_error(self, fake_data_dir, tmp_path, capsys):
+        code = main(_train_args(fake_data_dir, tmp_path / "out", "--config", str(tmp_path)))
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_out_dir_that_is_a_file_fails_before_training(self, fake_data_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        from biopc import training
+        monkeypatch.setattr(training, "_train_batch_pc", None)  # a batch would raise TypeError
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(_train_args(fake_data_dir, taken)) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path / "nowhere"),
                      "--out-dir", str(tmp_path / "out"), "--epochs", "1"])
@@ -146,6 +170,11 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", "/nonexistent.pcck",
                      "--data-dir", str(fake_data_dir)])
         assert code == EXIT_DATA
+
+    def test_eval_directory_as_checkpoint(self, fake_data_dir, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(tmp_path), "--data-dir", str(fake_data_dir)])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     def test_eval_shape_mismatch_is_data_error(self, fake_data_dir, tmp_path, capsys):
         import numpy as np
@@ -194,6 +223,16 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "max rel err" in out
+
+    @pytest.mark.parametrize("hidden", ["sigmoid", "tanh"])
+    @pytest.mark.parametrize("feedback", ["transpose", "random", "kp"])
+    @pytest.mark.parametrize("encoding", ["subtractive", "threshold", "division"])
+    def test_every_combination_passes(self, encoding, feedback, hidden, capsys):
+        # division with tanh needs the larger hidden shift to keep its
+        # predictions non-negative
+        assert main(["gradcheck", "--encoding", encoding, "--feedback", feedback,
+                     "--hidden-activation", hidden]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
 
     def test_random_feedback_labeled_expected(self, capsys):
         assert main(["gradcheck", "--feedback", "random"]) == EXIT_OK

@@ -33,6 +33,18 @@ class TestImages:
         loaded = dataio.load_idx_images(path)
         np.testing.assert_array_equal(loaded, pixels.T.astype(np.float64) / 255.0)
 
+    @pytest.mark.parametrize("damage", [
+        lambda gz: gz[:-100],  # truncated: EOFError
+        lambda gz: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:],  # CRC mismatch: BadGzipFile
+        lambda gz: gz[:10] + b"\x07" + gz[11:],  # invalid deflate block: zlib.error
+    ], ids=["truncated", "crc", "block"])
+    def test_damaged_gzip_is_idx_error(self, tmp_path, damage):
+        pixels = np.random.default_rng(1).integers(0, 256, size=(5, 784), dtype=np.uint8)
+        path = _write_images(tmp_path, pixels, name="imgs-idx3-ubyte.gz")
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(dataio.IdxError, match="imgs-idx3-ubyte.gz"):
+            dataio.load_idx_images(path)
+
     def test_byte_scaling_endpoints(self, tmp_path):
         pixels = np.array([[0] * 783 + [255]], dtype=np.uint8)
         loaded = dataio.load_idx_images(_write_images(tmp_path, pixels))

@@ -13,9 +13,7 @@ from biopc.linalg import (
     _sigmoid,
     activate,
     activate_deriv,
-    hadamard,
     matmul,
-    outer,
 )
 
 ALL_KINDS = list(ActivationKind)
@@ -67,64 +65,6 @@ class TestMatmul:
         a = rng.normal(size=(8, 8))
         b = rng.normal(size=(8, 8))
         np.testing.assert_array_equal(matmul(a, b), matmul(a, b))
-
-
-class TestOuter:
-    def test_unit_vectors(self):
-        u = np.array([[1.0], [0.0]])
-        v = np.array([[0.0], [1.0]])
-        np.testing.assert_array_equal(outer(u, v), [[0.0, 1.0], [0.0, 0.0]])
-
-    def test_zero_vector(self):
-        np.testing.assert_array_equal(outer(np.zeros((3, 1)), np.ones((2, 1))),
-                                      np.zeros((3, 2)))
-
-    def test_scalar(self):
-        np.testing.assert_array_equal(outer([[2.0]], [[3.0]]), [[6.0]])
-
-    def test_batch_is_mean_of_per_sample_outers(self):
-        rng = np.random.default_rng(11)
-        u = rng.normal(size=(4, 6))
-        v = rng.normal(size=(3, 6))
-        want = sum(np.outer(u[:, s], v[:, s]) for s in range(6)) / 6
-        np.testing.assert_allclose(outer(u, v), want, rtol=1e-12, atol=1e-14)
-
-    def test_batch_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            outer(np.ones((2, 3)), np.ones((2, 4)))
-
-    def test_non_matrix_input(self):
-        with pytest.raises(ShapeMismatchError):
-            outer(np.ones(3), np.ones((3, 1)))
-
-    @given(
-        hnp.arrays(np.float64, st.integers(1, 6).map(lambda n: (n, 1)),
-                   elements=st.floats(-1e3, 1e3)),
-        hnp.arrays(np.float64, st.integers(1, 6).map(lambda n: (n, 1)),
-                   elements=st.floats(-1e3, 1e3)),
-    )
-    def test_entries_are_products(self, u, v):
-        got = outer(u, v)
-        for i in range(u.shape[0]):
-            for j in range(v.shape[0]):
-                assert got[i, j] == u[i, 0] * v[j, 0]
-
-
-class TestHadamard:
-    def test_ones_is_identity(self):
-        a = np.array([[1.0, -2.0], [0.5, 3.0]])
-        np.testing.assert_array_equal(hadamard(a, np.ones_like(a)), a)
-
-    def test_zeros(self):
-        a = np.array([[1.0, -2.0]])
-        np.testing.assert_array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-    def test_values(self):
-        np.testing.assert_array_equal(hadamard([[1.0, 2.0]], [[3.0, 4.0]]), [[3.0, 8.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestActivations:

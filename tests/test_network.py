@@ -100,7 +100,8 @@ class TestInitForward:
     def test_scalar_chain(self):
         net = _zero_net([1, 1, 1])
         state = net.init_forward(np.array([[1.0]]))
-        assert state.p[1][0, 0] == 0.0 and state.p[2][0, 0] == 0.0
+        for l in (1, 2):  # f(0) = 0.5 and no shift
+            assert state.fp[l][0, 0] == 0.5 and state.phat[l][0, 0] == 0.5
         assert state.a[1][0, 0] == 0.5 and state.a[2][0, 0] == 0.5
 
     def test_input_shape_checked(self):
@@ -190,12 +191,14 @@ class TestActivityStep:
         net.clamp_output(state, y)
         net.compute_errors(state)
         before_a = [a.copy() for a in state.a]
-        before_p = [None] + [p.copy() for p in state.p[1:]]
+        before_fp = [None] + [f.copy() for f in state.fp[1:]]
+        before_phat = [None] + [ph.copy() for ph in state.phat[1:]]
         net.activity_step(state, 0.0)
         for l in range(len(before_a)):
             np.testing.assert_array_equal(state.a[l], before_a[l])
-        for l in range(1, len(before_p)):
-            np.testing.assert_array_equal(state.p[l], before_p[l])
+        for l in range(1, len(before_fp)):
+            np.testing.assert_array_equal(state.fp[l], before_fp[l])
+            np.testing.assert_array_equal(state.phat[l], before_phat[l])
 
     @pytest.mark.parametrize("positive", [False, True])
     def test_moves_activities_in_place(self, positive):
@@ -232,7 +235,8 @@ class TestActivityStep:
         net.compute_errors(state)
         dirs = net.activity_directions(state)
         from biopc.linalg import activate_deriv
-        expected = net.weights[1].T @ (state.e[2] * activate_deriv(SIG, state.p[2]))
+        p2 = net.weights[1] @ state.a[1]
+        expected = net.weights[1].T @ (state.e[2] * activate_deriv(SIG, p2))
         np.testing.assert_allclose(dirs[1], expected, atol=0)
 
     def test_scalar_chain_direction_zero(self):
@@ -345,7 +349,7 @@ class TestKolenPollackStep:
         rng = np.random.default_rng(14)
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 3))
-        w2, b2 = kp_step(w, b, np.zeros_like(w), 0.05)
+        w2, b2 = kp_step(w.copy(), b.copy(), np.zeros_like(w), 0.05)
         np.testing.assert_allclose(w2, 0.95 * w, atol=1e-15)
         np.testing.assert_allclose(b2, 0.95 * b, atol=1e-15)
 

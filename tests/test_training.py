@@ -54,6 +54,13 @@ class TestTrainLoop:
         with pytest.raises(IdxError, match="features"):
             train(_cfg(), small, small, write_outputs=False)
 
+    def test_rejects_wrong_test_feature_count(self, monkeypatch):
+        # checked before the first batch, not at the first evaluation
+        monkeypatch.setattr(training, "_train_batch_pc", None)
+        short = synthetic_split(32, seed=2, name="test", n_features=783)
+        with pytest.raises(IdxError, match="test images have 783 features"):
+            train(_cfg(), TRAIN, short, write_outputs=False)
+
     def test_perfectly_predicted_split_scores_zero(self):
         from biopc.network import init_network
         from biopc.dataio import DatasetSplit
@@ -112,21 +119,25 @@ class TestInPlaceTraining:
     @pytest.mark.parametrize("overrides", [
         dict(), dict(feedback="random"),
         dict(encoding="division", positive_activities=True, bias=0.1), dict(model="bp"),
+        dict(feedback="kp"),
     ])
     def test_weights_keep_their_identity_across_batches(self, overrides, monkeypatch):
-        # Kolen-Pollack is left out: `kp_step` returns new matrices.
         build = training.build_model
         initial = None
+
+        def trained(model):  # Kolen-Pollack also trains its feedback matrices
+            kp = overrides.get("feedback") == "kp"
+            return model.weights + (model.feedback_weights if kp else [])
 
         def record(cfg):
             nonlocal initial
             model = build(cfg)
-            initial = [(w, w.copy()) for w in model.weights]
+            initial = [(w, w.copy()) for w in trained(model)]
             return model
 
         monkeypatch.setattr(training, "build_model", record)
         result = train(_cfg(epochs=2, **overrides), TRAIN, TEST, write_outputs=False)
-        for w, (w0, before) in zip(result.model.weights, initial):
+        for w, (w0, before) in zip(trained(result.model), initial):
             assert w is w0
             assert not np.array_equal(w, before)
 
