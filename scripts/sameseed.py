@@ -2,9 +2,10 @@
 """Write same-seed digests of one biopc source tree, to compare two trees.
 
 Imports biopc from SRC_DIR and writes OUT_JSON holding, for each row
-configuration (the six table rows, `pc_threshold`, `tanh_pos_bias` and a
-Kolen-Pollack + threshold + tanh row), trained for 2 epochs on 640
-synthetic MNIST-shaped samples:
+configuration (the six table rows, `pc_threshold`, `tanh_pos_bias`, a
+Kolen-Pollack + threshold + tanh row, and `pc`, `pc_div` and `kp_pc` again
+in batches of 48), trained for 2 epochs on 640 synthetic MNIST-shaped
+samples:
 
 * the SHA-256 of the `.pcck` checkpoint bytes,
 * the SHA-256 of the metrics CSV without its `seconds` column,
@@ -14,6 +15,10 @@ plus the `max_rel_err` reprs and the verdict of `run_gradcheck` (or the
 encoding-domain error it raised) for every encoding x feedback x
 hidden-activation combination that `biopc gradcheck` accepts. A refactor
 that moves no output bit gives the same file as its parent commit.
+
+In batches of 64, 640 samples make 10 full batches. The `*_b48` rows split
+them into 13 batches of 48 and a last one of 16, so code whose arrays
+depend on the batch width also meets a narrower batch mid-run.
 
 Example, against the parent commit:
     git worktree add ../parent HEAD~1
@@ -39,6 +44,8 @@ TRAIN_SAMPLES = 640
 TEST_SAMPLES = 256
 EVAL_SAMPLES = 9001
 SEED = 1
+# 640 = 13 x 48 + 16: the last batch of an epoch is narrower.
+SHORT_BATCH = 48
 
 
 def _rows(experiments) -> dict:
@@ -47,6 +54,8 @@ def _rows(experiments) -> dict:
     rows["tanh_pos_bias"] = experiments.POSITIVITY_ROWS["tanh_pos_bias"]
     rows["kp_threshold_tanh"] = dict(feedback="kp", encoding="threshold",
                                      hidden_activation="tanh")
+    for name in ("pc", "pc_div", "kp_pc"):
+        rows[f"{name}_b48"] = dict(rows[name], batch_size=SHORT_BATCH)
     return rows
 
 

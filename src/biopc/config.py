@@ -10,6 +10,7 @@ effective prediction as large as 1+bias).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -78,14 +79,15 @@ class TrainConfig:
         return filled
 
     def _validate(self) -> None:
-        if self.bias < 0:
-            raise ConfigError(f"bias must be >= 0, got {self.bias}")
+        # Each bound is written so that NaN fails it, and infinity too.
+        if not (self.bias >= 0 and math.isfinite(self.bias)):
+            raise ConfigError(f"bias must be >= 0 and finite, got {self.bias}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch-size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if self.n_updates < 0:

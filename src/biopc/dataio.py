@@ -183,6 +183,10 @@ class BatchPlan:
             yield perm[start:start + self.batch_size]
 
 
+# Feature rows per chunk of `synthetic_split`.
+SYNTHETIC_ROWS = 16
+
+
 def synthetic_split(n_samples: int, seed: int, name: str = "train", *,
                     n_classes: int = 10, n_features: int = 784,
                     task_seed: int = 0) -> DatasetSplit:
@@ -198,6 +202,23 @@ def synthetic_split(n_samples: int, seed: int, name: str = "train", *,
     protos = proto_rng.uniform(0.0, 1.0, size=(n_features, n_classes))
     rng = np.random.default_rng([seed, 0x5A11])
     labels = rng.integers(0, n_classes, size=n_samples)
-    noise = rng.uniform(0.0, 1.0, size=(n_features, n_samples))
-    images = np.clip(0.75 * protos[:, labels] + 0.25 * noise, 0.0, 1.0)
+    # clip(0.75 proto + 0.25 noise) a few feature rows at a time, with no
+    # full-size temporaries: the generator fills arrays in C order, so
+    # drawing the noise in row chunks gives the values of one whole draw.
+    # Each sample's column is contiguous (Fortran order), as the whole-array
+    # form gave for all but the narrowest splits, so that gathering a
+    # batch's columns stays cheap; a chunk is computed in a C-ordered
+    # buffer and then copied in.
+    images = np.empty((n_features, n_samples), order="F")
+    chunk = np.empty((SYNTHETIC_ROWS, n_samples))
+    for lo in range(0, n_features, SYNTHETIC_ROWS):
+        hi = min(lo + SYNTHETIC_ROWS, n_features)
+        # labels are in range, so mode="clip" only spares take() its buffer
+        rows = np.take(protos[lo:hi], labels, axis=1, out=chunk[:hi - lo], mode="clip")
+        rows *= 0.75
+        noise = rng.uniform(0.0, 1.0, size=(hi - lo, n_samples))
+        noise *= 0.25
+        rows += noise
+        np.clip(rows, 0.0, 1.0, out=rows)
+        images[lo:hi] = rows
     return DatasetSplit(images=images, labels=labels.astype(np.int64), name=name)

@@ -14,28 +14,47 @@ effective prediction f(p) + b:
   objective is the squared log of the ratio.
 
 Each encoding class owns everything that varies with it: its config
-`name` and checkpoint `tag`, whether it `needs_positive` rates, its
-`error`, the `rising` term that carries a level's error into both the
-bottom-up activity update below it and the weight update, the `top_down`
-term that pulls an activity toward its prediction, its per-level `cost`
-and the `output_cost` of forward-sweep outputs against targets. Its
-dataclass fields are its parameters, named as in the run config and the
-checkpoint. `ENCODINGS` lists the classes.
+`name` and checkpoint `tag`, whether it `needs_positive` rates, the
+`terms` arrays one level needs, its `error`, the `rising` term that carries
+a level's error into both the bottom-up activity update below it and the
+weight update, the `top_down` term that pulls an activity toward its
+prediction, its per-level `cost` and the `output_cost` of forward-sweep
+outputs against targets. Its dataclass fields are its parameters, named as
+in the run config and the checkpoint. `ENCODINGS` lists the classes.
+
+`error` writes into a level's `LevelTerms`, which also keep what the update
+terms reuse (for division, 0.5 log e, a + eps and phat + eps), so those are
+computed once per level and step; `rising` and `top_down` then write into
+arrays they are given. The module-level kernels take 2-D float64 arrays: shapes
+are checked where a batch enters the network, and only the encodings'
+domains are checked on every call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import as_matrix
-
 
 class EncodingDomainError(ValueError):
     """Inputs fall outside the domain an encoding is defined on."""
+
+
+@dataclass
+class LevelTerms:
+    """One level's error `e` plus the arrays its encoding reuses until the
+    next `error` call: the encoded rates `e_star` (threshold) or
+    `half_log_e`, `a_eps` and `phat_eps` (division); the others stay None."""
+
+    e: np.ndarray
+    e_star: Optional[np.ndarray] = None
+    half_log_e: Optional[np.ndarray] = None
+    a_eps: Optional[np.ndarray] = None
+    phat_eps: Optional[np.ndarray] = None
 
 
 class _SubtractiveFamily:
@@ -44,17 +63,20 @@ class _SubtractiveFamily:
 
     needs_positive = False
 
-    def rising(self, e, f_up, phat):
-        return e * f_up
+    def rising(self, terms: LevelTerms, f_up: np.ndarray) -> np.ndarray:
+        """The rising term e * f', written over `f_up` (f' at the level)."""
+        f_up *= terms.e
+        return f_up
 
-    def top_down(self, e, a):
-        return e
+    def top_down(self, terms: LevelTerms, out: np.ndarray) -> np.ndarray:
+        """The top-down term: e itself, so `out` is not written."""
+        return terms.e
 
     def cost(self, e) -> float:
-        return energy([e])
+        return energy(e)
 
     def output_cost(self, y, out) -> float:
-        return energy([y - out])
+        return energy(y - out)
 
 
 @dataclass(frozen=True)
@@ -62,10 +84,16 @@ class Subtractive(_SubtractiveFamily):
     name = "subtractive"
     tag = 0
 
-    def error(self, a, phat):
+    def terms(self, shape) -> LevelTerms:
+        """The arrays one level of this shape needs."""
+        return LevelTerms(e=np.empty(shape))
+
+    def error(self, a, phat, terms: Optional[LevelTerms] = None):
         """(e, e_star): the error the update rules consume and, for encodings
-        whose neurons fire something else, the encoded rates (else None)."""
-        return a - phat, None
+        whose neurons fire something else, the encoded rates (else None).
+        Both are written into `terms`, made when not given."""
+        terms = self.terms(a.shape) if terms is None else terms
+        return np.subtract(a, phat, out=terms.e), None
 
 
 @dataclass(frozen=True)
@@ -77,17 +105,22 @@ class SubtractiveThreshold(_SubtractiveFamily):
     e_max: float = 2.1
 
     def __post_init__(self):
-        if not self.e_max > 0:
-            raise ValueError(f"e_max must be positive, got {self.e_max}")
-        if self.e_min > 0:
-            raise ValueError(f"e_min must be <= 0, got {self.e_min}")
+        if not (self.e_max > 0 and math.isfinite(self.e_max)):
+            raise ValueError(f"e_max must be positive and finite, got {self.e_max}")
+        if not (self.e_min <= 0 and math.isfinite(self.e_min)):
+            raise ValueError(f"e_min must be <= 0 and finite, got {self.e_min}")
 
-    def error(self, a, phat):
-        estar = threshold_encode(a - phat, self.e_min, self.e_max)
+    def terms(self, shape) -> LevelTerms:
+        return LevelTerms(e=np.empty(shape), e_star=np.empty(shape))
+
+    def error(self, a, phat, terms: Optional[LevelTerms] = None):
+        terms = self.terms(a.shape) if terms is None else terms
+        estar = np.subtract(a, phat, out=terms.e_star)
+        threshold_encode(estar, self.e_min, self.e_max, out=estar)
         # Update rules see the decoded value; the round trip is exact up to
         # float rounding, which is what makes this scheme track the plain
         # subtractive one.
-        return threshold_decode(estar, self.e_min, self.e_max), estar
+        return threshold_decode(estar, self.e_min, self.e_max, out=terms.e), estar
 
 
 @dataclass(frozen=True)
@@ -99,17 +132,30 @@ class Division:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
-    def error(self, a, phat):
-        return division_error(a, phat, self.epsilon), None
+    def terms(self, shape) -> LevelTerms:
+        return LevelTerms(e=np.empty(shape), half_log_e=np.empty(shape),
+                          a_eps=np.empty(shape), phat_eps=np.empty(shape))
 
-    def rising(self, e, f_up, phat):
-        return 0.5 * np.log(e) * f_up / (phat + self.epsilon)
+    def error(self, a, phat, terms: Optional[LevelTerms] = None):
+        terms = self.terms(a.shape) if terms is None else terms
+        e = division_error(a, phat, self.epsilon, out=terms.e,
+                           a_eps=terms.a_eps, phat_eps=terms.phat_eps)
+        np.log(e, out=terms.half_log_e)
+        terms.half_log_e *= 0.5
+        return e, None
 
-    def top_down(self, e, a):
-        return 0.5 * np.log(e) / (a + self.epsilon)
+    def rising(self, terms: LevelTerms, f_up: np.ndarray) -> np.ndarray:
+        """0.5 log(e) * f' / (phat + eps), written over `f_up`."""
+        f_up *= terms.half_log_e
+        f_up /= terms.phat_eps
+        return f_up
+
+    def top_down(self, terms: LevelTerms, out: np.ndarray) -> np.ndarray:
+        """0.5 log(e) / (a + eps), written into `out`."""
+        return np.divide(terms.half_log_e, terms.a_eps, out=out)
 
     def cost(self, e) -> float:
         return division_cost(e)
@@ -135,29 +181,32 @@ def build(registry, key: str, value, params: Optional[dict] = None):
     raise ValueError(f"none of {[c.__name__ for c in registry]} has {key} {value!r}")
 
 
-def threshold_encode(e, e_min: float, e_max: float) -> np.ndarray:
-    """Map signed errors onto non-negative rates: e* = 2 (e - e_min) / e_max."""
-    e = as_matrix(e)
+def threshold_encode(e, e_min: float, e_max: float, out=None) -> np.ndarray:
+    """Map signed errors onto non-negative rates: e* = 2 (e - e_min) / e_max,
+    written into `out` when given (which may be e itself)."""
     lowest = e.min() if e.size else 0.0
     if lowest < e_min:
         raise EncodingDomainError(
             f"threshold_encode: entry {lowest} is below the representable minimum e_min={e_min}"
         )
-    return 2.0 * (e - e_min) / e_max
+    out = np.subtract(e, e_min, out=out)
+    out *= 2.0
+    out /= e_max
+    return out
 
 
-def threshold_decode(estar, e_min: float, e_max: float) -> np.ndarray:
+def threshold_decode(estar, e_min: float, e_max: float, out=None) -> np.ndarray:
     """Exact inverse of threshold_encode: e = (e_max / 2) e* + e_min."""
-    estar = as_matrix(estar)
-    return (e_max / 2.0) * estar + e_min
+    out = np.multiply(estar, e_max / 2.0, out=out)
+    out += e_min
+    return out
 
 
-def division_error(a, phat, epsilon: float) -> np.ndarray:
-    """Ratio mismatch e** = sqrt((a + eps) / (phat + eps)); 1 where a == phat."""
-    a = as_matrix(a)
-    phat = as_matrix(phat)
-    if a.shape != phat.shape:
-        raise EncodingDomainError(f"division_error: shapes disagree, {a.shape} vs {phat.shape}")
+def division_error(a, phat, epsilon: float, *, out=None, a_eps=None,
+                   phat_eps=None) -> np.ndarray:
+    """Ratio mismatch e** = sqrt((a + eps) / (phat + eps)); 1 where a == phat.
+    Written into `out` when given, with a + eps and phat + eps into `a_eps`
+    and `phat_eps`."""
     if a.size and a.min() < 0:
         raise EncodingDomainError(
             f"division_error: negative activity entry {a.min()}; positive rates required"
@@ -166,12 +215,12 @@ def division_error(a, phat, epsilon: float) -> np.ndarray:
         raise EncodingDomainError(
             f"division_error: negative prediction entry {phat.min()}; positive rates required"
         )
-    return np.sqrt((a + epsilon) / (phat + epsilon))
+    out = np.divide(np.add(a, epsilon, out=a_eps), np.add(phat, epsilon, out=phat_eps), out=out)
+    return np.sqrt(out, out=out)
 
 
 def division_cost(estar2) -> float:
     """Cost of ratio mismatches: sum over units of (1/2) ln(e**)^2, mean over batch."""
-    estar2 = as_matrix(estar2)
     if estar2.size and estar2.min() <= 0:
         raise EncodingDomainError(
             f"division_cost: non-positive entry {estar2.min()}; ratios must be > 0"
@@ -180,10 +229,7 @@ def division_cost(estar2) -> float:
     return float(0.5 * np.sum(logs * logs) / estar2.shape[1])
 
 
-def energy(errors: list) -> float:
-    """Total squared prediction error: sum over levels and units of (1/2) e^2, mean over batch."""
-    total = 0.0
-    for e in errors:
-        e = as_matrix(e)
-        total += 0.5 * np.sum(e * e) / e.shape[1]
-    return float(total)
+def energy(e) -> float:
+    """Squared prediction error of one level: sum over units of (1/2) e^2,
+    mean over batch."""
+    return float(0.5 * np.sum(e * e) / e.shape[1])

@@ -38,28 +38,31 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out=None, scratch=None, mask=None) -> np.ndarray:
     # With e = exp(-|x|) this is 1 / (1 + exp(-x)) for x >= 0 and
     # exp(x) / (1 + exp(x)) below: the overflow-free piecewise form, bit for
     # bit, without masked gathers and scatters. exp() never sees a positive
     # argument. minimum(x, -x) is -|x| that leaves a NaN's sign bit alone,
     # so NaN inputs give the same NaN bits as the piecewise form too.
-    e = np.negative(x)
+    # x is last read before `out` is first written, so `out` may be x.
+    e = np.negative(x, out=scratch)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    s = np.maximum(e, x >= 0)
+    s = np.maximum(e, np.greater_equal(x, 0, out=mask), out=out)
     e += 1.0
     s /= e
     return s
 
 
-def activate(kind: ActivationKind, x) -> np.ndarray:
-    """Element-wise activation f(x)."""
+def activate(kind: ActivationKind, x, out=None, scratch=None, mask=None) -> np.ndarray:
+    """Element-wise activation f(x), written into `out` when given (which
+    may be x itself). The sigmoid works in `scratch`, a float64 array, and
+    `mask`, a bool array, both shaped like x; each is made when not given."""
     x = as_matrix(x)
     if kind is ActivationKind.SIGMOID:
-        return _sigmoid(x)
+        return _sigmoid(x, out, scratch, mask)
     if kind is ActivationKind.TANH:
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 

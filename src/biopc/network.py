@@ -21,12 +21,22 @@ classes. The encoding (see `encodings`) owns every per-encoding term, so
 `PCNetwork` holds no branch on either. `LayeredModel` is what the network
 and the backprop `MLP` share: the level structure, the fixed hidden shift
 and the forward sweep.
+
+A `NetworkState` owns every array its batch's relaxation and learning
+steps write: `init_forward` makes them, shaped for the batch, and each step
+writes into them in place, so a step allocates no batch-sized array.
+Arrays read from a state are therefore valid until the step that rewrites
+them: `activity_directions` returns the state's direction arrays, which the
+next `activity_step` overwrites, and `weight_update_direction` returns
+arrays that its next call on the same state overwrites. Copy what has to
+outlive that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -83,11 +93,16 @@ class NetworkState:
     Lists are indexed by level; index 0 of `fp`, `phat`, `e`, `e_star` is
     unused. `fp` is the activation f(W a) of the activities a below and
     `phat` the effective prediction (f(W a) plus the level's shift); the
-    derivatives are taken from `fp`, so W a is not kept. `e` holds whatever
-    the update rules consume: the signed difference for the subtractive
-    family (threshold errors are decoded back before use, with the encoded
-    rates kept in `e_star`, which stays None for the other encodings) or
-    the ratio for the division scheme.
+    derivatives are taken from `fp`, so W a is not kept. Where a level's
+    shift cannot change a bit (an unshifted sigmoid level), `phat` is the
+    `fp` array itself. `e` holds whatever the update rules consume: the
+    signed difference for the subtractive family (threshold errors are
+    decoded back before use, with the encoded rates kept in `e_star`, which
+    stays None for the other encodings) or the ratio for the division
+    scheme; both stay None until the first `compute_errors`.
+
+    `work` (index 0 unused) and `weight_dirs` (one per weight matrix) are
+    the arrays the steps write into; see the module docstring.
     """
 
     a: list
@@ -95,10 +110,23 @@ class NetworkState:
     phat: list
     e: list
     e_star: list
+    work: list
+    weight_dirs: list
 
     @property
     def batch_size(self) -> int:
         return self.a[0].shape[1]
+
+
+@dataclass
+class LevelWork:
+    """The arrays one level of a `NetworkState` reuses at every step."""
+
+    terms: enc.LevelTerms  # the encoding's error and the terms it reuses
+    rising: np.ndarray     # f' at the level, scaled into the rising term
+    scratch: np.ndarray    # the sigmoid's work; the division top-down term
+    mask: np.ndarray       # the sigmoid's x >= 0
+    direction: Optional[np.ndarray]  # hidden levels: the activity direction
 
 
 # Columns per block of a prediction sweep. A 4096-sample evaluation chunk
@@ -135,8 +163,8 @@ class LayeredModel:
             want = (dims[l + 1], dims[l])
             if w.shape != want:
                 raise ShapeMismatchError(f"W[{l}] has shape {w.shape}, expected {want}")
-        if bias < 0:
-            raise ValueError(f"bias must be >= 0, got {bias}")
+        if not (bias >= 0 and math.isfinite(bias)):
+            raise ValueError(f"bias must be >= 0 and finite, got {bias}")
         self.bias = float(bias)
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
@@ -162,11 +190,19 @@ class LayeredModel:
             )
         return x
 
-    def _level(self, l: int, below: np.ndarray):
+    def _level(self, l: int, below: np.ndarray, fp=None, phat=None, scratch=None, mask=None):
         """Level l's activation f(W_{l-1} below) of the activities below it,
-        and its effective prediction, the activation plus the level's shift."""
-        fp = activate(self.activation_at(l), self.weights[l - 1] @ below)
-        return fp, fp + self.bias_at(l)
+        and its effective prediction, the activation plus the level's shift.
+
+        Given arrays are written in place (`scratch` and `mask` serve the
+        sigmoid, see `activate`); missing ones are made. A `phat` that is
+        the `fp` array takes no shift: the caller passes that only where
+        the shift is 0 and cannot change a bit."""
+        fp = activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
+                      out=fp, scratch=scratch, mask=mask)
+        if phat is not fp:
+            phat = np.add(fp, self.bias_at(l), out=phat)
+        return fp, phat
 
     def _sweep(self, x: np.ndarray):
         """Forward pass: per level the activation, the effective prediction
@@ -179,13 +215,16 @@ class LayeredModel:
             a.append(np.maximum(ph, 0.0) if self.positive_activities else ph.copy())
         return a, fp, phat
 
-    def _act_deriv(self, fp: list, level: int) -> np.ndarray:
+    def _act_deriv(self, fp: list, level: int, out=None) -> np.ndarray:
         """Activation derivative at a level's pre-activation, from the
-        stored activation value."""
+        stored activation value; written into `out` when given."""
         fl = fp[level]
         if self.activation_at(level) is ActivationKind.SIGMOID:
-            return fl * (1.0 - fl)
-        return 1.0 - fl * fl
+            out = np.subtract(1.0, fl, out=out)
+            out *= fl
+            return out
+        out = np.multiply(fl, fl, out=out)
+        return np.subtract(1.0, out, out=out)
 
     def predict(self, x) -> np.ndarray:
         """Output activities of the forward sweep, what `_sweep` computes
@@ -252,13 +291,31 @@ class PCNetwork(LayeredModel):
 
     def init_forward(self, x) -> NetworkState:
         """Start inference on a batch: activities are set to the effective
-        predictions level by level, so all errors start at zero."""
+        predictions level by level, so all errors start at zero. The
+        state's work arrays are made here, shaped for the batch."""
         x = self._check_level_shape(x, 0, "input batch").copy()
-        if x.shape[1] == 0:
+        n = x.shape[1]
+        if n == 0:
             raise ShapeMismatchError("input batch is empty")
-        a, fp, phat = self._sweep(x)
         L = self.n_levels
-        return NetworkState(a=a, fp=fp, phat=phat, e=[None] * (L + 1), e_star=[None] * (L + 1))
+        none = [None] * (L + 1)
+        state = NetworkState(a=[x] + none[1:], fp=none[:], phat=none[:], e=none[:],
+                             e_star=none[:], work=none[:],
+                             weight_dirs=[np.empty(w.shape) for w in self.weights])
+        for l in range(1, L + 1):
+            shape = (self.dims[l], n)
+            state.fp[l] = np.empty(shape)
+            # x + 0.0 differs from x only at x = -0.0, which the sigmoid
+            # never returns.
+            unshifted = self.bias_at(l) == 0.0 and self.activation_at(l) is ActivationKind.SIGMOID
+            state.phat[l] = state.fp[l] if unshifted else np.empty(shape)
+            state.work[l] = LevelWork(terms=self.encoding.terms(shape), rising=np.empty(shape),
+                                      scratch=np.empty(shape), mask=np.empty(shape, dtype=bool),
+                                      direction=np.empty(shape) if l < L else None)
+            self._predict_level(state, l)
+            ph = state.phat[l]
+            state.a[l] = np.maximum(ph, 0.0) if self.positive_activities else ph.copy()
+        return state
 
     def clamp_output(self, state: NetworkState, y) -> NetworkState:
         y = self._check_level_shape(y, self.n_levels, "target batch")
@@ -274,7 +331,8 @@ class PCNetwork(LayeredModel):
         # clamp_output); the encodings' domain checks still run every call.
         for l in range(1, self.n_levels + 1):
             try:
-                state.e[l], state.e_star[l] = self.encoding.error(state.a[l], state.phat[l])
+                state.e[l], state.e_star[l] = self.encoding.error(state.a[l], state.phat[l],
+                                                                  state.work[l].terms)
             except enc.EncodingDomainError as err:
                 raise enc.EncodingDomainError(f"level {l}: {err}") from None
         return state
@@ -284,19 +342,25 @@ class PCNetwork(LayeredModel):
         # relaxation and the default skips it; gradient checking perturbs W_0
         # and asks for a full rebuild from level 1.
         for l in range(from_level, self.n_levels + 1):
-            state.fp[l], state.phat[l] = self._level(l, state.a[l - 1])
+            self._predict_level(state, l)
+
+    def _predict_level(self, state: NetworkState, l: int) -> None:
+        work = state.work[l]
+        self._level(l, state.a[l - 1], state.fp[l], state.phat[l], work.scratch, work.mask)
 
     def _rising(self, state: NetworkState, level: int) -> np.ndarray:
         """The encoding's rising term at `level`: what the level below
         receives through the feedback matrix, and what the weights into
-        `level` learn from."""
-        return self.encoding.rising(state.e[level], self._act_deriv(state.fp, level),
-                                    state.phat[level])
+        `level` learn from. Written into the level's `rising` array."""
+        work = state.work[level]
+        return self.encoding.rising(work.terms,
+                                    self._act_deriv(state.fp, level, out=work.rising))
 
     def activity_directions(self, state: NetworkState) -> list:
         """Proposed change of each hidden level's activities (levels 0 and L
         are clamped and get None): the fed-back rising term from above minus
-        the encoding's top-down term. Requires current errors.
+        the encoding's top-down term. Requires current errors. The arrays
+        are the state's, overwritten by the next `activity_step`.
 
         With transpose feedback this is the negative gradient of the
         configured objective; separate feedback matrices replace the
@@ -304,8 +368,10 @@ class PCNetwork(LayeredModel):
         """
         dirs = [None] * (self.n_levels + 1)
         for l in range(1, self.n_levels):
-            bottom_up = self.feedback_matrix(l) @ self._rising(state, l + 1)
-            dirs[l] = bottom_up - self.encoding.top_down(state.e[l], state.a[l])
+            work = state.work[l]
+            d = np.matmul(self.feedback_matrix(l), self._rising(state, l + 1), out=work.direction)
+            d -= self.encoding.top_down(work.terms, out=work.scratch)
+            dirs[l] = d
         return dirs
 
     def activity_step(self, state: NetworkState, beta: float) -> NetworkState:
@@ -334,9 +400,13 @@ class PCNetwork(LayeredModel):
     def weight_update_direction(self, state: NetworkState) -> list:
         """Batch-averaged increment for each W_l; adding it (scaled by a
         learning rate or optimizer) decreases the configured objective.
-        Requires current errors."""
-        return [(self._rising(state, l + 1) @ state.a[l].T) / state.batch_size
-                for l in range(self.n_levels)]
+        Requires current errors. The arrays are the state's, overwritten by
+        the next call on it."""
+        dirs = state.weight_dirs
+        for l, d in enumerate(dirs):
+            np.matmul(self._rising(state, l + 1), state.a[l].T, out=d)
+            d /= state.batch_size
+        return dirs
 
     def objective(self, state: NetworkState) -> float:
         """Monitored objective: the encoding's cost summed over levels (total

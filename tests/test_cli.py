@@ -84,6 +84,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "division" in err and "positive-activities" in err
 
+    @pytest.mark.parametrize("extra,field", [
+        (("--bias", "nan"), "bias"),
+        (("--encoding", "threshold", "--e-min", "nan"), "e_min"),
+        (("--lr", "inf"), "lr"),
+    ], ids=["bias-nan", "e_min-nan", "lr-inf"])
+    def test_non_finite_value_is_config_error(self, fake_data_dir, tmp_path, capsys, extra, field):
+        # caught before any training, not as a non-finite objective later
+        code = main(_train_args(fake_data_dir, tmp_path / "x", *extra))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field} must be" in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--does-not-exist", "1"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

@@ -57,6 +57,18 @@ class TestFinalize:
         ("e_min", 0.5),
         ("e_max", -1.0),
         ("seed", -3),
+        ("bias", float("nan")),
+        ("bias", float("inf")),
+        ("lr", float("inf")),
+        ("lr", float("nan")),
+        ("beta", float("nan")),
+        ("gamma", float("nan")),
+        ("epsilon", float("inf")),
+        ("epsilon", float("nan")),
+        ("e_min", float("nan")),
+        ("e_min", float("-inf")),
+        ("e_max", float("inf")),
+        ("e_max", float("nan")),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigError):

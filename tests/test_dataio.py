@@ -182,3 +182,21 @@ class TestSyntheticSplit:
         assert split.labels.shape == (40,)
         assert split.images.min() >= 0.0 and split.images.max() <= 1.0
         assert split.labels.min() >= 0 and split.labels.max() <= 9
+
+    @pytest.mark.parametrize("n,features,task_seed", [
+        (1, 784, 0), (42, 784, 0), (256, 784, 3), (1000, 784, 0), (8192, 784, 0),
+        (5, 33, 1),
+    ])
+    def test_same_bits_as_one_whole_draw(self, n, features, task_seed):
+        # the formula drawn in one piece, as the split was first defined
+        protos = np.random.default_rng([task_seed, 0xDA7A]).uniform(0.0, 1.0, size=(features, 10))
+        rng = np.random.default_rng([5, 0x5A11])
+        labels = rng.integers(0, 10, size=n)
+        noise = rng.uniform(0.0, 1.0, size=(features, n))
+        want = np.clip(0.75 * protos[:, labels] + 0.25 * noise, 0.0, 1.0)
+        split = dataio.synthetic_split(n, seed=5, n_features=features, task_seed=task_seed)
+        assert split.images.tobytes() == want.tobytes() and split.images.shape == want.shape
+        # columns (samples) contiguous, as the whole-array form gives them
+        # from 42 samples on
+        assert split.images.flags.f_contiguous
+        np.testing.assert_array_equal(split.labels, labels)

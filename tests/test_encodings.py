@@ -18,16 +18,16 @@ M = lambda *rows: np.array(rows, dtype=np.float64)
 
 class TestVariants:
     def test_threshold_parameter_validation(self):
-        with pytest.raises(ValueError):
-            enc.SubtractiveThreshold(e_min=-1.0, e_max=0.0)
-        with pytest.raises(ValueError):
-            enc.SubtractiveThreshold(e_min=0.5, e_max=2.0)
+        for params in (dict(e_min=-1.0, e_max=0.0), dict(e_min=0.5, e_max=2.0),
+                       dict(e_min=math.nan), dict(e_min=-math.inf),
+                       dict(e_max=math.nan), dict(e_max=math.inf)):
+            with pytest.raises(ValueError):
+                enc.SubtractiveThreshold(**params)
 
     def test_division_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            enc.Division(epsilon=0.0)
-        with pytest.raises(ValueError):
-            enc.Division(epsilon=-1e-3)
+        for epsilon in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                enc.Division(epsilon=epsilon)
 
     def test_defaults(self):
         t = enc.SubtractiveThreshold()
@@ -179,17 +179,17 @@ class TestDivisionCost:
 
 class TestEnergy:
     def test_zero(self):
-        assert enc.energy([np.zeros((3, 2)), np.zeros((2, 2))]) == 0.0
+        assert enc.energy(np.zeros((3, 2))) == 0.0
 
     def test_single_entry(self):
-        assert enc.energy([M([2.0])]) == 2.0
+        assert enc.energy(M([2.0])) == 2.0
 
     def test_two_units(self):
-        assert enc.energy([np.array([[0.5], [-0.5]])]) == pytest.approx(0.25, abs=1e-15)
+        assert enc.energy(np.array([[0.5], [-0.5]])) == pytest.approx(0.25, abs=1e-15)
 
     def test_mean_over_batch(self):
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert enc.energy([e]) == pytest.approx(0.5, abs=1e-15)
+        assert enc.energy(e) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestThresholdEquivalence:

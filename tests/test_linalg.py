@@ -136,3 +136,14 @@ class TestSigmoidMatchesPiecewise:
                                          allow_subnormal=True)))
     def test_any_float64_matrix(self, x):
         assert _same_bits(_sigmoid(x), _piecewise_sigmoid(x))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_in_place_same_bits(self, kind):
+        # written over its input, with given work arrays, as the network's
+        # buffered level step does
+        x = np.concatenate([self.SPECIAL, -self.SPECIAL], axis=1)
+        x = np.concatenate([x, np.random.default_rng(7).normal(0.0, 20.0, size=(5, x.shape[1]))])
+        want = _piecewise_sigmoid(x) if kind is ActivationKind.SIGMOID else np.tanh(x)
+        scratch, mask = np.empty_like(x), np.empty(x.shape, dtype=bool)
+        got = activate(kind, x, out=x, scratch=scratch, mask=mask)
+        assert got is x and _same_bits(got, want)

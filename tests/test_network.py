@@ -3,6 +3,7 @@ directions, feedback schemes. The backprop baseline serves as the oracle for
 the output-layer update identity."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ class TestInitNetwork:
             PCNetwork([4, 3], [np.zeros((2, 4))])
         with pytest.raises(ValueError):
             init_network([4])
+
+    @pytest.mark.parametrize("bias", [-0.1, float("nan"), float("inf")])
+    def test_bias_must_be_finite_and_non_negative(self, bias):
+        with pytest.raises(ValueError, match="bias"):
+            init_network([4, 3], bias=bias)
+        with pytest.raises(ValueError, match="bias"):
+            init_mlp([4, 3], bias=bias)
 
 
 class TestInitForward:
@@ -463,3 +471,176 @@ class TestRegistries:
         state = net.clamp_output(net.init_forward(x), y)
         with pytest.raises(enc.EncodingDomainError, match="^level 2: threshold_encode"):
             net.compute_errors(state)
+
+
+# -- the buffered step against the out-of-place one ----------------------------
+
+
+def _reference_relax(net, x, y, n_steps, beta):
+    """The relaxation and weight directions written out of place, one fresh
+    array per operation, in the order the buffered step must keep:
+    returns (a, e, phat, weight directions) after `n_steps` steps and one
+    more error computation."""
+    encoding, L = net.encoding, net.n_levels
+
+    def act(l, z):
+        return _reference_sigmoid(z) if net.activation_at(l) is SIG else np.tanh(z)
+
+    def deriv(fl, l):
+        return fl * (1.0 - fl) if net.activation_at(l) is SIG else 1.0 - fl * fl
+
+    def errors(a, phat):
+        e = [None]
+        for l in range(1, L + 1):
+            if isinstance(encoding, enc.Division):
+                eps = encoding.epsilon
+                e.append(np.sqrt((a[l] + eps) / (phat[l] + eps)))
+            elif isinstance(encoding, enc.SubtractiveThreshold):
+                estar = 2.0 * ((a[l] - phat[l]) - encoding.e_min) / encoding.e_max
+                e.append((encoding.e_max / 2.0) * estar + encoding.e_min)
+            else:
+                e.append(a[l] - phat[l])
+        return e
+
+    def rising(e, fp, phat, l):
+        if isinstance(encoding, enc.Division):
+            return 0.5 * np.log(e[l]) * deriv(fp[l], l) / (phat[l] + encoding.epsilon)
+        return e[l] * deriv(fp[l], l)
+
+    def top_down(e, a, l):
+        if isinstance(encoding, enc.Division):
+            return 0.5 * np.log(e[l]) / (a[l] + encoding.epsilon)
+        return e[l]
+
+    a, fp, phat = [x.copy()], [None], [None]
+    for l in range(1, L + 1):
+        fp.append(act(l, net.weights[l - 1] @ a[l - 1]))
+        phat.append(fp[l] + net.bias_at(l))
+        a.append(np.maximum(phat[l], 0.0) if net.positive_activities else phat[l].copy())
+    a[L] = y.copy()
+    for _ in range(n_steps):
+        e = errors(a, phat)
+        dirs = [None] * (L + 1)
+        for l in range(1, L):
+            bottom_up = net.feedback_matrix(l) @ rising(e, fp, phat, l + 1)
+            dirs[l] = bottom_up - top_down(e, a, l)
+        for l in range(1, L):
+            a[l] = a[l] + dirs[l] * beta
+            if net.positive_activities:
+                a[l] = np.maximum(a[l], 0.0)
+        for l in range(2, L + 1):
+            fp[l] = act(l, net.weights[l - 1] @ a[l - 1])
+            phat[l] = fp[l] + net.bias_at(l)
+    e = errors(a, phat)
+    weight_dirs = [(rising(e, fp, phat, l + 1) @ a[l].T) / x.shape[1] for l in range(L)]
+    return a, e, phat, weight_dirs
+
+
+def _reference_sigmoid(z):
+    # the piecewise overflow-free form: 1 / (1 + exp(-z)) for z >= 0 and
+    # exp(z) / (1 + exp(z)) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _combinations():
+    for encoding in (enc.Subtractive(), enc.SubtractiveThreshold(e_min=-2.5, e_max=5.0),
+                     enc.Division()):
+        for feedback in FEEDBACK_SCHEMES:
+            for act in ActivationKind:
+                for positive in (False, True):
+                    if encoding.needs_positive and not positive:
+                        continue
+                    yield encoding, feedback(), act, positive
+
+
+def _net(encoding, feedback, act, positive, dims, seed=0):
+    # a shift wherever rates must stay positive, none elsewhere: both the
+    # shifted and the unshifted prediction path run
+    bias = (1.0 if act is ActivationKind.TANH else 0.1) if positive else 0.0
+    return init_network(dims, encoding=encoding, feedback=feedback, hidden_activation=act,
+                        bias=bias, positive_activities=positive, seed=seed)
+
+
+def _check_against_reference(net, x, y, n_steps=6, beta=0.1):
+    want_a, want_e, want_phat, want_dw = _reference_relax(net, x, y, n_steps, beta)
+    state = net.init_forward(x)
+    net.clamp_output(state, y)
+    net.relax(state, n_steps, beta)
+    net.compute_errors(state)
+    for l in range(net.n_levels + 1):
+        _same_bits(state.a[l], want_a[l])
+    for l in range(1, net.n_levels + 1):
+        _same_bits(state.e[l], want_e[l])
+        _same_bits(state.phat[l], want_phat[l])
+    for got, want in zip(net.weight_update_direction(state), want_dw):
+        _same_bits(got, want)
+
+
+class TestBufferedStep:
+    """The relaxation step writes into arrays the state owns, and moves no
+    output bit against the same rules written out of place."""
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("encoding,feedback,act,positive", list(_combinations()),
+                             ids=lambda v: getattr(v, "name", None) or str(v))
+    def test_same_bits_as_out_of_place(self, encoding, feedback, act, positive, width):
+        for dims in ([784, 300, 300, 10], [6, 5, 4, 3]):
+            net = _net(encoding, feedback, act, positive, dims)
+            x, y = _random_batch(net, width, width)
+            _check_against_reference(net, x, y)
+
+    @pytest.mark.parametrize("encoding", [enc.Subtractive(), enc.Division()],
+                             ids=lambda e: e.name)
+    def test_one_network_two_widths_in_turn(self, encoding):
+        net = _net(encoding, Transpose(), SIG, encoding.needs_positive, [784, 300, 300, 10])
+        for width, seed in ((64, 1), (7, 2), (64, 3), (1, 4)):
+            x, y = _random_batch(net, width, seed)
+            _check_against_reference(net, x, y)
+
+    def test_prediction_is_the_activation_only_where_the_shift_moves_no_bit(self):
+        # x + 0.0 differs from x only at x = -0.0: tanh(-0.0) is -0.0, but the
+        # sigmoid never returns it
+        assert np.signbit(np.tanh(-0.0)) and not np.signbit(np.tanh(-0.0) + 0.0)
+        for act in ActivationKind:
+            for bias in (0.0, 0.1):
+                net = init_network([5, 4, 3], hidden_activation=act, bias=bias, seed=1)
+                state = net.init_forward(np.ones((5, 2)))
+                shared = act is SIG and bias == 0.0
+                assert (state.phat[1] is state.fp[1]) == shared
+                assert state.phat[2] is state.fp[2]  # unshifted sigmoid output
+
+    def test_states_do_not_share_arrays(self):
+        net = init_network([6, 5, 4, 3], seed=2)
+        x, y = _random_batch(net, 4, 1)
+        first = net.clamp_output(net.init_forward(x), y)
+        net.relax(first, 3, 0.1)
+        net.compute_errors(first)
+        kept = [d.copy() for d in net.weight_update_direction(first)]
+        second = net.clamp_output(net.init_forward(x[:, :2]), y[:, :2])
+        net.relax(second, 5, 0.1)
+        net.compute_errors(second)
+        net.weight_update_direction(second)
+        for got, want in zip(net.weight_update_direction(first), kept):
+            _same_bits(got, want)
+
+    @pytest.mark.parametrize("encoding", [enc.Subtractive(), enc.SubtractiveThreshold(),
+                                          enc.Division()], ids=lambda e: e.name)
+    def test_warm_step_allocates_no_batch_array(self, encoding):
+        net = _net(encoding, Transpose(), SIG, encoding.needs_positive, [784, 300, 300, 10])
+        x, y = _random_batch(net, 64, 0)
+        state = net.clamp_output(net.init_forward(x), y)
+        net.compute_errors(state)
+        net.activity_step(state, 0.1)
+        tracemalloc.start()
+        try:
+            net.compute_errors(state)
+            net.activity_step(state, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 64 * 8

@@ -111,7 +111,7 @@ def _two_sweep_evaluate(model, split, chunk=4096):
         if division:
             total += enc.division_cost(enc.division_error(y, out, model.encoding.epsilon)) * y.shape[1]
         else:
-            total += enc.energy([y - out]) * y.shape[1]
+            total += enc.energy(y - out) * y.shape[1]
     return wrong / split.n_samples, total / split.n_samples
 
 
