@@ -9,7 +9,11 @@ samples:
 
 * the SHA-256 of the `.pcck` checkpoint bytes,
 * the SHA-256 of the metrics CSV without its `seconds` column,
-* the reprs of `evaluate` (error, objective) on a 9001-sample split;
+* the reprs of `evaluate` (error, objective) on a 9001-sample split,
+* the same reprs on what `load_split` returns for IDX files holding that
+  split's pixels, rounded to bytes, and a 9-sample split's, each written
+  plain and gzipped: this covers the IDX loader and a first product over
+  the image layout it returns;
 
 plus the `max_rel_err` reprs and the verdict of `run_gradcheck` (or the
 encoding-domain error it raised) for every encoding x feedback x
@@ -39,10 +43,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 EPOCHS = 2
 TRAIN_SAMPLES = 640
 TEST_SAMPLES = 256
 EVAL_SAMPLES = 9001
+# Samples of the second IDX eval split, narrower than one prediction block.
+IDX_SHORT = 9
 SEED = 1
 # 640 = 13 x 48 + 16: the last batch of an epoch is narrower.
 SHORT_BATCH = 48
@@ -63,6 +71,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_idx_splits(dataio, data_dir: Path, splits) -> dict:
+    """Write each split's pixels, rounded to bytes, as a plain and a gzipped
+    IDX test split; returns {key: data dir} for `load_split`."""
+    dirs = {}
+    for split in splits:
+        pixels = np.rint(split.images.T * 255.0).astype(np.uint8)
+        for suffix in ("", ".gz"):
+            key = f"idx{split.n_samples}{suffix}"
+            mnist = data_dir / key / "mnist"
+            mnist.mkdir(parents=True)
+            dataio.write_idx_images(mnist / f"t10k-images-idx3-ubyte{suffix}", pixels)
+            dataio.write_idx_labels(mnist / f"t10k-labels-idx1-ubyte{suffix}", split.labels)
+            dirs[key] = data_dir / key
+    return dirs
+
+
 def digests(work_dir: Path) -> dict:
     from biopc import dataio, experiments
     from biopc import encodings as enc
@@ -73,6 +97,8 @@ def digests(work_dir: Path) -> dict:
     train_split = dataio.synthetic_split(TRAIN_SAMPLES, seed=1)
     test_split = dataio.synthetic_split(TEST_SAMPLES, seed=2, name="test")
     eval_split = dataio.synthetic_split(EVAL_SAMPLES, seed=3, name="test")
+    idx_dirs = _write_idx_splits(dataio, work_dir / "data",
+                                 (eval_split, dataio.synthetic_split(IDX_SHORT, seed=4)))
     out = {"rows": {}, "gradcheck": {}}
     for name, overrides in _rows(experiments).items():
         cfg = experiments.make_config("mnist", SEED, overrides, epochs=EPOCHS,
@@ -84,6 +110,10 @@ def digests(work_dir: Path) -> dict:
             "pcck_sha256": _sha256(result.checkpoint_path.read_bytes()),
             "metrics_sha256": _sha256(metrics.encode()),
             "evaluate": [repr(v) for v in evaluate(result.model, eval_split)],
+            "evaluate_idx": {
+                key: [repr(v) for v in evaluate(result.model,
+                                                dataio.load_split(d, "mnist", "test"))]
+                for key, d in idx_dirs.items()},
         }
     for encoding in enc.ENCODINGS:
         for feedback in FEEDBACK_SCHEMES:

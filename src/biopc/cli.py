@@ -107,6 +107,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    # The seed is a TrainConfig field: the config checks its bound, as for train.
+    TrainConfig(seed=args.seed).finalize()
     encoding = enc.build(enc.ENCODINGS, "name", args.encoding)
     feedback = enc.build(FEEDBACK_SCHEMES, "name", args.feedback)
     report = run_gradcheck(encoding, feedback,

@@ -149,8 +149,13 @@ def _coerce(field: str, text: str):
 def parse_config_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment, keys may be written
     with dashes or underscores."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: byte 0x{err.object[err.start]:02x} "
+                          f"at offset {err.start}") from None
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

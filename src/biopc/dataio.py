@@ -4,6 +4,10 @@ The IDX layout is big-endian: a u32 magic (0x00000803 for image files,
 0x00000801 for label files), u32 dimension sizes, then raw unsigned bytes.
 Both plain and gzip-compressed files are accepted; compression is detected
 from the leading bytes, not the file name.
+
+Both loaders, `load_split` and `synthetic_split`, return images as a
+features x N float64 matrix in Fortran order: each sample's column is
+contiguous, so gathering a minibatch's columns reads whole runs of memory.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class IdxError(ValueError):
 
 @dataclass
 class DatasetSplit:
-    images: np.ndarray  # features x N, float64 in [0, 1]
+    images: np.ndarray  # features x N, float64 in [0, 1]; Fortran-ordered from both loaders
     labels: np.ndarray  # int64 in 0..9, length N
     name: str
 
@@ -58,7 +62,8 @@ def _read_payload(path) -> bytes:
 
 
 def load_idx_images(path) -> np.ndarray:
-    """Read an IDX image file into a (rows*cols) x N float64 matrix in [0, 1]."""
+    """Read an IDX image file into a (rows*cols) x N float64 matrix in [0, 1],
+    Fortran-ordered: each sample's column is contiguous."""
     buf = _read_payload(path)
     if len(buf) < 16:
         raise IdxError(f"{path}: truncated header, {len(buf)} bytes at offset 0 (need 16)")
@@ -72,9 +77,11 @@ def load_idx_images(path) -> np.ndarray:
             f"{rows}x{cols} (payload starts at offset 16)"
         )
     pixels = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-    images = np.ascontiguousarray(pixels.T).astype(np.float64)
-    images /= 255.0
-    return images
+    # One pass: each image's bytes are contiguous, and so is its column in
+    # a Fortran-ordered matrix, so the division reads and writes in memory
+    # order. uint8 converts to float64 exactly, so these are the bits of
+    # converting first and dividing after.
+    return np.divide(pixels.T, 255.0, out=np.empty((rows * cols, n), order="F"))
 
 
 def load_idx_labels(path) -> np.ndarray:

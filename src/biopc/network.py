@@ -30,6 +30,10 @@ them: `activity_directions` returns the state's direction arrays, which the
 next `activity_step` overwrites, and `weight_update_direction` returns
 arrays that its next call on the same state overwrites. Copy what has to
 outlive that.
+
+`predict` makes its level arrays once per call, sized for one column
+block, and runs every block of the batch through them; only the output
+array it returns is batch-sized.
 """
 
 from __future__ import annotations
@@ -130,10 +134,17 @@ class LevelWork:
 
 
 # Columns per block of a prediction sweep. A 4096-sample evaluation chunk
-# would make every level's arrays 9.8 MB (300 x 4096 float64), fresh pages
-# on each call; 512-column blocks keep them at 1.2 MB, which stay in cache
-# and in the allocator's free lists from one block to the next.
+# would make every level's arrays 9.8 MB (300 x 4096 float64); 512-column
+# blocks keep them at 1.2 MB, which stay in cache from one block to the
+# next. Narrower blocks can move bits: with 128-column blocks, batches of
+# 300 to 4500 columns gave outputs other than one whole-batch sweep
+# (OpenBLAS 0.3.31 takes products that small on its small-matrix path).
 PREDICT_BLOCK = 512
+
+
+def _leading(flat: np.ndarray, shape) -> np.ndarray:
+    """The leading entries of a flat array, viewed as a C-ordered matrix."""
+    return flat[:shape[0] * shape[1]].reshape(shape)
 
 
 def _xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -196,8 +207,8 @@ class LayeredModel:
 
         Given arrays are written in place (`scratch` and `mask` serve the
         sigmoid, see `activate`); missing ones are made. A `phat` that is
-        the `fp` array takes no shift: the caller passes that only where
-        the shift is 0 and cannot change a bit."""
+        the `fp` array takes no shift: the callers pass that only where
+        `_phat_is_fp` holds."""
         fp = activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
                       out=fp, scratch=scratch, mask=mask)
         if phat is not fp:
@@ -226,10 +237,16 @@ class LayeredModel:
         out = np.multiply(fl, fl, out=out)
         return np.subtract(1.0, out, out=out)
 
+    def _phat_is_fp(self, level: int) -> bool:
+        """Whether the level's effective prediction can be its activation
+        array itself: x + 0.0 differs from x only at x = -0.0, which the
+        sigmoid never returns, so an unshifted sigmoid level's shift moves
+        no bit."""
+        return self.bias_at(level) == 0.0 and self.activation_at(level) is ActivationKind.SIGMOID
+
     def predict(self, x) -> np.ndarray:
         """Output activities of the forward sweep, what `_sweep` computes
-        without keeping the hidden levels: each level's array is updated in
-        place and dropped once the next is computed.
+        without keeping the hidden levels.
 
         Wide batches run in column blocks that start at multiples of
         PREDICT_BLOCK; the last one takes the remainder, so no block is
@@ -238,17 +255,32 @@ class LayeredModel:
         last N mod (group width) columns; with these bounds those columns
         are the batch's last ones in both cases, so every output is the same
         bits as one product over the whole batch (the tests compare the
-        two)."""
+        two).
+
+        The arrays are made once per call, flat and sized for the widest
+        block (the last); every block runs `_level` into their leading
+        entries, viewed as C-ordered matrices of its width (a
+        Fortran-ordered hidden operand would move bits). Levels write their
+        activations into two arrays in turn, so no product writes the array
+        it reads. The sigmoid's scratch and mask are free once it returns,
+        so all levels share one pair, and a shifted level writes its
+        effective prediction into that scratch: the next level's product
+        reads it before that level's sigmoid overwrites it."""
         x = self._check_level_shape(x, 0, "input batch")
         n = x.shape[1]
         k = max(1, n // PREDICT_BLOCK)
+        size = max(self.dims[1:]) * (n - (k - 1) * PREDICT_BLOCK)
+        fps = (np.empty(size), np.empty(size))
+        scratch, mask = np.empty(size), np.empty(size, dtype=bool)
         out = np.empty((self.dims[-1], n))
         for i in range(k):
             lo, hi = i * PREDICT_BLOCK, n if i == k - 1 else (i + 1) * PREDICT_BLOCK
             a = x[:, lo:hi]
             for l in range(1, self.n_levels + 1):
-                a = activate(self.activation_at(l), self.weights[l - 1] @ a)
-                a += self.bias_at(l)
+                shape = (self.dims[l], hi - lo)
+                fp, s = _leading(fps[l % 2], shape), _leading(scratch, shape)
+                _, a = self._level(l, a, fp, fp if self._phat_is_fp(l) else s, s,
+                                   _leading(mask, shape))
                 if self.positive_activities:
                     np.maximum(a, 0.0, out=a)
             out[:, lo:hi] = a
@@ -305,10 +337,7 @@ class PCNetwork(LayeredModel):
         for l in range(1, L + 1):
             shape = (self.dims[l], n)
             state.fp[l] = np.empty(shape)
-            # x + 0.0 differs from x only at x = -0.0, which the sigmoid
-            # never returns.
-            unshifted = self.bias_at(l) == 0.0 and self.activation_at(l) is ActivationKind.SIGMOID
-            state.phat[l] = state.fp[l] if unshifted else np.empty(shape)
+            state.phat[l] = state.fp[l] if self._phat_is_fp(l) else np.empty(shape)
             state.work[l] = LevelWork(terms=self.encoding.terms(shape), rising=np.empty(shape),
                                       scratch=np.empty(shape), mask=np.empty(shape, dtype=bool),
                                       direction=np.empty(shape) if l < L else None)

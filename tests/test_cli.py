@@ -97,6 +97,16 @@ class TestTrainCommand:
         assert "config error" in err and f"{field} must be" in err
         assert not (tmp_path / "x").exists()
 
+    def test_non_utf8_config_is_config_error(self, fake_data_dir, tmp_path, capsys):
+        # the byte sits in a comment, which is still decoded
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"epochs = 1  # caf\xe9\n")
+        code = main(_train_args(fake_data_dir, tmp_path / "x", "--config", str(cfg)))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(cfg) in err and "0xe9" in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--does-not-exist", "1"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -252,6 +262,11 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "approximate feedback (expected)" in out
         assert "PASS" in out
+
+    def test_negative_seed_is_config_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed must be >= 0" in err
 
     def test_failure_exit_code(self, monkeypatch, capsys):
         from biopc import cli

@@ -33,6 +33,19 @@ class TestImages:
         loaded = dataio.load_idx_images(path)
         np.testing.assert_array_equal(loaded, pixels.T.astype(np.float64) / 255.0)
 
+    @pytest.mark.parametrize("name", ["imgs-idx3-ubyte", "imgs-idx3-ubyte.gz"])
+    def test_fortran_ordered_same_bytes_as_reference(self, tmp_path, name):
+        # The reference is the former three-pass load: a transposed uint8
+        # copy, its float64 conversion, then the division.
+        pixels = np.random.default_rng(2).integers(0, 256, size=(300, 784), dtype=np.uint8)
+        loaded = dataio.load_idx_images(_write_images(tmp_path, pixels, name=name))
+        reference = np.ascontiguousarray(pixels.T).astype(np.float64) / 255.0
+        assert loaded.flags.f_contiguous and loaded.dtype == np.float64
+        assert loaded.tobytes(order="C") == reference.tobytes()
+        idx = np.random.default_rng(3).permutation(300)[:64]
+        batch = loaded[:, idx]
+        assert batch.tobytes() == reference[:, idx].tobytes()
+
     @pytest.mark.parametrize("damage", [
         lambda gz: gz[:-100],  # truncated: EOFError
         lambda gz: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:],  # CRC mismatch: BadGzipFile

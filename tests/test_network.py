@@ -410,17 +410,26 @@ class TestPredict:
         x, _ = _random_batch(net, 4, 4)
         np.testing.assert_array_equal(net.predict(x), net.predict(x))
 
-    @pytest.mark.parametrize("width", [PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK - 1, 1204, 4096, 4500])
+    @pytest.mark.parametrize("width", [1, 7, 9, 10, 11, PREDICT_BLOCK - 1, PREDICT_BLOCK,
+                                       2 * PREDICT_BLOCK - 1, 1204, 4096, 4500])
     def test_wide_batch_matches_one_sweep(self, width):
         # Blocked prediction gives the bits of one product over the whole
-        # batch, the last columns (a separate path in BLAS) included.
+        # batch, the last columns (a separate path in BLAS) included, for a
+        # C- or Fortran-ordered input; an unshifted sigmoid level skips its
+        # shift, a tanh level at bias 0 does not.
         x = np.random.default_rng(width).uniform(0.0, 1.0, size=(784, width))
+        x_f = np.asfortranarray(x)
         before = x.copy()
-        for positive in (False, True):
-            net = init_network([784, 300, 300, 10], seed=3, bias=0.1,
-                               positive_activities=positive)
-            np.testing.assert_array_equal(net.predict(x), net._sweep(x)[0][3])
+        for act, bias in ((ActivationKind.SIGMOID, 0.0), (ActivationKind.SIGMOID, 0.1),
+                          (ActivationKind.TANH, 0.0), (ActivationKind.TANH, 1.0)):
+            for positive in (False, True):
+                net = init_network([784, 300, 300, 10], seed=3, bias=bias, hidden_activation=act,
+                                   positive_activities=positive)
+                swept = net._sweep(x)[0][3]
+                np.testing.assert_array_equal(net.predict(x), swept)
+                np.testing.assert_array_equal(net.predict(x_f), swept)
         np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(x_f, before)
 
 
 class TestFeedbackSchemes:
