@@ -13,7 +13,10 @@ samples:
 * the same reprs on what `load_split` returns for IDX files holding that
   split's pixels, rounded to bytes, and a 9-sample split's, each written
   plain and gzipped: this covers the IDX loader and a first product over
-  the image layout it returns;
+  the image layout it returns,
+* the class name of the model that `load_checkpoint` makes from the
+  `.pcck` file, and `evaluate` of that reloaded model on the 9001-sample
+  split: this covers the checkpoint loader;
 
 plus the `max_rel_err` reprs and the verdict of `run_gradcheck` (or the
 encoding-domain error it raised) for every encoding x feedback x
@@ -90,6 +93,7 @@ def _write_idx_splits(dataio, data_dir: Path, splits) -> dict:
 def digests(work_dir: Path) -> dict:
     from biopc import dataio, experiments
     from biopc import encodings as enc
+    from biopc.checkpoint import load_checkpoint
     from biopc.linalg import ActivationKind
     from biopc.network import FEEDBACK_SCHEMES
     from biopc.training import evaluate, run_gradcheck, train
@@ -106,10 +110,13 @@ def digests(work_dir: Path) -> dict:
         result = train(cfg, train_split, test_split)
         metrics = "".join(line.rsplit(",", 1)[0] + "\n"
                           for line in result.metrics_path.read_text().splitlines())
+        reloaded, _ = load_checkpoint(result.checkpoint_path)
         out["rows"][name] = {
             "pcck_sha256": _sha256(result.checkpoint_path.read_bytes()),
             "metrics_sha256": _sha256(metrics.encode()),
             "evaluate": [repr(v) for v in evaluate(result.model, eval_split)],
+            "reloaded_class": type(reloaded).__name__,
+            "reloaded_evaluate": [repr(v) for v in evaluate(reloaded, eval_split)],
             "evaluate_idx": {
                 key: [repr(v) for v in evaluate(result.model,
                                                 dataio.load_split(d, "mnist", "test"))]

@@ -3,26 +3,28 @@ forward sweep.
 
 Hidden layer l computes a_l = f(W_{l-1} a_{l-1}) + b with the same fixed
 scalar shift b as the predictive-coding network (the output layer is
-unshifted, also matching it). Both inherit that sweep from
-`network.LayeredModel`, so a network and an MLP holding equal weights
-produce bit-identical outputs. The loss is the mean over the batch of the
-summed squared output error (1/2)||y - a_L||^2, the subtractive encoding's
-output cost.
+unshifted, also matching it). Both are a `network.LayeredModel`, so a
+network and an MLP holding equal weights produce bit-identical outputs.
+`MLP.fixed_structure` states backprop's structure once (subtractive errors,
+transpose feedback, no positivity): the shared constructor and `TrainConfig`
+reject anything else. The loss is the mean over the batch of the summed
+squared output error (1/2)||y - a_L||^2, the subtractive output cost.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import encodings as enc
 from .linalg import ActivationKind, ShapeMismatchError, as_matrix
-from .network import LayeredModel, _xavier_uniform
+from .network import LayeredModel, Transpose, init_network
 
 
 class MLP(LayeredModel):
-    # The loss and the evaluated output objective are this encoding's
-    # output cost.
-    encoding = enc.Subtractive()
+    name = "bp"
+    tag = 1
+    # `loss` is the subtractive output cost, and `backward` sends errors
+    # down through the transposes of unrectified activities.
+    fixed_structure = {"encoding": enc.Subtractive(), "feedback": Transpose(),
+                       "positive_activities": False}
 
     def loss(self, x, y, outputs=None) -> float:
         """Mean squared-error loss of the batch. `outputs` are the model's
@@ -60,10 +62,7 @@ def init_mlp(dims, *, bias: float = 0.0,
              hidden_activation: ActivationKind = ActivationKind.SIGMOID,
              output_activation: ActivationKind = ActivationKind.SIGMOID,
              seed: int = 0) -> MLP:
-    """Xavier-uniform init; the same seed yields the same forward weights as
-    init_network, which is what equal-footing comparisons rely on."""
-    dims = [int(d) for d in dims]
-    rng = np.random.default_rng(seed)
-    weights = [_xavier_uniform(rng, dims[l + 1], dims[l]) for l in range(len(dims) - 1)]
-    return MLP(dims, weights, bias=bias,
-               hidden_activation=hidden_activation, output_activation=output_activation)
+    """`init_network` for an MLP: the same seed yields the same forward
+    weights as for a network, which equal-footing comparisons rely on."""
+    return init_network(dims, bias=bias, hidden_activation=hidden_activation,
+                        output_activation=output_activation, seed=seed, model_class=MLP)

@@ -3,8 +3,8 @@
 Layout, all little-endian. Each bracketed name is the module-level
 `struct.Struct` that both the writer and the reader use for that record:
 
-    [_HEADER]  magic b"PCCK", version u32 (1), model kind u8 (0 predictive-
-               coding network, 1 backprop MLP), level count u32
+    [_HEADER]  magic b"PCCK", version u32 (1), model kind u8 (the class's
+               `tag`: 0 predictive-coding network, 1 MLP), level count u32
     [_dims(n)] the n layer sizes (input..output), u32 each
     [_TAGS]    u8 each: hidden and output activation (0 sigmoid, 1 tanh),
                encoding `tag` (0 subtractive, 1 threshold, 2 division),
@@ -20,8 +20,14 @@ Layout, all little-endian. Each bracketed name is the module-level
 
 Round trips are bit-exact: matrices are written as raw float64 bytes,
 straight from each array's buffer, and each is copied once on loading.
-The loader raises `CheckpointError`, naming the path, for any input it
-cannot turn into a model.
+
+Every model takes one write path and loads through one constructor call on
+the class its kind byte names, which owns the structure (see `baseline`).
+So an MLP record carries subtractive and transpose tags, no positivity and
+no feedback block, and zeros in the parameter slots after the bias (which
+its schemes do not read). Other tags, positivity or a feedback block are a
+`CheckpointError`, naming the path, as is any input the loader cannot turn
+into a model.
 """
 
 from __future__ import annotations
@@ -29,14 +35,14 @@ from __future__ import annotations
 import dataclasses
 import struct
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import encodings as enc
 from .baseline import MLP
 from .linalg import ActivationKind
-from .network import FEEDBACK_SCHEMES, PCNetwork
+from .network import FEEDBACK_SCHEMES, LayeredModel, PCNetwork
 from .optim import AdamState
 
 MAGIC = b"PCCK"
@@ -98,22 +104,18 @@ class _Reader:
                              offset=start).reshape(rows, cols)
 
 
-def save_checkpoint(path, model: Union[PCNetwork, MLP],
+def save_checkpoint(path, model: LayeredModel,
                     optimizer_states: Optional[list] = None) -> None:
-    is_mlp = isinstance(model, MLP)
-    if is_mlp:
-        tags, params = (0, 0, 0), {}
-    else:
-        tags = (model.encoding.tag, model.feedback.tag, 1 if model.positive_activities else 0)
-        params = {**dataclasses.asdict(model.encoding), **dataclasses.asdict(model.feedback)}
-    fb = None if is_mlp else model.feedback_weights
+    params = {**dataclasses.asdict(model.encoding), **dataclasses.asdict(model.feedback)}
+    fb = model.feedback_weights
     n = len(model.dims)
 
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, 1 if is_mlp else 0, n))
+        f.write(_HEADER.pack(MAGIC, VERSION, model.tag, n))
         f.write(_dims(n).pack(*model.dims))
         f.write(_TAGS.pack(_ACT_TAGS[model.hidden_activation],
-                           _ACT_TAGS[model.output_activation], *tags))
+                           _ACT_TAGS[model.output_activation], model.encoding.tag,
+                           model.feedback.tag, 1 if model.positive_activities else 0))
         f.write(_PARAMS.pack(model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS)))
 
         f.write(_COUNT.pack(len(model.weights)))
@@ -175,18 +177,15 @@ def load_checkpoint(path):
     if r.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - r.pos} trailing bytes at offset {r.pos}")
 
-    if model_kind not in (0, 1):
+    model_class = next((m for m in (PCNetwork, MLP) if m.tag == model_kind), None)
+    if model_class is None:
         raise CheckpointError(f"{path}: unknown model kind {model_kind}")
     try:
-        if model_kind == 1:
-            model = MLP(dims, weights, bias=bias,
-                        hidden_activation=hidden_act, output_activation=output_act)
-        else:
-            model = PCNetwork(dims, weights, feedback_weights, bias=bias,
-                              hidden_activation=hidden_act, output_activation=output_act,
-                              encoding=enc.build(enc.ENCODINGS, "tag", encoding_tag, params),
-                              feedback=enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params),
-                              positive_activities=bool(positive))
+        model = model_class(dims, weights, feedback_weights, bias=bias,
+                            hidden_activation=hidden_act, output_activation=output_act,
+                            encoding=enc.build(enc.ENCODINGS, "tag", encoding_tag, params),
+                            feedback=enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params),
+                            positive_activities=bool(positive))
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
     return model, optimizers

@@ -20,7 +20,7 @@ from . import encodings as enc
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import _CHOICES, ConfigError, TrainConfig, _coerce, merge_config, parse_config_file
 from .linalg import ActivationKind, ShapeMismatchError
-from .network import FEEDBACK_SCHEMES
+from .network import FEEDBACK_SCHEMES, PCNetwork
 from .training import NonFiniteError, evaluate, run_gradcheck, train
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def _config_from_args(args) -> TrainConfig:
 
 def _describe_config(cfg: TrainConfig) -> str:
     bits = [f"dataset={cfg.dataset}", f"model={cfg.model}"]
-    if cfg.model == "pc":
+    if cfg.model == PCNetwork.name:
         bits += [f"feedback={cfg.feedback}", f"encoding={cfg.encoding}",
                  f"beta={cfg.beta}", f"n_updates={cfg.n_updates}"]
     bits += [f"hidden={cfg.hidden_activation}",

@@ -16,8 +16,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import encodings as enc
+from .baseline import MLP
 from .linalg import ActivationKind
-from .network import FEEDBACK_SCHEMES
+from .network import FEEDBACK_SCHEMES, PCNetwork
 
 NETWORK_DIMS = [784, 300, 300, 10]
 
@@ -28,7 +29,7 @@ DATASET_DEFAULTS = {
 
 _CHOICES = {
     "dataset": tuple(DATASET_DEFAULTS),
-    "model": ("pc", "bp"),
+    "model": (PCNetwork.name, MLP.name),
     "feedback": tuple(s.name for s in FEEDBACK_SCHEMES),
     "encoding": tuple(e.name for e in enc.ENCODINGS),
     "hidden_activation": tuple(k.value for k in ActivationKind),
@@ -43,7 +44,7 @@ class ConfigError(ValueError):
 class TrainConfig:
     dataset: str = "mnist"
     data_dir: str = "data"
-    model: str = "pc"
+    model: str = PCNetwork.name
     feedback: str = "transpose"
     encoding: str = "subtractive"
     hidden_activation: str = "sigmoid"
@@ -102,6 +103,12 @@ class TrainConfig:
                     enc.build(registry, "name", cls.name, vars(self))
                 except ValueError as err:
                     raise ConfigError(f"{cls.name}: {err}") from None
+        if self.model == MLP.name:
+            try:
+                MLP.check_structure(encoding=self.encoding_value(), feedback=self.feedback_value(),
+                                    positive_activities=self.positive_activities)
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
         if self.encoding_value().needs_positive and not self.positive_activities:
             raise ConfigError(
                 f"encoding={self.encoding} requires positive-activities=true: its "
@@ -147,10 +154,10 @@ def _coerce(field: str, text: str):
 
 
 def parse_config_file(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, keys may be written
-    with dashes or underscores."""
+    """Parse `key = value` lines of UTF-8 text, a byte-order mark allowed;
+    '#' starts a comment, keys may be written with dashes or underscores."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text: byte 0x{err.object[err.start]:02x} "
                           f"at offset {err.start}") from None

@@ -2,8 +2,9 @@
 
 Everything here operates on 2-D numpy arrays of float64; minibatches are
 stored with one column per sample. The models' loops use `@` directly;
-`matmul`, the shape-checked product, is what the benchmark times, and
-`activate_deriv` (f' at the pre-activation) is the tests' reference.
+`matmul`, the shape-checked product, is what the benchmark times. The
+models take activation derivatives from the stored activations (see
+`network.LayeredModel._act_deriv`).
 """
 
 from __future__ import annotations
@@ -63,16 +64,4 @@ def activate(kind: ActivationKind, x, out=None, scratch=None, mask=None) -> np.n
         return _sigmoid(x, out, scratch, mask)
     if kind is ActivationKind.TANH:
         return np.tanh(x, out=out)
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
-def activate_deriv(kind: ActivationKind, x) -> np.ndarray:
-    """Element-wise derivative f'(x), evaluated at the pre-activation."""
-    x = as_matrix(x)
-    if kind is ActivationKind.SIGMOID:
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    if kind is ActivationKind.TANH:
-        t = np.tanh(x)
-        return 1.0 - t * t
     raise ValueError(f"unknown activation kind: {kind!r}")

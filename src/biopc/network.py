@@ -19,8 +19,10 @@ l+1 errors down to level l; its dataclass fields are its parameters, named
 as in the run config and the checkpoint. `FEEDBACK_SCHEMES` lists the
 classes. The encoding (see `encodings`) owns every per-encoding term, so
 `PCNetwork` holds no branch on either. `LayeredModel` is what the network
-and the backprop `MLP` share: the level structure, the fixed hidden shift
-and the forward sweep.
+and the backprop `MLP` share: one constructor, which takes and checks the
+whole structure, and the forward sweep. Each model class owns its config
+`name`, its checkpoint `tag` and the `fixed_structure` the constructor
+holds it to: none for `PCNetwork`, backprop's for `MLP` (see `baseline`).
 
 A `NetworkState` owns every array its batch's relaxation and learning
 steps write: `init_forward` makes them, shaped for the batch, and each step
@@ -157,11 +159,17 @@ class LayeredModel:
     f(W_{l-1} a_{l-1}) + b with a fixed scalar shift b; the output level is
     unshifted. With `positive_activities` each level is rectified."""
 
-    positive_activities = False
+    # The structure fields this class fixes, with the one value each takes.
+    fixed_structure = {}
 
-    def __init__(self, dims, weights, *, bias: float = 0.0,
+    def __init__(self, dims, weights, feedback_weights=None, *, bias: float = 0.0,
                  hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-                 output_activation: ActivationKind = ActivationKind.SIGMOID):
+                 output_activation: ActivationKind = ActivationKind.SIGMOID,
+                 encoding: enc.ErrorEncoding = enc.Subtractive(),
+                 feedback: FeedbackScheme = Transpose(),
+                 positive_activities: bool = False):
+        self.check_structure(encoding=encoding, feedback=feedback,
+                             positive_activities=positive_activities)
         dims = [int(d) for d in dims]
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must hold at least two positive sizes, got {dims}")
@@ -174,11 +182,35 @@ class LayeredModel:
             want = (dims[l + 1], dims[l])
             if w.shape != want:
                 raise ShapeMismatchError(f"W[{l}] has shape {w.shape}, expected {want}")
+        if not feedback.has_matrices:
+            if feedback_weights is not None:
+                raise ValueError(f"{feedback.name} feedback carries no separate feedback matrices")
+            self.feedback_weights = None
+        else:
+            if feedback_weights is None or len(feedback_weights) != L:
+                raise ValueError(f"{feedback.name} feedback needs {L} feedback matrices")
+            self.feedback_weights = [np.array(b, dtype=np.float64) for b in feedback_weights]
+            for l, b in enumerate(self.feedback_weights):
+                want = (dims[l], dims[l + 1])
+                if b.shape != want:
+                    raise ShapeMismatchError(f"B[{l}] has shape {b.shape}, expected {want}")
         if not (bias >= 0 and math.isfinite(bias)):
             raise ValueError(f"bias must be >= 0 and finite, got {bias}")
+        if encoding.needs_positive and not positive_activities:
+            raise ValueError(f"{encoding.name} encoding requires positive_activities=True")
         self.bias = float(bias)
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
+        self.encoding = encoding
+        self.feedback = feedback
+        self.positive_activities = bool(positive_activities)
+
+    @classmethod
+    def check_structure(cls, **structure) -> None:
+        """Raises ValueError naming the first fixed field `structure` changes."""
+        for field, want in cls.fixed_structure.items():
+            if structure[field] != want:
+                raise ValueError(f"{cls.name} models take {field}={want!r}, got {structure[field]!r}")
 
     @property
     def n_levels(self) -> int:
@@ -217,10 +249,12 @@ class LayeredModel:
 
     def _sweep(self, x: np.ndarray):
         """Forward pass: per level the activation, the effective prediction
-        and the activity (index 0 of the first two is None)."""
+        (the activation array itself where `_phat_is_fp` holds) and the
+        activity (index 0 of the first two is None)."""
         a, fp, phat = [x], [None], [None]
         for l in range(1, self.n_levels + 1):
-            fl, ph = self._level(l, a[l - 1])
+            fl = np.empty((self.dims[l], x.shape[1]))
+            fl, ph = self._level(l, a[l - 1], fl, fl if self._phat_is_fp(l) else None)
             fp.append(fl)
             phat.append(ph)
             a.append(np.maximum(ph, 0.0) if self.positive_activities else ph.copy())
@@ -288,32 +322,8 @@ class LayeredModel:
 
 
 class PCNetwork(LayeredModel):
-    def __init__(self, dims, weights, feedback_weights=None, *, bias: float = 0.0,
-                 hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-                 output_activation: ActivationKind = ActivationKind.SIGMOID,
-                 encoding: enc.ErrorEncoding = enc.Subtractive(),
-                 feedback: FeedbackScheme = Transpose(),
-                 positive_activities: bool = False):
-        super().__init__(dims, weights, bias=bias, hidden_activation=hidden_activation,
-                         output_activation=output_activation)
-        L = self.n_levels
-        if not feedback.has_matrices:
-            if feedback_weights is not None:
-                raise ValueError(f"{feedback.name} feedback carries no separate feedback matrices")
-            self.feedback_weights = None
-        else:
-            if feedback_weights is None or len(feedback_weights) != L:
-                raise ValueError(f"{feedback.name} feedback needs {L} feedback matrices")
-            self.feedback_weights = [np.array(b, dtype=np.float64) for b in feedback_weights]
-            for l, b in enumerate(self.feedback_weights):
-                want = (self.dims[l], self.dims[l + 1])
-                if b.shape != want:
-                    raise ShapeMismatchError(f"B[{l}] has shape {b.shape}, expected {want}")
-        if encoding.needs_positive and not positive_activities:
-            raise ValueError(f"{encoding.name} encoding requires positive_activities=True")
-        self.encoding = encoding
-        self.feedback = feedback
-        self.positive_activities = bool(positive_activities)
+    name = "pc"
+    tag = 0
 
     def feedback_matrix(self, l: int) -> np.ndarray:
         """Matrix that carries level l+1 errors down to level l."""
@@ -323,28 +333,21 @@ class PCNetwork(LayeredModel):
 
     def init_forward(self, x) -> NetworkState:
         """Start inference on a batch: activities are set to the effective
-        predictions level by level, so all errors start at zero. The
-        state's work arrays are made here, shaped for the batch."""
+        predictions level by level (the forward sweep), so all errors start
+        at zero. The state's work arrays are made here, shaped for the
+        batch."""
         x = self._check_level_shape(x, 0, "input batch").copy()
-        n = x.shape[1]
-        if n == 0:
+        if x.shape[1] == 0:
             raise ShapeMismatchError("input batch is empty")
+        a, fp, phat = self._sweep(x)
         L = self.n_levels
+        work = [None] + [LevelWork(terms=self.encoding.terms(f.shape), rising=np.empty(f.shape),
+                                   scratch=np.empty(f.shape), mask=np.empty(f.shape, dtype=bool),
+                                   direction=np.empty(f.shape) if l < L else None)
+                         for l, f in enumerate(fp[1:], start=1)]
         none = [None] * (L + 1)
-        state = NetworkState(a=[x] + none[1:], fp=none[:], phat=none[:], e=none[:],
-                             e_star=none[:], work=none[:],
-                             weight_dirs=[np.empty(w.shape) for w in self.weights])
-        for l in range(1, L + 1):
-            shape = (self.dims[l], n)
-            state.fp[l] = np.empty(shape)
-            state.phat[l] = state.fp[l] if self._phat_is_fp(l) else np.empty(shape)
-            state.work[l] = LevelWork(terms=self.encoding.terms(shape), rising=np.empty(shape),
-                                      scratch=np.empty(shape), mask=np.empty(shape, dtype=bool),
-                                      direction=np.empty(shape) if l < L else None)
-            self._predict_level(state, l)
-            ph = state.phat[l]
-            state.a[l] = np.maximum(ph, 0.0) if self.positive_activities else ph.copy()
-        return state
+        return NetworkState(a=a, fp=fp, phat=phat, e=none, e_star=none[:], work=work,
+                            weight_dirs=[np.empty(w.shape) for w in self.weights])
 
     def clamp_output(self, state: NetworkState, y) -> NetworkState:
         y = self._check_level_shape(y, self.n_levels, "target batch")
@@ -371,11 +374,8 @@ class PCNetwork(LayeredModel):
         # relaxation and the default skips it; gradient checking perturbs W_0
         # and asks for a full rebuild from level 1.
         for l in range(from_level, self.n_levels + 1):
-            self._predict_level(state, l)
-
-    def _predict_level(self, state: NetworkState, l: int) -> None:
-        work = state.work[l]
-        self._level(l, state.a[l - 1], state.fp[l], state.phat[l], work.scratch, work.mask)
+            work = state.work[l]
+            self._level(l, state.a[l - 1], state.fp[l], state.phat[l], work.scratch, work.mask)
 
     def _rising(self, state: NetworkState, level: int) -> np.ndarray:
         """The encoding's rising term at `level`: what the level below
@@ -472,8 +472,9 @@ def init_network(dims, *, encoding: enc.ErrorEncoding = enc.Subtractive(),
                  hidden_activation: ActivationKind = ActivationKind.SIGMOID,
                  output_activation: ActivationKind = ActivationKind.SIGMOID,
                  bias: float = 0.0, positive_activities: bool = False,
-                 seed: int = 0) -> PCNetwork:
-    """Build a network with uniform Xavier weights, deterministic in `seed`.
+                 seed: int = 0, model_class: type = PCNetwork) -> LayeredModel:
+    """Build a `model_class` model with uniform Xavier weights, deterministic
+    in `seed`: either class gets the same forward weights from one seed.
 
     Separate feedback matrices (random or Kolen-Pollack) are drawn
     independently from the same distribution, never as transposes: for the
@@ -486,12 +487,6 @@ def init_network(dims, *, encoding: enc.ErrorEncoding = enc.Subtractive(),
     fb = None
     if feedback.has_matrices:
         fb = [_xavier_uniform(rng, dims[l], dims[l + 1]) for l in range(L)]
-    return PCNetwork(
-        dims, weights, fb,
-        bias=bias,
-        hidden_activation=hidden_activation,
-        output_activation=output_activation,
-        encoding=encoding,
-        feedback=feedback,
-        positive_activities=positive_activities,
-    )
+    return model_class(dims, weights, fb, bias=bias, hidden_activation=hidden_activation,
+                       output_activation=output_activation, encoding=encoding,
+                       feedback=feedback, positive_activities=positive_activities)

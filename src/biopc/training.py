@@ -37,7 +37,7 @@ import numpy as np
 
 from . import dataio
 from . import encodings as enc
-from .baseline import MLP, init_mlp
+from .baseline import MLP
 from .checkpoint import save_checkpoint
 from .config import NETWORK_DIMS, TrainConfig
 from .linalg import ActivationKind, ShapeMismatchError, as_matrix
@@ -72,17 +72,11 @@ class TrainResult:
 
 
 def build_model(cfg: TrainConfig):
-    if cfg.model == "bp":
-        return init_mlp(NETWORK_DIMS, bias=cfg.bias,
-                        hidden_activation=cfg.hidden_activation_value(),
-                        seed=cfg.seed)
-    return init_network(NETWORK_DIMS,
-                        encoding=cfg.encoding_value(),
+    return init_network(NETWORK_DIMS, encoding=cfg.encoding_value(),
                         feedback=cfg.feedback_value(),
-                        hidden_activation=cfg.hidden_activation_value(),
-                        bias=cfg.bias,
-                        positive_activities=cfg.positive_activities,
-                        seed=cfg.seed)
+                        hidden_activation=cfg.hidden_activation_value(), bias=cfg.bias,
+                        positive_activities=cfg.positive_activities, seed=cfg.seed,
+                        model_class=MLP if cfg.model == MLP.name else PCNetwork)
 
 
 EVAL_CHUNK = 4096

@@ -5,6 +5,16 @@ import numpy as np
 import pytest
 
 from biopc import dataio
+from biopc.linalg import ActivationKind, activate
+
+
+def activate_deriv(kind: ActivationKind, x) -> np.ndarray:
+    """Reference f'(x) at the pre-activation, from f itself; the models take
+    f' from the stored activation instead."""
+    f = activate(kind, x)
+    if kind is ActivationKind.SIGMOID:
+        return f * (1.0 - f)
+    return 1.0 - f * f
 
 
 def write_fake_idx_dataset(root, dataset="mnist", n_train=512, n_test=128, task_seed=0):

@@ -4,9 +4,12 @@ finite-difference verification of the exact gradients."""
 import numpy as np
 import pytest
 
+from conftest import activate_deriv
+
+from biopc import encodings as enc
 from biopc.baseline import MLP, init_mlp
-from biopc.linalg import ActivationKind, ShapeMismatchError, activate_deriv
-from biopc.network import init_network
+from biopc.linalg import ActivationKind, ShapeMismatchError
+from biopc.network import KolenPollack, RandomFixed, Transpose, init_network
 
 
 def _data(dims, batch, seed):
@@ -41,6 +44,23 @@ class TestForward:
         mlp = init_mlp([784, 300, 300, 10], seed=3)
         x = np.random.default_rng(0).uniform(0.0, 1.0, size=(784, 1204))
         np.testing.assert_array_equal(mlp.predict(x), mlp._sweep(x)[0][3])
+
+    @pytest.mark.parametrize("structure", [
+        dict(encoding=enc.Division(), positive_activities=True),
+        dict(encoding=enc.SubtractiveThreshold()),
+        dict(feedback=KolenPollack(), feedback_weights=[np.zeros((3, 2))]),
+        dict(feedback=RandomFixed(), feedback_weights=[np.zeros((3, 2))]),
+        dict(positive_activities=True),
+        dict(feedback_weights=[np.zeros((3, 2))]),
+    ], ids=["division", "threshold", "kp", "random", "positivity", "feedback-matrices"])
+    def test_structure_is_backprops(self, structure):
+        with pytest.raises(ValueError):
+            MLP([3, 2], [np.zeros((2, 3))], **structure)
+
+    def test_structure_defaults(self):
+        mlp = MLP([3, 2], [np.zeros((2, 3))])
+        assert (mlp.encoding, mlp.feedback) == (enc.Subtractive(), Transpose())
+        assert mlp.feedback_weights is None and not mlp.positive_activities
 
     def test_input_shape_checked(self):
         mlp = init_mlp([6, 3], seed=0)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from biopc import encodings as enc
-from biopc.baseline import init_mlp
+from biopc.baseline import MLP, init_mlp
 from biopc.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from biopc.linalg import ActivationKind
-from biopc.network import KolenPollack, RandomFixed, Transpose, init_network
+from biopc.network import KolenPollack, PCNetwork, RandomFixed, Transpose, init_network
 from biopc.optim import AdamState, adam_step
 
 VARIANTS = [
@@ -144,6 +144,36 @@ def test_invalid_parameters_are_checkpoint_errors(tmp_path, net, slot, value):
         load_checkpoint(path)
 
 
+KIND_AT = 4 + 4  # magic, version
+
+
+@pytest.mark.parametrize("net", [
+    dict(dims=[3, 2, 2], feedback=KolenPollack()),
+    dict(dims=[5, 4, 3], encoding=enc.Division(), positive_activities=True, bias=0.1),
+], ids=["kp", "division"])
+def test_pc_record_with_mlp_kind_is_checkpoint_error(tmp_path, net):
+    # an MLP would drop the feedback matrices, encoding and positivity
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, init_network(seed=4, **net))
+    blob = bytearray(path.read_bytes())
+    assert blob[KIND_AT] == PCNetwork.tag
+    blob[KIND_AT] = MLP.tag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=str(path)):
+        load_checkpoint(path)
+
+
+def test_mlp_record_is_the_subtractive_transpose_network(tmp_path):
+    # one writer: an MLP's bytes differ from an equal network's only in kind
+    mlp, net = init_mlp([4, 3, 2], bias=0.2, seed=6), init_network([4, 3, 2], bias=0.2, seed=6)
+    save_checkpoint(tmp_path / "mlp.pcck", mlp)
+    save_checkpoint(tmp_path / "net.pcck", net)
+    a, b = (bytearray((tmp_path / n).read_bytes()) for n in ("mlp.pcck", "net.pcck"))
+    assert (a[KIND_AT], b[KIND_AT]) == (MLP.tag, PCNetwork.tag)
+    b[KIND_AT] = MLP.tag
+    assert a == b
+
+
 def _small_models():
     kp = init_network([3, 2, 2], feedback=KolenPollack(), seed=4)
     mlp = init_mlp([3, 2, 2], seed=4)
@@ -166,9 +196,13 @@ def test_corrupt_files_raise_only_checkpoint_error(tmp_path, which):
             flipped[i] ^= 1 << bit
             variants.append(bytes(flipped))
     bad = tmp_path / "bad.pcck"
+    loaded_as = set()
     for data in variants:
         bad.write_bytes(data)
         try:
-            load_checkpoint(bad)
+            loaded_as.add(type(load_checkpoint(bad)[0]))
         except CheckpointError:
             pass
+    if which == 0:
+        # no flip turns the Kolen-Pollack network into an MLP
+        assert loaded_as == {PCNetwork}

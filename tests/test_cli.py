@@ -85,6 +85,21 @@ class TestTrainCommand:
         assert "division" in err and "positive-activities" in err
 
     @pytest.mark.parametrize("extra,field", [
+        (("--positive-activities", "true"), "positive_activities"),
+        (("--feedback", "kp"), "feedback"),
+        (("--encoding", "threshold"), "encoding"),
+    ], ids=["positivity", "kp", "threshold"])
+    def test_backprop_with_pc_structure_is_config_error(self, fake_data_dir, tmp_path, capsys,
+                                                        extra, field):
+        # backprop's structure is fixed; a PC-only setting would be dropped
+        code = main(_train_args(fake_data_dir, tmp_path / "x", "--model", "bp", *extra))
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and f"bp models take {field}=" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("extra,field", [
         (("--bias", "nan"), "bias"),
         (("--encoding", "threshold", "--e-min", "nan"), "e_min"),
         (("--lr", "inf"), "lr"),

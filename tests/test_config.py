@@ -34,6 +34,18 @@ class TestFinalize:
         cfg = TrainConfig(bias=0.25, e_min=-3.0).finalize()
         assert cfg.e_min == -3.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("encoding", "division"), ("encoding", "threshold"), ("feedback", "kp"),
+        ("feedback", "random"), ("positive_activities", True),
+    ])
+    def test_backprop_structure_is_fixed(self, field, value):
+        overrides = {field: value}
+        if value == "division":
+            overrides["positive_activities"] = True
+        with pytest.raises(ConfigError, match=f"bp models take {field}="):
+            TrainConfig(model="bp", **overrides).finalize()
+        assert TrainConfig(model="pc", **overrides).finalize().model == "pc"
+
     def test_division_requires_positivity(self):
         with pytest.raises(ConfigError, match="division.*positive-activities"):
             TrainConfig(encoding="division").finalize()
@@ -90,6 +102,11 @@ class TestConfigFile:
         entries = parse_config_file(path)
         assert entries == {"dataset": "fashion", "batch_size": 32,
                            "positive_activities": True, "bias": 0.1, "n_updates": 5}
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfepochs = 1\n")
+        assert parse_config_file(path) == {"epochs": 1}
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -7,12 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import activate_deriv
+
 from biopc.linalg import (
     ActivationKind,
     ShapeMismatchError,
     _sigmoid,
     activate,
-    activate_deriv,
     matmul,
 )
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import activate_deriv
+
 from biopc import encodings as enc
 from biopc.baseline import init_mlp
 from biopc.linalg import ActivationKind, ShapeMismatchError
@@ -242,7 +244,6 @@ class TestActivityStep:
         net.clamp_output(state, y)
         net.compute_errors(state)
         dirs = net.activity_directions(state)
-        from biopc.linalg import activate_deriv
         p2 = net.weights[1] @ state.a[1]
         expected = net.weights[1].T @ (state.e[2] * activate_deriv(SIG, p2))
         np.testing.assert_allclose(dirs[1], expected, atol=0)
