@@ -9,9 +9,12 @@ network and an MLP holding equal weights produce bit-identical outputs.
 transpose feedback, no positivity): the shared constructor and `TrainConfig`
 reject anything else. The loss is the mean over the batch of the summed
 squared output error (1/2)||y - a_L||^2, the subtractive output cost.
+`MLP.descent` gives the loss and negative gradients from one forward sweep.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import encodings as enc
 from .linalg import ActivationKind, ShapeMismatchError, as_matrix
@@ -57,12 +60,18 @@ class MLP(LayeredModel):
                 g = (self.weights[l - 1].T @ g) * self._act_deriv(fp, l - 1)
         return grads
 
+    def descent(self, x, y, n_updates: int, beta: float):
+        """(loss, negative gradients) of the batch, from one forward sweep.
+        Backprop does not relax: `n_updates` and `beta` are ignored."""
+        sweep = self._sweep(self._check_level_shape(x, 0, "input batch"))
+        objective = self.loss(x, y, outputs=sweep[0][-1])
+        return objective, [np.negative(g, out=g) for g in self.backward(x, y, sweep=sweep)]
+
 
 def init_mlp(dims, *, bias: float = 0.0,
              hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-             output_activation: ActivationKind = ActivationKind.SIGMOID,
              seed: int = 0) -> MLP:
     """`init_network` for an MLP: the same seed yields the same forward
     weights as for a network, which equal-footing comparisons rely on."""
-    return init_network(dims, bias=bias, hidden_activation=hidden_activation,
-                        output_activation=output_activation, seed=seed, model_class=MLP)
+    return init_network(dims, bias=bias, hidden_activation=hidden_activation, seed=seed,
+                        model_class=MLP)

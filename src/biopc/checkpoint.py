@@ -6,10 +6,10 @@ Layout, all little-endian. Each bracketed name is the module-level
     [_HEADER]  magic b"PCCK", version u32 (1), model kind u8 (the class's
                `tag`: 0 predictive-coding network, 1 MLP), level count u32
     [_dims(n)] the n layer sizes (input..output), u32 each
-    [_TAGS]    u8 each: hidden and output activation (0 sigmoid, 1 tanh),
-               encoding `tag` (0 subtractive, 1 threshold, 2 division),
-               feedback `tag` (0 transpose, 1 random fixed, 2 Kolen-Pollack),
-               positivity constraint on activities (0/1)
+    [_TAGS]    u8 each: hidden activation (0 sigmoid, 1 tanh), output
+               activation (always 0, the sigmoid), encoding `tag` (0
+               subtractive, 1 threshold, 2 division), feedback `tag` (0 transpose,
+               1 random fixed, 2 Kolen-Pollack), positivity of activities (0/1)
     [_PARAMS]  f64 each: bias, then e_min, e_max, epsilon, gamma (zero where
                the model's encoding and feedback scheme have no such field)
     [_COUNT]   weight count u32, then per matrix a block: [_SHAPE] rows u32,
@@ -114,7 +114,7 @@ def save_checkpoint(path, model: LayeredModel,
         f.write(_HEADER.pack(MAGIC, VERSION, model.tag, n))
         f.write(_dims(n).pack(*model.dims))
         f.write(_TAGS.pack(_ACT_TAGS[model.hidden_activation],
-                           _ACT_TAGS[model.output_activation], model.encoding.tag,
+                           _ACT_TAGS[model.activation_at(model.n_levels)], model.encoding.tag,
                            model.feedback.tag, 1 if model.positive_activities else 0))
         f.write(_PARAMS.pack(model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS)))
 
@@ -148,11 +148,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unsupported format version {version}")
     dims = list(r.read(_dims(n_levels), "dims"))
     hidden_tag, output_tag, encoding_tag, feedback_tag, positive = r.read(_TAGS, "tags")
-    try:
-        hidden_act = _ACT_FROM_TAG[hidden_tag]
-        output_act = _ACT_FROM_TAG[output_tag]
-    except KeyError as err:
-        raise CheckpointError(f"{path}: unknown activation tag {err}") from None
+    if hidden_tag not in _ACT_FROM_TAG:
+        raise CheckpointError(f"{path}: unknown activation tag {hidden_tag}")
+    if output_tag != _ACT_TAGS[ActivationKind.SIGMOID]:
+        raise CheckpointError(f"{path}: output activation tag {output_tag}, not the sigmoid's")
     bias, *slots = r.read(_PARAMS, "parameters")
     params = dict(zip(_PARAM_SLOTS, slots))
 
@@ -182,7 +181,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unknown model kind {model_kind}")
     try:
         model = model_class(dims, weights, feedback_weights, bias=bias,
-                            hidden_activation=hidden_act, output_activation=output_act,
+                            hidden_activation=_ACT_FROM_TAG[hidden_tag],
                             encoding=enc.build(enc.ENCODINGS, "tag", encoding_tag, params),
                             feedback=enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params),
                             positive_activities=bool(positive))

@@ -21,8 +21,9 @@ classes. The encoding (see `encodings`) owns every per-encoding term, so
 `PCNetwork` holds no branch on either. `LayeredModel` is what the network
 and the backprop `MLP` share: one constructor, which takes and checks the
 whole structure, and the forward sweep. Each model class owns its config
-`name`, its checkpoint `tag` and the `fixed_structure` the constructor
-holds it to: none for `PCNetwork`, backprop's for `MLP` (see `baseline`).
+`name`, its checkpoint `tag`, the `fixed_structure` the constructor holds
+it to (none for `PCNetwork`, backprop's for `MLP`, see `baseline`) and
+`descent`, which gives a batch's objective and weight directions.
 
 A `NetworkState` owns every array its batch's relaxation and learning
 steps write: `init_forward` makes them, shaped for the batch, and each step
@@ -164,7 +165,6 @@ class LayeredModel:
 
     def __init__(self, dims, weights, feedback_weights=None, *, bias: float = 0.0,
                  hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-                 output_activation: ActivationKind = ActivationKind.SIGMOID,
                  encoding: enc.ErrorEncoding = enc.Subtractive(),
                  feedback: FeedbackScheme = Transpose(),
                  positive_activities: bool = False):
@@ -200,7 +200,6 @@ class LayeredModel:
             raise ValueError(f"{encoding.name} encoding requires positive_activities=True")
         self.bias = float(bias)
         self.hidden_activation = hidden_activation
-        self.output_activation = output_activation
         self.encoding = encoding
         self.feedback = feedback
         self.positive_activities = bool(positive_activities)
@@ -218,7 +217,8 @@ class LayeredModel:
         return len(self.dims) - 1
 
     def activation_at(self, level: int) -> ActivationKind:
-        return self.output_activation if level == self.n_levels else self.hidden_activation
+        """The hidden activation below the output level, a sigmoid there."""
+        return ActivationKind.SIGMOID if level == self.n_levels else self.hidden_activation
 
     def bias_at(self, level: int) -> float:
         """The shift keeps *hidden* rates away from the rectifier; the output
@@ -443,16 +443,25 @@ class PCNetwork(LayeredModel):
         division). Requires current errors."""
         return float(sum(self.encoding.cost(state.e[l]) for l in range(1, self.n_levels + 1)))
 
+    def descent(self, x, y, n_updates: int, beta: float):
+        """(objective, weight directions) after `n_updates` relaxation steps
+        of size `beta` with the output clamped to `y`; see `weight_update_direction`."""
+        state = self.init_forward(x)
+        self.clamp_output(state, y)
+        self.relax(state, n_updates, beta)
+        self.compute_errors(state)
+        return self.objective(state), self.weight_update_direction(state)
+
 
 def kp_step(w: np.ndarray, b: np.ndarray, adjustment: np.ndarray, gamma: float):
     """Kolen-Pollack update: both matrices receive the same adjustment (one
     of them transposed) plus matched decay, so they converge toward
     transposes of each other. `adjustment` is the increment actually applied
     to the forward weights (for example the optimizer output). Both
-    matrices are updated in place and returned."""
-    w = as_matrix(w)
-    b = as_matrix(b)
-    adjustment = as_matrix(adjustment)
+    matrices are updated in place, in their own dtypes, and returned."""
+    w, b, adjustment = np.asarray(w), np.asarray(b), np.asarray(adjustment)
+    if w.ndim != 2:
+        raise ShapeMismatchError(f"expected a 2-D W, got array with ndim={w.ndim}")
     if adjustment.shape != w.shape:
         raise ShapeMismatchError(f"adjustment shape {adjustment.shape} does not match W {w.shape}")
     if b.shape != (w.shape[1], w.shape[0]):
@@ -470,7 +479,6 @@ def kp_step(w: np.ndarray, b: np.ndarray, adjustment: np.ndarray, gamma: float):
 def init_network(dims, *, encoding: enc.ErrorEncoding = enc.Subtractive(),
                  feedback: FeedbackScheme = Transpose(),
                  hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-                 output_activation: ActivationKind = ActivationKind.SIGMOID,
                  bias: float = 0.0, positive_activities: bool = False,
                  seed: int = 0, model_class: type = PCNetwork) -> LayeredModel:
     """Build a `model_class` model with uniform Xavier weights, deterministic
@@ -488,5 +496,5 @@ def init_network(dims, *, encoding: enc.ErrorEncoding = enc.Subtractive(),
     if feedback.has_matrices:
         fb = [_xavier_uniform(rng, dims[l], dims[l + 1]) for l in range(L)]
     return model_class(dims, weights, fb, bias=bias, hidden_activation=hidden_activation,
-                       output_activation=output_activation, encoding=encoding,
-                       feedback=feedback, positive_activities=positive_activities)
+                       encoding=encoding, feedback=feedback,
+                       positive_activities=positive_activities)

@@ -1,15 +1,15 @@
 """Training loop, evaluation and finite-difference gradient checking.
 
-One weight update per minibatch: the state is initialized by a forward
-sweep, the output level is clamped to the target, the hidden activities
-relax for a fixed number of steps, and the batch-averaged local directions
-go through per-matrix Adam optimizers (plus the Kolen-Pollack decay pair
-when that feedback scheme is selected); the weights, and the Kolen-Pollack
-feedback matrices, are updated in place.
-A backprop batch runs one forward sweep, which gives both its loss and its
-gradients. Evaluation uses the pure forward sweep, run once per chunk of
-4096 samples; a split's classification error and output objective are both
-read from those outputs.
+One weight update per minibatch, one batch function for both models: the
+model's `descent` returns the batch objective and one direction per weight
+matrix (a network's batch-averaged local directions after its hidden
+activities relax with the output clamped to the target; backprop's negative
+gradients, from one forward sweep), and each direction goes through its
+matrix's Adam optimizer (plus the Kolen-Pollack decay pair when that
+feedback scheme is selected); the weights, and the Kolen-Pollack feedback
+matrices, are updated in place. Evaluation uses the pure forward sweep; a
+split's classification error and output objective are both read from the
+same outputs.
 
 The metrics CSV has the schema `epoch,split,error,objective,seconds` with
 one train row and one test row per epoch. The train row's objective is the
@@ -41,7 +41,7 @@ from .baseline import MLP
 from .checkpoint import save_checkpoint
 from .config import NETWORK_DIMS, TrainConfig
 from .linalg import ActivationKind, ShapeMismatchError, as_matrix
-from .network import KolenPollack, PCNetwork, Transpose, init_network, kp_step
+from .network import PREDICT_BLOCK, KolenPollack, PCNetwork, Transpose, init_network, kp_step
 from .optim import AdamState, adam_step
 
 METRICS_HEADER = "epoch,split,error,objective,seconds"
@@ -79,14 +79,18 @@ def build_model(cfg: TrainConfig):
                         model_class=MLP if cfg.model == MLP.name else PCNetwork)
 
 
+# Samples per `predict` call of an evaluation (perfbench times 4096-column calls)
+# and per partial sum of `output_objective`, which the test objective's bits depend on.
 EVAL_CHUNK = 4096
 
 
 def predict_split(model, split: dataio.DatasetSplit) -> np.ndarray:
-    """Forward-sweep outputs for every sample of a split, one column per
-    sample; the sweep runs chunk by chunk to bound its memory."""
-    return np.concatenate([model.predict(split.images[:, start:start + EVAL_CHUNK])
-                           for start in range(0, split.n_samples, EVAL_CHUNK)], axis=1)
+    """Forward-sweep outputs of a split, one column per sample, run per
+    EVAL_CHUNK; a last chunk of at most PREDICT_BLOCK samples joins the one
+    before it, so the column blocks, and the bits, are one `predict`'s."""
+    starts = range(0, max(split.n_samples - PREDICT_BLOCK, 1), EVAL_CHUNK)
+    return np.concatenate([model.predict(split.images[:, lo:hi]) for lo, hi
+                           in zip(starts, [*starts[1:], split.n_samples])], axis=1)
 
 
 def _split_outputs(model, split: dataio.DatasetSplit, outputs) -> np.ndarray:
@@ -115,7 +119,7 @@ def output_objective(model, split: dataio.DatasetSplit, outputs=None) -> float:
     in the model's objective family, mean per sample.
 
     `outputs` are as for `classification_error`. The per-sample cost is
-    summed one 4096-sample chunk at a time."""
+    summed one EVAL_CHUNK of samples at a time."""
     outputs = _split_outputs(model, split, outputs)
     total = 0.0
     for start in range(0, split.n_samples, EVAL_CHUNK):
@@ -132,33 +136,17 @@ def evaluate(model, split: dataio.DatasetSplit):
             output_objective(model, split, outputs))
 
 
-def _train_batch_pc(net: PCNetwork, x, y, cfg: TrainConfig, adams) -> float:
-    state = net.init_forward(x)
-    net.clamp_output(state, y)
-    net.relax(state, cfg.n_updates, cfg.beta)
-    net.compute_errors(state)
-    objective = net.objective(state)
-    directions = net.weight_update_direction(state)
-    # The Kolen-Pollack step is called through this module's `kp_step`,
-    # which the benchmark (perfbench/run.py) wraps to time it.
-    kp = isinstance(net.feedback, KolenPollack)
+def _train_batch(model, x, y, cfg: TrainConfig, adams) -> float:
+    objective, directions = model.descent(x, y, cfg.n_updates, cfg.beta)
+    # Adam and the Kolen-Pollack step are called through this module's
+    # names, which the benchmark (perfbench/run.py) wraps to time them.
+    kp = isinstance(model.feedback, KolenPollack)
     for l, direction in enumerate(directions):
         increment = adam_step(adams[l], direction)
         if kp:
-            kp_step(net.weights[l], net.feedback_weights[l], increment, net.feedback.gamma)
+            kp_step(model.weights[l], model.feedback_weights[l], increment, model.feedback.gamma)
         else:
-            net.weights[l] += increment
-    return objective
-
-
-def _train_batch_bp(mlp: MLP, x, y, adams) -> float:
-    # One forward sweep gives both the loss (from its output level) and the
-    # gradients.
-    sweep = mlp._sweep(mlp._check_level_shape(x, 0, "input batch"))
-    objective = mlp.loss(x, y, outputs=sweep[0][-1])
-    for l, grad in enumerate(mlp.backward(x, y, sweep=sweep)):
-        np.negative(grad, out=grad)
-        mlp.weights[l] += adam_step(adams[l], grad)
+            model.weights[l] += increment
     return objective
 
 
@@ -210,7 +198,6 @@ def _fit(cfg: TrainConfig, model, adams, train_split: dataio.DatasetSplit,
          test_split: dataio.DatasetSplit, log) -> list:
     """The epochs of a run: trains `model` in place and returns the metrics."""
     plan = dataio.BatchPlan(cfg.batch_size, cfg.seed)
-    is_pc = isinstance(model, PCNetwork)
     metrics = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -219,10 +206,7 @@ def _fit(cfg: TrainConfig, model, adams, train_split: dataio.DatasetSplit,
             x = train_split.images[:, idx]
             y = dataio.one_hot(train_split.labels[idx])
             try:
-                if is_pc:
-                    batch_objective = _train_batch_pc(model, x, y, cfg, adams)
-                else:
-                    batch_objective = _train_batch_bp(model, x, y, adams)
+                batch_objective = _train_batch(model, x, y, cfg, adams)
             except enc.EncodingDomainError as err:
                 raise enc.EncodingDomainError(f"epoch {epoch}, batch {batch}, {err}") from None
             if not math.isfinite(batch_objective):

@@ -69,6 +69,18 @@ class TestForward:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("n_updates, beta", [(20, 0.1), (0, 0.0)])
+    def test_descent_is_loss_and_negative_backward(self, n_updates, beta):
+        dims = [7, 6, 5, 4]
+        mlp = init_mlp(dims, seed=14, bias=0.1, hidden_activation=ActivationKind.TANH)
+        x, y = _data(dims, 9, 15)
+        objective, directions = mlp.descent(x, y, n_updates, beta)
+        assert objective == mlp.loss(x, y)
+        grads = mlp.backward(x, y)
+        assert len(directions) == len(grads)
+        for d, g in zip(directions, grads):
+            assert d.tobytes() == (-g).tobytes()
+
     def test_zero_gradients_at_perfect_output(self):
         mlp = init_mlp([5, 4, 3], seed=4)
         x, _ = _data([5, 4, 3], 3, 5)

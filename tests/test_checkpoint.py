@@ -37,7 +37,7 @@ def test_network_round_trip_bit_exact(tmp_path, variant):
     assert loaded.bias == net.bias
     assert loaded.positive_activities == net.positive_activities
     assert loaded.hidden_activation is net.hidden_activation
-    assert loaded.output_activation is net.output_activation
+    assert loaded.activation_at(loaded.n_levels) is ActivationKind.SIGMOID
     for wa, wb in zip(net.weights, loaded.weights):
         np.testing.assert_array_equal(wa, wb)
     if net.feedback_weights is not None:
@@ -122,6 +122,20 @@ def test_removed_activation_tags_rejected(tmp_path, tag):
     blob[hidden_at] = tag
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="activation tag"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tag", [1, 2, 255])
+def test_output_tag_other_than_sigmoid_rejected(tmp_path, tag):
+    # every model's output level is a sigmoid; tag 1 (tanh) used to load
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, init_network([4, 3], seed=0))
+    blob = bytearray(path.read_bytes())
+    output_at = 4 + 4 + 1 + 4 + 2 * 4 + 1  # after the hidden activation tag
+    assert blob[output_at] == 0
+    blob[output_at] = tag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"output activation tag {tag}"):
         load_checkpoint(path)
 
 

@@ -177,7 +177,7 @@ class TestTrainCommand:
     def test_out_dir_that_is_a_file_fails_before_training(self, fake_data_dir, tmp_path,
                                                          monkeypatch, capsys):
         from biopc import training
-        monkeypatch.setattr(training, "_train_batch_pc", None)  # a batch would raise TypeError
+        monkeypatch.setattr(training, "_train_batch", None)  # a batch would raise TypeError
         taken = tmp_path / "taken"
         taken.write_text("not a directory")
         assert main(_train_args(fake_data_dir, taken)) == EXIT_DATA

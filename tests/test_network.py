@@ -384,7 +384,17 @@ class TestKolenPollackStep:
         assert np.all(diffs <= 1e-12)  # gap contracts by (1 - gamma) each step
         assert gaps[-1] < 1e-3 * np.linalg.norm(w)
 
+    def test_float32_updated_in_place(self):
+        w, b = np.ones((2, 3), np.float32), np.ones((3, 2), np.float32)
+        w2, b2 = kp_step(w, b, np.full((2, 3), 0.5), 0.1)
+        assert w2 is w and b2 is b
+        assert w.dtype == b.dtype == np.float32
+        np.testing.assert_array_equal(w, np.float32(1.4))
+        np.testing.assert_array_equal(b, np.float32(1.4))
+
     def test_shape_checks(self):
+        with pytest.raises(ShapeMismatchError):
+            kp_step(np.ones(3), np.ones(3), np.ones(3), 0.01)
         with pytest.raises(ShapeMismatchError):
             kp_step(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), 0.01)
         with pytest.raises(ShapeMismatchError):

@@ -10,6 +10,7 @@ from biopc.baseline import MLP, init_mlp
 from biopc.checkpoint import load_checkpoint
 from biopc.config import TrainConfig
 from biopc.dataio import BatchPlan, DatasetSplit, IdxError, one_hot, synthetic_split
+from biopc.experiments import TABLE_ROWS
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import KolenPollack, RandomFixed, init_network
 from biopc.optim import AdamState
@@ -56,7 +57,7 @@ class TestTrainLoop:
 
     def test_rejects_wrong_test_feature_count(self, monkeypatch):
         # checked before the first batch, not at the first evaluation
-        monkeypatch.setattr(training, "_train_batch_pc", None)
+        monkeypatch.setattr(training, "_train_batch", None)
         short = synthetic_split(32, seed=2, name="test", n_features=783)
         with pytest.raises(IdxError, match="test images have 783 features"):
             train(_cfg(), TRAIN, short, write_outputs=False)
@@ -155,9 +156,37 @@ class TestInPlaceTraining:
                 return _method(self, *args, **kwargs)
             monkeypatch.setattr(MLP, name, counted)
         adams = [AdamState.for_shape(w.shape) for w in mlp.weights]
-        objective = training._train_batch_bp(mlp, x, y, adams)
+        objective = training._train_batch(mlp, x, y, _cfg(model="bp").finalize(), adams)
         assert calls == {"_sweep": 1, "predict": 0}
         assert objective == expected
+
+
+DESCENT_ROWS = {name: overrides for name, (overrides, _, _) in TABLE_ROWS.items()}
+DESCENT_ROWS["pc_threshold"] = dict(encoding="threshold")
+
+
+class TestDescent:
+    @pytest.mark.parametrize("row", sorted(DESCENT_ROWS))
+    def test_same_bits_as_the_step_by_step_sequence(self, row):
+        cfg = _cfg(**DESCENT_ROWS[row]).finalize()
+        model = training.build_model(cfg)
+        x, y = TRAIN.images[:, :64], one_hot(TRAIN.labels[:64])
+        if row == "backprop":
+            sweep = model._sweep(x)
+            objective = model.loss(x, y, outputs=sweep[0][-1])
+            directions = [np.negative(g) for g in model.backward(x, y, sweep=sweep)]
+        else:
+            state = model.init_forward(x)
+            model.clamp_output(state, y)
+            model.relax(state, cfg.n_updates, cfg.beta)
+            model.compute_errors(state)
+            objective = model.objective(state)
+            directions = [d.copy() for d in model.weight_update_direction(state)]
+        got_objective, got = model.descent(x, y, cfg.n_updates, cfg.beta)
+        assert got_objective == objective
+        assert [d.shape for d in got] == [w.shape for w in model.weights]
+        for d, want in zip(got, directions):
+            assert d.tobytes() == want.tobytes()
 
 
 class TestNonFinite:
@@ -178,6 +207,7 @@ class TestNonFinite:
 
 class TestEvaluate:
     LARGE = synthetic_split(5000, seed=7, name="large")  # two chunks, the second partial
+    ODD = synthetic_split(8193, seed=8, name="odd")
 
     @pytest.mark.parametrize("kind", ["pc", "pc_div", "bp"])
     def test_matches_two_sweep_reference(self, kind):
@@ -197,6 +227,20 @@ class TestEvaluate:
         net.predict = lambda x: calls.append(x.shape[1]) or predict(x)
         evaluate(net, self.LARGE)
         assert calls == [4096, 5000 - 4096]
+
+    @pytest.mark.parametrize("n", [4097, 4100, 8193])
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh_div"])
+    def test_predict_split_same_bits_as_one_predict(self, kind, n):
+        # A last chunk of 1-511 samples would make a block narrower than
+        # PREDICT_BLOCK, which moves bits.
+        if kind == "tanh_div":
+            model = init_network([784, 300, 300, 10], encoding=enc.Division(),
+                                 hidden_activation=ActivationKind.TANH,
+                                 positive_activities=True, bias=0.1, seed=3)
+        else:
+            model = init_network([784, 300, 300, 10], seed=3)
+        split = DatasetSplit(self.ODD.images[:, :n], self.ODD.labels[:n], "odd")
+        assert predict_split(model, split).tobytes() == model.predict(split.images).tobytes()
 
     def test_outputs_must_cover_the_split(self):
         net = init_network([784, 300, 300, 10], seed=2)
