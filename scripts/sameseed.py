@@ -3,9 +3,9 @@
 
 Imports biopc from SRC_DIR and writes OUT_JSON holding, for each row
 configuration (the six table rows, `pc_threshold`, `tanh_pos_bias`, a
-Kolen-Pollack + threshold + tanh row, and `pc`, `pc_div` and `kp_pc` again
-in batches of 48), trained for 2 epochs on 640 synthetic MNIST-shaped
-samples:
+Kolen-Pollack + threshold + tanh row, `pc`, `pc_div` and `kp_pc` again
+in batches of 48, and `pc` again as `pc_idx`), trained for 2 epochs on 640
+synthetic MNIST-shaped samples:
 
 * the SHA-256 of the `.pcck` checkpoint bytes,
 * the SHA-256 of the metrics CSV without its `seconds` column,
@@ -22,6 +22,12 @@ plus the `max_rel_err` reprs and the verdict of `run_gradcheck` (or the
 encoding-domain error it raised) for every encoding x feedback x
 hidden-activation combination that `biopc gradcheck` accepts. A refactor
 that moves no output bit gives the same file as its parent commit.
+
+The `pc_idx` row is trained by `train(cfg)` alone, which loads its train
+and test splits from IDX files holding the synthetic splits' pixels,
+rounded to bytes (the train file plain, the test file gzipped): this covers
+training and per-epoch evaluation on the splits `load_split` returns, with
+batches gathered from them. The other rows are given the synthetic splits.
 
 In batches of 64, 640 samples make 10 full batches. The `*_b48` rows split
 them into 13 batches of 48 and a last one of 16, so code whose arrays
@@ -57,6 +63,8 @@ IDX_SHORT = 9
 SEED = 1
 # 640 = 13 x 48 + 16: the last batch of an epoch is narrower.
 SHORT_BATCH = 48
+# The row that `train(cfg)` trains from IDX files.
+IDX_ROW = "pc_idx"
 
 
 def _rows(experiments) -> dict:
@@ -67,6 +75,7 @@ def _rows(experiments) -> dict:
                                      hidden_activation="tanh")
     for name in ("pc", "pc_div", "kp_pc"):
         rows[f"{name}_b48"] = dict(rows[name], batch_size=SHORT_BATCH)
+    rows[IDX_ROW] = rows["pc"]
     return rows
 
 
@@ -74,12 +83,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _pixels(split) -> np.ndarray:
+    """A float split's images rounded to bytes, one row per sample."""
+    return np.rint(split.images.T * 255.0).astype(np.uint8)
+
+
 def _write_idx_splits(dataio, data_dir: Path, splits) -> dict:
     """Write each split's pixels, rounded to bytes, as a plain and a gzipped
     IDX test split; returns {key: data dir} for `load_split`."""
     dirs = {}
     for split in splits:
-        pixels = np.rint(split.images.T * 255.0).astype(np.uint8)
+        pixels = _pixels(split)
         for suffix in ("", ".gz"):
             key = f"idx{split.n_samples}{suffix}"
             mnist = data_dir / key / "mnist"
@@ -88,6 +102,16 @@ def _write_idx_splits(dataio, data_dir: Path, splits) -> dict:
             dataio.write_idx_labels(mnist / f"t10k-labels-idx1-ubyte{suffix}", split.labels)
             dirs[key] = data_dir / key
     return dirs
+
+
+def _write_idx_train_test(dataio, data_dir: Path, train_split, test_split) -> Path:
+    """Write a plain IDX train split and a gzipped test split for `train(cfg)`."""
+    mnist = data_dir / "mnist"
+    mnist.mkdir(parents=True)
+    for split, stem, suffix in ((train_split, "train", ""), (test_split, "t10k", ".gz")):
+        dataio.write_idx_images(mnist / f"{stem}-images-idx3-ubyte{suffix}", _pixels(split))
+        dataio.write_idx_labels(mnist / f"{stem}-labels-idx1-ubyte{suffix}", split.labels)
+    return data_dir
 
 
 def digests(work_dir: Path) -> dict:
@@ -103,11 +127,15 @@ def digests(work_dir: Path) -> dict:
     eval_split = dataio.synthetic_split(EVAL_SAMPLES, seed=3, name="test")
     idx_dirs = _write_idx_splits(dataio, work_dir / "data",
                                  (eval_split, dataio.synthetic_split(IDX_SHORT, seed=4)))
+    train_dir = _write_idx_train_test(dataio, work_dir / "data" / "train_test",
+                                      train_split, test_split)
     out = {"rows": {}, "gradcheck": {}}
     for name, overrides in _rows(experiments).items():
+        from_idx = name == IDX_ROW
         cfg = experiments.make_config("mnist", SEED, overrides, epochs=EPOCHS,
-                                      out_dir=str(work_dir / name))
-        result = train(cfg, train_split, test_split)
+                                      out_dir=str(work_dir / name),
+                                      data_dir=train_dir if from_idx else None)
+        result = train(cfg) if from_idx else train(cfg, train_split, test_split)
         metrics = "".join(line.rsplit(",", 1)[0] + "\n"
                           for line in result.metrics_path.read_text().splitlines())
         reloaded, _ = load_checkpoint(result.checkpoint_path)

@@ -45,7 +45,7 @@ class MLP(LayeredModel):
         `sweep` is `_sweep(x)` when the caller has already run it (its
         output level then also gives the loss without a second sweep)."""
         if sweep is None:
-            sweep = self._sweep(self._check_level_shape(x, 0, "input batch"))
+            sweep = self._sweep(self._check_input(x))
         a, fp, _ = sweep
         y = as_matrix(y)
         L = self.n_levels
@@ -63,7 +63,7 @@ class MLP(LayeredModel):
     def descent(self, x, y, n_updates: int, beta: float):
         """(loss, negative gradients) of the batch, from one forward sweep.
         Backprop does not relax: `n_updates` and `beta` are ignored."""
-        sweep = self._sweep(self._check_level_shape(x, 0, "input batch"))
+        sweep = self._sweep(self._check_input(x))
         objective = self.loss(x, y, outputs=sweep[0][-1])
         return objective, [np.negative(g, out=g) for g in self.backward(x, y, sweep=sweep)]
 

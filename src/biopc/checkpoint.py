@@ -10,8 +10,9 @@ Layout, all little-endian. Each bracketed name is the module-level
                activation (always 0, the sigmoid), encoding `tag` (0
                subtractive, 1 threshold, 2 division), feedback `tag` (0 transpose,
                1 random fixed, 2 Kolen-Pollack), positivity of activities (0/1)
-    [_PARAMS]  f64 each: bias, then e_min, e_max, epsilon, gamma (zero where
-               the model's encoding and feedback scheme have no such field)
+    [_PARAMS]  f64 each: bias, then e_min, e_max, epsilon, gamma (+0.0 where
+               the model's encoding and feedback scheme have no such field;
+               the loader rejects any other value there)
     [_COUNT]   weight count u32, then per matrix a block: [_SHAPE] rows u32,
                cols u32, then rows*cols f64 row-major
     [_FLAG]    feedback presence u8; if 1: [_COUNT] and blocks as above
@@ -19,7 +20,10 @@ Layout, all little-endian. Each bracketed name is the module-level
                [_ADAM] step u64, lr, beta1, beta2, eps f64, and m, v blocks
 
 Round trips are bit-exact: matrices are written as raw float64 bytes,
-straight from each array's buffer, and each is copied once on loading.
+straight from each array's buffer. On loading, each weight and feedback
+matrix is copied once; an optimizer state's m and v stay read-only views
+of the file's bytes, which its first step copies (see `AdamState`), so a
+load that only needs the model copies no optimizer state.
 
 Every model takes one write path and loads through one constructor call on
 the class its kind byte names, which owns the structure (see `baseline`).
@@ -33,6 +37,7 @@ into a model.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from pathlib import Path
 from typing import Optional
@@ -104,9 +109,14 @@ class _Reader:
                              offset=start).reshape(rows, cols)
 
 
+def _parameters(encoding, feedback) -> dict:
+    """The parameter slots the encoding and the feedback scheme read."""
+    return {**dataclasses.asdict(encoding), **dataclasses.asdict(feedback)}
+
+
 def save_checkpoint(path, model: LayeredModel,
                     optimizer_states: Optional[list] = None) -> None:
-    params = {**dataclasses.asdict(model.encoding), **dataclasses.asdict(model.feedback)}
+    params = _parameters(model.encoding, model.feedback)
     fb = model.feedback_weights
     n = len(model.dims)
 
@@ -168,8 +178,7 @@ def load_checkpoint(path):
         optimizers = []
         for i in range(n_opt):
             step, lr, beta1, beta2, eps = r.read(_ADAM, f"opt[{i}] header")
-            m = r.matrix(f"opt[{i}] m").copy()
-            v = r.matrix(f"opt[{i}] v").copy()
+            m, v = r.matrix(f"opt[{i}] m"), r.matrix(f"opt[{i}] v")
             optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr,
                                         beta1=beta1, beta2=beta2, eps=eps))
 
@@ -180,11 +189,19 @@ def load_checkpoint(path):
     if model_class is None:
         raise CheckpointError(f"{path}: unknown model kind {model_kind}")
     try:
+        encoding = enc.build(enc.ENCODINGS, "tag", encoding_tag, params)
+        feedback = enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params)
         model = model_class(dims, weights, feedback_weights, bias=bias,
-                            hidden_activation=_ACT_FROM_TAG[hidden_tag],
-                            encoding=enc.build(enc.ENCODINGS, "tag", encoding_tag, params),
-                            feedback=enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params),
-                            positive_activities=bool(positive))
+                            hidden_activation=_ACT_FROM_TAG[hidden_tag], encoding=encoding,
+                            feedback=feedback, positive_activities=bool(positive))
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
+    used = _parameters(encoding, feedback)
+    for slot, value in params.items():
+        # +0.0 is what the writer puts in a slot nothing reads; anything
+        # else would load, then save as a different file.
+        if slot not in used and (value != 0.0 or math.copysign(1.0, value) < 0):
+            raise CheckpointError(f"{path}: parameter slot {slot} holds {value!r}, but neither "
+                                  f"the {encoding.name} encoding nor the {feedback.name} "
+                                  "feedback reads it (must be 0.0)")
     return model, optimizers

@@ -233,6 +233,15 @@ class LayeredModel:
             )
         return x
 
+    def _check_input(self, x) -> np.ndarray:
+        """An input batch as a float64 matrix of level 0's width. Integer
+        batches are refused: pixel bytes would enter as values up to 255."""
+        dtype = np.asarray(x).dtype
+        if np.issubdtype(dtype, np.integer):
+            raise TypeError(f"input batch is {dtype}, expected floats in [0, 1]; "
+                            "a split of pixel bytes gives them through DatasetSplit.columns")
+        return self._check_level_shape(x, 0, "input batch")
+
     def _level(self, l: int, below: np.ndarray, fp=None, phat=None, scratch=None, mask=None):
         """Level l's activation f(W_{l-1} below) of the activities below it,
         and its effective prediction, the activation plus the level's shift.
@@ -300,7 +309,7 @@ class LayeredModel:
         so all levels share one pair, and a shifted level writes its
         effective prediction into that scratch: the next level's product
         reads it before that level's sigmoid overwrites it."""
-        x = self._check_level_shape(x, 0, "input batch")
+        x = self._check_input(x)
         n = x.shape[1]
         k = max(1, n // PREDICT_BLOCK)
         size = max(self.dims[1:]) * (n - (k - 1) * PREDICT_BLOCK)
@@ -336,7 +345,7 @@ class PCNetwork(LayeredModel):
         predictions level by level (the forward sweep), so all errors start
         at zero. The state's work arrays are made here, shaped for the
         batch."""
-        x = self._check_level_shape(x, 0, "input batch").copy()
+        x = self._check_input(x).copy()
         if x.shape[1] == 0:
             raise ShapeMismatchError("input batch is empty")
         a, fp, phat = self._sweep(x)

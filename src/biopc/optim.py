@@ -35,7 +35,7 @@ class AdamState:
     eps: float = 1e-8
     # Work buffers, made on the first step (so states built by the
     # checkpoint loader get them too): one block of scratch, and the
-    # increment that `adam_step` returns.
+    # increment that `adam_step` returns. Read-only m and v are copied then.
     _scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _increment: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
@@ -48,6 +48,10 @@ class AdamState:
     def _buffers(self):
         rows, cols = self.m.shape
         if self._increment is None or self._increment.shape != self.m.shape:
+            # A loaded state's m and v are read-only views of the checkpoint's
+            # bytes (see `checkpoint`): its first step takes copies to update.
+            if not (self.m.flags.writeable and self.v.flags.writeable):
+                self.m, self.v = self.m.copy(), self.v.copy()
             self._increment = np.empty((rows, cols))
             self._scratch = np.empty((max(1, min(rows, ADAM_BLOCK // max(1, cols))), cols))
         return self._scratch, self._increment

@@ -80,7 +80,9 @@ def build_model(cfg: TrainConfig):
 
 
 # Samples per `predict` call of an evaluation (perfbench times 4096-column calls)
-# and per partial sum of `output_objective`, which the test objective's bits depend on.
+# and per partial sum of `output_objective`, which the test objective's bits
+# depend on. A split of pixel bytes is scaled to float64 one chunk at a time
+# (`DatasetSplit.column_chunks`; 784 x 4096 is 25.7 MB), never whole.
 EVAL_CHUNK = 4096
 
 
@@ -89,8 +91,8 @@ def predict_split(model, split: dataio.DatasetSplit) -> np.ndarray:
     EVAL_CHUNK; a last chunk of at most PREDICT_BLOCK samples joins the one
     before it, so the column blocks, and the bits, are one `predict`'s."""
     starts = range(0, max(split.n_samples - PREDICT_BLOCK, 1), EVAL_CHUNK)
-    return np.concatenate([model.predict(split.images[:, lo:hi]) for lo, hi
-                           in zip(starts, [*starts[1:], split.n_samples])], axis=1)
+    bounds = list(zip(starts, [*starts[1:], split.n_samples]))
+    return np.concatenate([model.predict(x) for x in split.column_chunks(bounds)], axis=1)
 
 
 def _split_outputs(model, split: dataio.DatasetSplit, outputs) -> np.ndarray:
@@ -203,7 +205,7 @@ def _fit(cfg: TrainConfig, model, adams, train_split: dataio.DatasetSplit,
         t0 = time.perf_counter()
         objective_sum = 0.0
         for batch, idx in enumerate(plan.batches(epoch, train_split.n_samples), start=1):
-            x = train_split.images[:, idx]
+            x = train_split.columns(idx)
             y = dataio.one_hot(train_split.labels[idx])
             try:
                 batch_objective = _train_batch(model, x, y, cfg, adams)

@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips across model variants."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,35 @@ def test_optimizer_state_round_trip(tmp_path):
     np.testing.assert_array_equal(adam_step(adams[0], g), adam_step(loaded[0], g))
 
 
+def test_optimizer_state_loads_without_copies(tmp_path):
+    # m and v stay views of the file's bytes until a step needs them, so a
+    # load allocates, beyond the file, little more than the weights
+    net = init_network([784, 300, 10], seed=9)
+    adams = [AdamState.for_shape(w.shape) for w in net.weights]
+    for state, w in zip(adams, net.weights):
+        adam_step(state, np.ones(w.shape))
+    path = tmp_path / "with_opt.pcck"
+    save_checkpoint(path, net, adams)
+    tracemalloc.start()
+    try:
+        _, loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m_v_bytes = sum(s.m.nbytes + s.v.nbytes for s in adams)
+    assert peak - path.stat().st_size < m_v_bytes
+    state = loaded[0]
+    assert not state.m.flags.writeable and not state.v.flags.writeable
+    save_checkpoint(tmp_path / "again.pcck", net, loaded)
+    assert (tmp_path / "again.pcck").read_bytes() == path.read_bytes()
+    g = np.full(state.m.shape, 0.5)
+    increment = adam_step(state, g).copy()
+    assert state.m.flags.writeable and state.v.flags.writeable
+    np.testing.assert_array_equal(increment, adam_step(adams[0], g))
+    np.testing.assert_array_equal(state.m, adams[0].m)
+    np.testing.assert_array_equal(state.v, adams[0].v)
+
+
 def test_magic_and_truncation_errors(tmp_path):
     path = tmp_path / "bad.pcck"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -155,6 +185,34 @@ def test_invalid_parameters_are_checkpoint_errors(tmp_path, net, slot, value):
     save_checkpoint(path, init_network([5, 4, 3], seed=0, **net))
     path.write_bytes(_with_param(path.read_bytes(), slot, value, 3))
     with pytest.raises(CheckpointError, match=str(path)):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("slot", [1, 2, 3, 4], ids=["e_min", "e_max", "epsilon", "gamma"])
+def test_unused_parameter_slots_must_be_zero(tmp_path, slot):
+    # an MLP reads none of them: a value there would load, then save as zero
+    path = tmp_path / "mlp.pcck"
+    save_checkpoint(path, init_mlp([3, 2, 2], seed=0))
+    value = {1: 5.0, 2: 7.0, 3: 0.25, 4: 0.5}[slot]
+    path.write_bytes(_with_param(path.read_bytes(), slot, value, 3))
+    name = ("e_min", "e_max", "epsilon", "gamma")[slot - 1]
+    with pytest.raises(CheckpointError, match=f"{path}: parameter slot {name} holds {value}"):
+        load_checkpoint(path)
+    path.write_bytes(_with_param(path.read_bytes(), slot, -0.0, 3))
+    with pytest.raises(CheckpointError, match=f"slot {name} holds -0.0"):
+        load_checkpoint(path)
+
+
+def test_used_parameter_slots_load(tmp_path):
+    # a threshold network with Kolen-Pollack feedback reads all but epsilon
+    net = init_network([3, 2, 2], encoding=enc.SubtractiveThreshold(e_min=-2.0, e_max=3.0),
+                       feedback=KolenPollack(gamma=0.01), positive_activities=True, seed=0)
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, net)
+    loaded, _ = load_checkpoint(path)
+    assert (loaded.encoding, loaded.feedback) == (net.encoding, net.feedback)
+    path.write_bytes(_with_param(path.read_bytes(), 3, 1e-3, 3))
+    with pytest.raises(CheckpointError, match="slot epsilon"):
         load_checkpoint(path)
 
 

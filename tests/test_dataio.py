@@ -117,6 +117,55 @@ class TestLabels:
             dataio.load_split(tmp_path, "mnist", "train")
 
 
+class TestSplitColumns:
+    def _split(self, tmp_path, n=300, name="train-images-idx3-ubyte"):
+        pixels = np.random.default_rng(4).integers(0, 256, size=(n, 784), dtype=np.uint8)
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        dataio.write_idx_images(mnist / name, pixels)
+        dataio.write_idx_labels(mnist / "train-labels-idx1-ubyte", pixels[:, 0] % 10)
+        return dataio.load_split(tmp_path, "mnist", "train"), mnist / name
+
+    @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-images-idx3-ubyte.gz"])
+    def test_loaded_split_keeps_the_file_bytes(self, tmp_path, name):
+        split, path = self._split(tmp_path, name=name)
+        assert split.images.dtype == np.uint8 and split.images.shape == (784, 300)
+        assert split.images.flags.f_contiguous and not split.images.flags.writeable
+        assert split.images.tobytes(order="F") == dataio._read_payload(path)[16:]
+
+    def test_same_bits_as_the_float_loader(self, tmp_path):
+        split, path = self._split(tmp_path)
+        reference = dataio.load_idx_images(path)
+        idx = np.random.default_rng(3).permutation(300)[:64]
+        for sel in (idx, slice(17, 300), slice(None)):
+            got = split.columns(sel)
+            assert got.dtype == np.float64 and got.flags.f_contiguous
+            assert got.tobytes(order="A") == reference[:, sel].tobytes(order="A")
+        out = np.empty((784, 100), order="F")
+        assert split.columns(slice(100, 200), out) is out
+        assert out.tobytes(order="F") == reference[:, 100:200].tobytes(order="F")
+        # chunks share one buffer, each the bits of its columns
+        bounds = [(0, 128), (128, 300), (5, 9)]
+        chunks = [(c.copy(order="A"), c.base) for c in split.column_chunks(bounds)]
+        assert len({id(base) for _, base in chunks}) == 1
+        for (chunk, _), (lo, hi) in zip(chunks, bounds):
+            assert chunk.flags.f_contiguous
+            assert chunk.tobytes(order="F") == reference[:, lo:hi].tobytes(order="F")
+
+    def test_float_images_pass_through(self):
+        split = dataio.synthetic_split(40, seed=1)
+        view = split.columns(slice(5, 20), out=np.empty((784, 15)))
+        assert view.base is split.images and np.shares_memory(view, split.images)
+        idx = np.array([3, 1, 30])
+        assert split.columns(idx).tobytes() == split.images[:, idx].tobytes()
+        for chunk, lo in zip(split.column_chunks([(0, 32), (32, 40)]), (0, 32)):
+            assert chunk.base is split.images and chunk[0, 0] == split.images[0, lo]
+
+    def test_integer_images_other_than_bytes_are_rejected(self):
+        with pytest.raises(dataio.IdxError, match="int64"):
+            dataio.DatasetSplit(np.zeros((784, 2), dtype=np.int64), np.zeros(2, np.int64), "ints")
+
+
 class TestOneHot:
     def test_label_zero(self):
         col = dataio.one_hot(np.array([0]))
@@ -178,7 +227,9 @@ class TestRealDataset:
 
     def test_value_ranges(self, mnist_dir):
         train = dataio.load_split(mnist_dir, "mnist", "train")
-        assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+        for lo in range(0, train.n_samples, 10000):
+            images = train.columns(slice(lo, lo + 10000))
+            assert images.min() >= 0.0 and images.max() <= 1.0
         assert train.labels.min() >= 0 and train.labels.max() <= 9
 
 

@@ -443,6 +443,26 @@ class TestPredict:
         np.testing.assert_array_equal(x_f, before)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("model", ["pc", "bp"])
+def test_integer_input_is_refused(model, dtype):
+    # pixel bytes would enter as values up to 255, not as rates in [0, 1]
+    net = (init_mlp if model == "bp" else init_network)([4, 3, 2], seed=1)
+    x = np.full((4, 5), 255, dtype=dtype)
+    y = np.zeros((2, 5))
+    calls = [lambda: net.predict(x), lambda: net.descent(x, y, 2, 0.1)]
+    if model == "pc":
+        calls.append(lambda: net.init_forward(x))
+    else:
+        calls += [lambda: net.loss(x, y), lambda: net.backward(x, y)]
+    for call in calls:
+        with pytest.raises(TypeError, match="DatasetSplit.columns"):
+            call()
+    # integer-valued floats are rates like any others
+    np.testing.assert_array_equal(net.predict(x.astype(np.float64) / 255.0),
+                                  net.predict(np.ones((4, 5))))
+
+
 class TestFeedbackSchemes:
     def test_transpose_uses_weight_transpose(self):
         net = init_network([5, 4, 3], seed=1)

@@ -1,6 +1,8 @@
 """Training-loop behavior on synthetic data: determinism, schedules,
 Kolen-Pollack coupling, gradcheck reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from biopc import training
 from biopc.baseline import MLP, init_mlp
 from biopc.checkpoint import load_checkpoint
 from biopc.config import TrainConfig
-from biopc.dataio import BatchPlan, DatasetSplit, IdxError, one_hot, synthetic_split
+from biopc.dataio import (BatchPlan, DatasetSplit, IdxError, load_idx_images, load_idx_labels,
+                          load_split, one_hot, synthetic_split, write_idx_images,
+                          write_idx_labels)
 from biopc.experiments import TABLE_ROWS
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import KolenPollack, RandomFixed, init_network
@@ -71,6 +75,21 @@ class TestTrainLoop:
                                  labels=np.argmax(net.predict(TEST.images), axis=0),
                                  name="memorized")
         assert classification_error(net, memorized) == 0.0
+
+    @pytest.mark.parametrize("overrides", [dict(), dict(model="bp")], ids=["pc", "bp"])
+    def test_byte_split_trains_as_its_float_split(self, fake_data_dir, overrides):
+        # batches gathered from the loaded pixel bytes, scaled per batch
+        cfg = _cfg(data_dir=str(fake_data_dir), epochs=2, **overrides)
+        mnist = fake_data_dir / "mnist"
+        floats = [DatasetSplit(load_idx_images(mnist / f"{stem}-images-idx3-ubyte{gz}"),
+                               load_idx_labels(mnist / f"{stem}-labels-idx1-ubyte{gz}"), name)
+                  for stem, gz, name in (("train", "", "train"), ("t10k", ".gz", "test"))]
+        from_bytes = train(cfg, write_outputs=False)
+        from_floats = train(cfg, *floats, write_outputs=False)
+        assert [(m.error, m.objective) for m in from_bytes.metrics] == \
+               [(m.error, m.objective) for m in from_floats.metrics]
+        for wa, wb in zip(from_bytes.model.weights, from_floats.model.weights):
+            assert wa.tobytes() == wb.tobytes()
 
     def test_checkpoint_reload_evaluates_bit_identically(self, tmp_path):
         cfg = _cfg(out_dir=str(tmp_path / "run"))
@@ -239,8 +258,35 @@ class TestEvaluate:
                                  positive_activities=True, bias=0.1, seed=3)
         else:
             model = init_network([784, 300, 300, 10], seed=3)
-        split = DatasetSplit(self.ODD.images[:, :n], self.ODD.labels[:n], "odd")
-        assert predict_split(model, split).tobytes() == model.predict(split.images).tobytes()
+        floats = DatasetSplit(self.ODD.images[:, :n], self.ODD.labels[:n], "odd")
+        # a split of pixel bytes is scaled one chunk at a time, into one buffer
+        pixels = DatasetSplit(np.rint(floats.images * 255.0).astype(np.uint8), floats.labels,
+                              "pixels")
+        for split in (floats, pixels):
+            whole = model.predict(split.columns(slice(None)))
+            assert predict_split(model, split).tobytes() == whole.tobytes()
+
+    def test_byte_split_is_never_scaled_whole(self, tmp_path):
+        # 16384 samples: the 4096-column chunk buffer, the file's bytes and
+        # the sweep's arrays fit in half the float64 matrix (51.4 MB)
+        n = 16384
+        rng = np.random.default_rng(11)
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        write_idx_images(mnist / "t10k-images-idx3-ubyte",
+                         rng.integers(0, 256, size=(n, 784), dtype=np.uint8))
+        write_idx_labels(mnist / "t10k-labels-idx1-ubyte", rng.integers(0, 10, size=n))
+        model = init_network([784, 300, 300, 10], seed=2)
+        tracemalloc.start()
+        try:
+            result = evaluate(model, load_split(tmp_path, "mnist", "test"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 784 * n * 8 / 2
+        floats = DatasetSplit(load_idx_images(mnist / "t10k-images-idx3-ubyte"),
+                              load_idx_labels(mnist / "t10k-labels-idx1-ubyte"), "floats")
+        assert result == evaluate(model, floats)
 
     def test_outputs_must_cover_the_split(self):
         net = init_network([784, 300, 300, 10], seed=2)
