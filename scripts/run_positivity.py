@@ -8,39 +8,33 @@ per configuration and the three comparisons the acceptance gate checks:
 the constraint is free for sigmoid, costs tanh at least half a point, and
 the bias buys that loss back.
 
+Every run's config is checked before any data loads. Exit codes are those
+of `biopc` (see `biopc.cli`); a comparison that does not hold is exit 6.
+
 Example:
     python scripts/run_positivity.py --data-dir data --out-dir runs/positivity
 """
 
-import argparse
 import sys
 
-from biopc import dataio
-from biopc.experiments import POSITIVITY_ROWS, TABLE_SEEDS, mean_error, run_experiment
+from biopc import cli
+from biopc.experiments import POSITIVITY_ROWS, TABLE_SEEDS, run_experiment, seed_configs
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = cli.Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--data-dir", required=True)
     parser.add_argument("--out-dir", default="runs/positivity")
-    parser.add_argument("--epochs", type=int, default=25)
+    cli.add_config_flags(parser, ("epochs",))
     parser.add_argument("--seeds", type=int, nargs="+", default=list(TABLE_SEEDS))
-    parser.add_argument("--tanh-bias", type=float, default=1.0,
-                        help="bias for the tanh recovery run")
     args = parser.parse_args(argv)
 
-    train_split = dataio.load_split(args.data_dir, "mnist", "train")
-    test_split = dataio.load_split(args.data_dir, "mnist", "test")
-
+    configs = {name: seed_configs(name, "mnist", overrides, args.seeds, args.out_dir,
+                                  epochs=args.epochs, data_dir=args.data_dir)
+               for name, overrides in POSITIVITY_ROWS.items()}
     means = {}
-    for name, overrides in POSITIVITY_ROWS.items():
-        overrides = dict(overrides)
-        if name == "tanh_pos_bias":
-            overrides["bias"] = args.tanh_bias
-        outcomes = run_experiment(name, overrides, "mnist", args.seeds,
-                                  train_split=train_split, test_split=test_split,
-                                  epochs=args.epochs, out_root=args.out_dir, log=print)
-        means[name] = mean_error(outcomes)
+    for name, row_configs in configs.items():
+        means[name] = run_experiment(name, row_configs)
         print(f"== {name}: mean last-3 test error {means[name]:.4f}")
 
     sigmoid_gap = abs(means["sigmoid_pos"] - means["sigmoid"])
@@ -60,8 +54,8 @@ def main(argv=None) -> int:
     ]
     for label, ok, detail in checks:
         print(f"  {'OK  ' if ok else 'MISS'} {label}: {detail}")
-    return 0 if all(ok for _, ok, _ in checks) else 1
+    return cli.EXIT_OK if all(ok for _, ok, _ in checks) else cli.EXIT_GATE
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.run_command(main))

@@ -11,22 +11,22 @@ Example:
     python scripts/run_table.py --data-dir data --dataset mnist --rows pc kp_pc --seeds 1
 
 Runs are independent; to parallelize, launch one process per row with --rows.
+Every run's config is checked before any data loads. Exit codes are those
+of `biopc` (see `biopc.cli`); a row above its gate is exit 6.
 """
 
-import argparse
 import sys
 import time
 
-from biopc import dataio
-from biopc.experiments import TABLE_ROWS, TABLE_SEEDS, mean_error, run_experiment
+from biopc import cli
+from biopc.experiments import TABLE_ROWS, TABLE_SEEDS, run_experiment, seed_configs
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = cli.Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--data-dir", required=True)
-    parser.add_argument("--dataset", choices=["mnist", "fashion"], default="mnist")
+    cli.add_config_flags(parser, ("dataset", "epochs"))
     parser.add_argument("--out-dir", default="runs/table")
-    parser.add_argument("--epochs", type=int, default=25)
     parser.add_argument("--seeds", type=int, nargs="+", default=list(TABLE_SEEDS))
     parser.add_argument("--rows", nargs="+", choices=list(TABLE_ROWS),
                         default=list(TABLE_ROWS))
@@ -37,20 +37,17 @@ def main(argv=None) -> int:
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = 0.006 if args.dataset == "mnist" else 0.012
-
-    train_split = dataio.load_split(args.data_dir, args.dataset, "train")
-    test_split = dataio.load_split(args.data_dir, args.dataset, "test")
-    out_root = f"{args.out_dir}/{args.dataset}"
+    configs = {name: seed_configs(name, args.dataset, TABLE_ROWS[name][0], args.seeds,
+                                  f"{args.out_dir}/{args.dataset}", epochs=args.epochs,
+                                  data_dir=args.data_dir)
+               for name in args.rows}
 
     summary = []
-    for name in args.rows:
-        overrides, ref_mnist, ref_fashion = TABLE_ROWS[name]
+    for name, row_configs in configs.items():
+        _, ref_mnist, ref_fashion = TABLE_ROWS[name]
         reference = ref_mnist if args.dataset == "mnist" else ref_fashion
         t0 = time.time()
-        outcomes = run_experiment(name, overrides, args.dataset, args.seeds,
-                                  train_split=train_split, test_split=test_split,
-                                  epochs=args.epochs, out_root=out_root, log=print)
-        mean = mean_error(outcomes)
+        mean = run_experiment(name, row_configs)
         ok = mean <= reference + tolerance
         summary.append((name, mean, reference, ok))
         print(f"== {name}: mean last-3 test error {mean:.4f} "
@@ -61,8 +58,8 @@ def main(argv=None) -> int:
     print(f"{'model':<14} {'error':>8} {'reference':>10} {'gate':>6}")
     for name, mean, reference, ok in summary:
         print(f"{name:<14} {mean:>8.4f} {reference:>10.3f} {'OK' if ok else 'MISS':>6}")
-    return 0 if all(ok for *_, ok in summary) else 1
+    return cli.EXIT_OK if all(ok for *_, ok in summary) else cli.EXIT_GATE
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.run_command(main))

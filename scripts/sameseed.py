@@ -16,7 +16,10 @@ synthetic MNIST-shaped samples:
   the image layout it returns,
 * the class name of the model that `load_checkpoint` makes from the
   `.pcck` file, and `evaluate` of that reloaded model on the 9001-sample
-  split: this covers the checkpoint loader;
+  split: this covers the checkpoint loader,
+* the reprs of the finalized `TrainConfig` fields (`dataclasses.asdict`),
+  with the temporary work directory in its paths written as `WORK`: this
+  covers how `experiments.make_config` and `finalize` build a run;
 
 plus the `max_rel_err` reprs and the verdict of `run_gradcheck` (or the
 encoding-domain error it raised) for every encoding x feedback x
@@ -46,6 +49,7 @@ variable of the BLAS in use) for both runs.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -114,6 +118,13 @@ def _write_idx_train_test(dataio, data_dir: Path, train_split, test_split) -> Pa
     return data_dir
 
 
+def _config_record(cfg, work_dir: Path) -> dict:
+    """Reprs of the finalized config's fields, the work directory in its
+    paths written as WORK so that two runs' records compare."""
+    return {field: repr(value.replace(str(work_dir), "WORK") if isinstance(value, str) else value)
+            for field, value in dataclasses.asdict(cfg.finalize()).items()}
+
+
 def digests(work_dir: Path) -> dict:
     from biopc import dataio, experiments
     from biopc import encodings as enc
@@ -134,12 +145,13 @@ def digests(work_dir: Path) -> dict:
         from_idx = name == IDX_ROW
         cfg = experiments.make_config("mnist", SEED, overrides, epochs=EPOCHS,
                                       out_dir=str(work_dir / name),
-                                      data_dir=train_dir if from_idx else None)
+                                      data_dir=str(train_dir) if from_idx else None)
         result = train(cfg) if from_idx else train(cfg, train_split, test_split)
         metrics = "".join(line.rsplit(",", 1)[0] + "\n"
                           for line in result.metrics_path.read_text().splitlines())
         reloaded, _ = load_checkpoint(result.checkpoint_path)
         out["rows"][name] = {
+            "config": _config_record(cfg, work_dir),
             "pcck_sha256": _sha256(result.checkpoint_path.read_bytes()),
             "metrics_sha256": _sha256(metrics.encode()),
             "evaluate": [repr(v) for v in evaluate(result.model, eval_split)],

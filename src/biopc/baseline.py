@@ -7,8 +7,9 @@ unshifted, also matching it). Both are a `network.LayeredModel`, so a
 network and an MLP holding equal weights produce bit-identical outputs.
 `MLP.fixed_structure` states backprop's structure once (subtractive errors,
 transpose feedback, no positivity): the shared constructor and `TrainConfig`
-reject anything else. The loss is the mean over the batch of the summed
-squared output error (1/2)||y - a_L||^2, the subtractive output cost.
+reject anything else. `MODELS` lists both model classes. The loss is the
+mean over the batch of the summed squared output error (1/2)||y - a_L||^2,
+the subtractive output cost.
 `MLP.descent` gives the loss and negative gradients from one forward sweep.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import encodings as enc
 from .linalg import ActivationKind, ShapeMismatchError, as_matrix
-from .network import LayeredModel, Transpose, init_network
+from .network import LayeredModel, PCNetwork, Transpose, init_network
 
 
 class MLP(LayeredModel):
@@ -66,6 +67,9 @@ class MLP(LayeredModel):
         sweep = self._sweep(self._check_input(x))
         objective = self.loss(x, y, outputs=sweep[0][-1])
         return objective, [np.negative(g, out=g) for g in self.backward(x, y, sweep=sweep)]
+
+
+MODELS = (PCNetwork, MLP)
 
 
 def init_mlp(dims, *, bias: float = 0.0,

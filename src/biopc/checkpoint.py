@@ -45,9 +45,9 @@ from typing import Optional
 import numpy as np
 
 from . import encodings as enc
-from .baseline import MLP
+from .baseline import MODELS
 from .linalg import ActivationKind
-from .network import FEEDBACK_SCHEMES, LayeredModel, PCNetwork
+from .network import FEEDBACK_SCHEMES, LayeredModel
 from .optim import AdamState
 
 MAGIC = b"PCCK"
@@ -185,10 +185,8 @@ def load_checkpoint(path):
     if r.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - r.pos} trailing bytes at offset {r.pos}")
 
-    model_class = next((m for m in (PCNetwork, MLP) if m.tag == model_kind), None)
-    if model_class is None:
-        raise CheckpointError(f"{path}: unknown model kind {model_kind}")
     try:
+        model_class = enc.find(MODELS, "tag", model_kind)
         encoding = enc.build(enc.ENCODINGS, "tag", encoding_tag, params)
         feedback = enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params)
         model = model_class(dims, weights, feedback_weights, bias=bias,

@@ -1,11 +1,17 @@
 """Command-line front end: train, eval and gradcheck.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 gradient
-check failure, 4 encoding-domain error (an error neuron's input left the
-range its encoding can represent, for example a threshold error below
-e-min; the message names the epoch, the batch and the level), 5 non-finite
-training objective (a batch's objective was NaN or infinite; training stops
-at that batch, which the message names, and writes no outputs).
+Each flag that sets a run setting is made from its `TrainConfig` field by
+`add_config_flags`, which the experiment scripts use too. `train` prints
+the finalized config as a run line of `name=value` fields.
+
+Exit codes, from `run_command` here and in the experiment scripts: 0
+success, 1 configuration error (bad usage included), 2 data error, 3
+gradient check failure, 4 encoding-domain error (an error neuron's input
+left the range its encoding can represent, for example a threshold error
+below e-min; the message names the epoch, the batch and the level), 5
+non-finite training objective (a batch's objective was NaN or infinite;
+training stops at that batch, which the message names, and writes no
+outputs), 6 missed acceptance gate (experiment scripts only).
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ import time
 from . import dataio
 from . import encodings as enc
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import _CHOICES, ConfigError, TrainConfig, _coerce, merge_config, parse_config_file
+from .config import (_CHOICES, _FIELD_TYPES, ConfigError, TrainConfig, _coerce, merge_config,
+                     parse_config_file)
 from .linalg import ActivationKind, ShapeMismatchError
-from .network import FEEDBACK_SCHEMES, PCNetwork
+from .network import FEEDBACK_SCHEMES
 from .training import NonFiniteError, evaluate, run_gradcheck, train
 
 EXIT_OK = 0
@@ -29,11 +36,13 @@ EXIT_DATA = 2
 EXIT_GRADCHECK = 3
 EXIT_ENCODING_DOMAIN = 4
 EXIT_NON_FINITE = 5
+EXIT_GATE = 6
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route that through the
-    # config-error path instead so exit codes stay meaningful.
+class Parser(argparse.ArgumentParser):
+    """argparse exits with status 2 on bad usage, the data-error code; this
+    parser raises ConfigError instead, so bad usage is exit 1."""
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -57,31 +66,26 @@ def _flag_type(field: str):
     return parse
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per `TrainConfig` field, plus `--config`."""
-    p.add_argument("--config", default=None, help="config file of 'key = value' lines")
+def add_config_flags(parser: argparse.ArgumentParser, names, *, unset: bool = False) -> None:
+    """One flag per named `TrainConfig` field, in field order, with the
+    field's parser and choices. Its default is the field's, or None with
+    `unset`, so that a flag left out yields to the config file."""
     for field in dataclasses.fields(TrainConfig):
-        p.add_argument("--" + field.name.replace("_", "-"), dest=field.name, default=None,
-                       type=_flag_type(field.name), choices=_CHOICES.get(field.name),
-                       help=_HELP.get(field.name))
+        if field.name in names:
+            parser.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                                default=None if unset else field.default,
+                                type=_flag_type(field.name), choices=_CHOICES.get(field.name),
+                                help=_HELP.get(field.name))
 
 
 def _config_from_args(args) -> TrainConfig:
     file_entries = parse_config_file(args.config) if args.config else None
-    flag_entries = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
-    return merge_config(file_entries, flag_entries)
+    return merge_config(file_entries, {name: getattr(args, name) for name in _FIELD_TYPES})
 
 
 def _describe_config(cfg: TrainConfig) -> str:
-    bits = [f"dataset={cfg.dataset}", f"model={cfg.model}"]
-    if cfg.model == PCNetwork.name:
-        bits += [f"feedback={cfg.feedback}", f"encoding={cfg.encoding}",
-                 f"beta={cfg.beta}", f"n_updates={cfg.n_updates}"]
-    bits += [f"hidden={cfg.hidden_activation}",
-             f"positive_activities={cfg.positive_activities}", f"bias={cfg.bias}",
-             f"epochs={cfg.epochs}", f"batch_size={cfg.batch_size}",
-             f"lr={cfg.lr}", f"seed={cfg.seed}"]
-    return "  ".join(bits)
+    """The run line: every field as `name=value`."""
+    return "  ".join(f"{name}={getattr(cfg, name)}" for name in _FIELD_TYPES)
 
 
 def _cmd_train(args) -> int:
@@ -126,37 +130,34 @@ def _cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="biopc",
-                     description="Train and probe predictive-coding networks "
-                                 "under biological constraints.")
+    parser = Parser(prog="biopc",
+                    description="Train and probe predictive-coding networks "
+                                "under biological constraints.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write metrics + checkpoint")
-    _add_train_flags(p_train)
+    p_train.add_argument("--config", default=None, help="config file of 'key = value' lines")
+    add_config_flags(p_train, _FIELD_TYPES, unset=True)
     p_train.set_defaults(func=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--dataset", choices=_CHOICES["dataset"], default="mnist")
-    p_eval.add_argument("--data-dir", dest="data_dir", default="data")
+    add_config_flags(p_eval, ("dataset", "data_dir"))
     p_eval.add_argument("--split", choices=["train", "test"], default="test")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_grad = sub.add_parser("gradcheck",
                             help="compare update rules against finite differences")
-    for field in ("encoding", "feedback", "hidden_activation"):
-        p_grad.add_argument("--" + field.replace("_", "-"), dest=field,
-                            choices=_CHOICES[field], default=getattr(TrainConfig, field))
-    p_grad.add_argument("--seed", type=int, default=0)
+    add_config_flags(p_grad, ("encoding", "feedback", "hidden_activation", "seed"))
     p_grad.set_defaults(func=_cmd_gradcheck)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run_command(main, argv=None) -> int:
+    """`main(argv)`, which returns an exit code; a typed error it raises
+    becomes its exit code and a one-line message on stderr, not a traceback."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return main(argv)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -169,6 +170,15 @@ def main(argv=None) -> int:
     except NonFiniteError as err:
         print(f"non-finite objective: {err}", file=sys.stderr)
         return EXIT_NON_FINITE
+
+
+def _run(argv) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    return run_command(_run, argv)
 
 
 if __name__ == "__main__":

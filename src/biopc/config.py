@@ -1,5 +1,9 @@
 """Run configuration: defaults, `key = value` config files, flag merging.
 
+`TrainConfig` is the one place a run setting and its default are written
+(a scheme parameter defaults to its class field), the class registries
+give the choices, and a field's declared type picks its value parser.
+
 Precedence is command-line flag > config file entry > built-in default.
 Unset inference rate, activity-update count and threshold floor resolve from
 the dataset and bias (beta and the update count differ between the two
@@ -16,9 +20,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import encodings as enc
-from .baseline import MLP
+from .baseline import MODELS
 from .linalg import ActivationKind
-from .network import FEEDBACK_SCHEMES, PCNetwork
+from .network import FEEDBACK_SCHEMES, KolenPollack, PCNetwork, Transpose
 
 NETWORK_DIMS = [784, 300, 300, 10]
 
@@ -29,7 +33,7 @@ DATASET_DEFAULTS = {
 
 _CHOICES = {
     "dataset": tuple(DATASET_DEFAULTS),
-    "model": (PCNetwork.name, MLP.name),
+    "model": tuple(m.name for m in MODELS),
     "feedback": tuple(s.name for s in FEEDBACK_SCHEMES),
     "encoding": tuple(e.name for e in enc.ENCODINGS),
     "hidden_activation": tuple(k.value for k in ActivationKind),
@@ -45,9 +49,9 @@ class TrainConfig:
     dataset: str = "mnist"
     data_dir: str = "data"
     model: str = PCNetwork.name
-    feedback: str = "transpose"
-    encoding: str = "subtractive"
-    hidden_activation: str = "sigmoid"
+    feedback: str = Transpose.name
+    encoding: str = enc.Subtractive.name
+    hidden_activation: str = ActivationKind.SIGMOID.value
     positive_activities: bool = False
     bias: float = 0.0
     epochs: int = 25
@@ -55,10 +59,10 @@ class TrainConfig:
     lr: float = 0.001
     beta: Optional[float] = None
     n_updates: Optional[int] = None
-    gamma: float = 0.003
-    epsilon: float = 1e-3
+    gamma: float = KolenPollack.gamma
+    epsilon: float = enc.Division.epsilon
     e_min: Optional[float] = None
-    e_max: float = 2.1
+    e_max: float = enc.SubtractiveThreshold.e_max
     seed: int = 0
     out_dir: str = "runs"
 
@@ -103,12 +107,12 @@ class TrainConfig:
                     enc.build(registry, "name", cls.name, vars(self))
                 except ValueError as err:
                     raise ConfigError(f"{cls.name}: {err}") from None
-        if self.model == MLP.name:
-            try:
-                MLP.check_structure(encoding=self.encoding_value(), feedback=self.feedback_value(),
-                                    positive_activities=self.positive_activities)
-            except ValueError as err:
-                raise ConfigError(str(err)) from None
+        try:
+            self.model_class().check_structure(
+                encoding=self.encoding_value(), feedback=self.feedback_value(),
+                positive_activities=self.positive_activities)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if self.encoding_value().needs_positive and not self.positive_activities:
             raise ConfigError(
                 f"encoding={self.encoding} requires positive-activities=true: its "
@@ -116,6 +120,9 @@ class TrainConfig:
             )
 
     # -- pieces consumed by the model builders -------------------------------
+
+    def model_class(self) -> type:
+        return enc.find(MODELS, "name", self.model)
 
     def encoding_value(self) -> enc.ErrorEncoding:
         return enc.build(enc.ENCODINGS, "name", self.encoding, vars(self))
@@ -138,17 +145,13 @@ def parse_bool(text: str) -> bool:
     return _BOOL_WORDS[key]
 
 
+_PARSERS = {"bool": parse_bool, "int": int, "Optional[int]": int,
+            "float": float, "Optional[float]": float, "str": str}
+
+
 def _coerce(field: str, text: str):
-    kind = _FIELD_TYPES[field]
-    text = text.strip()
     try:
-        if field in ("positive_activities",):
-            return parse_bool(text)
-        if kind in ("int", "Optional[int]"):
-            return int(text)
-        if kind in ("float", "Optional[float]"):
-            return float(text)
-        return text
+        return _PARSERS[_FIELD_TYPES[field]](text.strip())
     except ValueError as err:
         raise ConfigError(f"bad value for {field}: {err}") from None
 

@@ -20,7 +20,8 @@ a level's error into both the bottom-up activity update below it and the
 weight update, the `top_down` term that pulls an activity toward its
 prediction, its per-level `cost` and the `output_cost` of forward-sweep
 outputs against targets. Its dataclass fields are its parameters, named as
-in the run config and the checkpoint. `ENCODINGS` lists the classes.
+in the run config and the checkpoint. `ENCODINGS` lists the classes;
+`find` looks one up by name or tag in it or in another such registry.
 
 `error` writes into a level's `LevelTerms`, which also keep what the update
 terms reuse (for division, 0.5 log e, a + eps and phat + eps), so those are
@@ -168,17 +169,20 @@ ErrorEncoding = Union[Subtractive, SubtractiveThreshold, Division]
 ENCODINGS = (Subtractive, SubtractiveThreshold, Division)
 
 
-def build(registry, key: str, value, params: Optional[dict] = None):
-    """An instance of the class in `registry` whose `key` attribute ("name"
-    or "tag") equals `value`, its fields taken from `params` where present
-    (defaults otherwise). Raises ValueError when no class matches or the
-    parameters are invalid."""
-    params = params or {}
+def find(registry, key: str, value) -> type:
+    """The class in `registry` whose `key` ("name" or "tag") is `value`."""
     for cls in registry:
         if getattr(cls, key) == value:
-            return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls)
-                          if f.name in params})
+            return cls
     raise ValueError(f"none of {[c.__name__ for c in registry]} has {key} {value!r}")
+
+
+def build(registry, key: str, value, params: Optional[dict] = None):
+    """An instance of `find(registry, key, value)`, its fields taken from
+    `params` where present; ValueError when none matches or one is invalid."""
+    cls = find(registry, key, value)
+    params = params or {}
+    return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params})
 
 
 def threshold_encode(e, e_min: float, e_max: float, out=None) -> np.ndarray:

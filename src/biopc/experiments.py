@@ -1,18 +1,18 @@
 """Experiment definitions: the six-model comparison table and the
 positive-activity study, with their aggregation conventions.
 
-Reported numbers are the mean test error over the last three epochs of each
-run, averaged across seeds. Division-encoding rows force the positivity
+Each run is one `TrainConfig` (`make_config`). A script finalizes every
+run's config (`seed_configs`) before any data loads; `run_experiment` then
+trains a row's runs and returns their mean.
+
+Reported numbers are the mean test error over the last three epochs of
+each run, averaged across seeds. Division-encoding rows force the positivity
 constraint (their error is only defined on non-negative rates) and carry a
 small bias; the tanh recovery row uses bias 1.0, which keeps tanh-shifted
 predictions non-negative everywhere.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass
-from typing import Optional
 
 from .config import TrainConfig
 from .training import TrainResult, train
@@ -42,15 +42,20 @@ POSITIVITY_ROWS = {
 }
 
 
-def make_config(dataset: str, seed: int, overrides: dict, *,
-                epochs: int = 25, out_dir: Optional[str] = None,
-                data_dir: Optional[str] = None) -> TrainConfig:
-    cfg = TrainConfig(dataset=dataset, seed=seed, epochs=epochs, **overrides)
-    if out_dir is not None:
-        cfg = dataclasses.replace(cfg, out_dir=out_dir)
-    if data_dir is not None:
-        cfg = dataclasses.replace(cfg, data_dir=str(data_dir))
-    return cfg
+def make_config(dataset: str, seed: int, overrides: dict, **fields) -> TrainConfig:
+    """The config of one run: `TrainConfig`'s defaults, then `overrides` (a
+    row's), then the `fields` that are not None."""
+    fields = {name: value for name, value in fields.items() if value is not None}
+    return TrainConfig(**{"dataset": dataset, "seed": seed, **overrides, **fields})
+
+
+def seed_configs(name: str, dataset: str, overrides: dict, seeds, out_root: str,
+                 **fields) -> list:
+    """The finalized config of row `name` for each seed, writing its outputs
+    to `{out_root}/{name}_seed{seed}`; raises ConfigError on a bad setting."""
+    return [make_config(dataset, seed, overrides, out_dir=f"{out_root}/{name}_seed{seed}",
+                        **fields).finalize()
+            for seed in seeds]
 
 
 def last3_mean_test_error(result: TrainResult) -> float:
@@ -58,31 +63,11 @@ def last3_mean_test_error(result: TrainResult) -> float:
     return sum(errors[-3:]) / len(errors[-3:])
 
 
-@dataclass
-class RunOutcome:
-    name: str
-    seed: int
-    last3_error: float
-
-
-def run_experiment(name: str, overrides: dict, dataset: str, seeds, *,
-                   train_split=None, test_split=None, data_dir=None,
-                   epochs: int = 25, out_root=None, log=None) -> list:
-    """Train one configuration across seeds; returns per-seed outcomes."""
-    outcomes = []
-    for seed in seeds:
-        out_dir = None if out_root is None else f"{out_root}/{name}_seed{seed}"
-        cfg = make_config(dataset, seed, overrides, epochs=epochs,
-                          out_dir=out_dir, data_dir=data_dir)
-        result = train(cfg, train_split, test_split,
-                       write_outputs=out_dir is not None, log=log)
-        outcome = RunOutcome(name, seed, last3_mean_test_error(result))
-        if log is not None:
-            log(f"[{name} seed={seed}] last-3-epoch mean test error "
-                f"{outcome.last3_error:.4f}")
-        outcomes.append(outcome)
-    return outcomes
-
-
-def mean_error(outcomes) -> float:
-    return sum(o.last3_error for o in outcomes) / len(outcomes)
+def run_experiment(name: str, configs, log=print) -> float:
+    """Train row `name` once per config, each run loading its data and writing
+    its outputs; returns the mean over runs of the last-3 mean test error."""
+    errors = []
+    for cfg in configs:
+        errors.append(last3_mean_test_error(train(cfg, log=log)))
+        log(f"[{name} seed={cfg.seed}] last-3-epoch mean test error {errors[-1]:.4f}")
+    return sum(errors) / len(errors)

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import dataio
 from . import encodings as enc
-from .baseline import MLP
 from .checkpoint import save_checkpoint
 from .config import NETWORK_DIMS, TrainConfig
 from .linalg import ActivationKind, ShapeMismatchError, as_matrix
@@ -76,7 +75,7 @@ def build_model(cfg: TrainConfig):
                         feedback=cfg.feedback_value(),
                         hidden_activation=cfg.hidden_activation_value(), bias=cfg.bias,
                         positive_activities=cfg.positive_activities, seed=cfg.seed,
-                        model_class=MLP if cfg.model == MLP.name else PCNetwork)
+                        model_class=cfg.model_class())
 
 
 # Samples per `predict` call of an evaluation (perfbench times 4096-column calls)

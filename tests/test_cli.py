@@ -4,11 +4,16 @@ outputs. Runs against small synthetic IDX datasets on disk."""
 import argparse
 import dataclasses
 import shutil
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biopc import dataio
+from biopc import encodings as enc
+from biopc.baseline import MLP
 from biopc.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -16,10 +21,11 @@ from biopc.cli import (
     EXIT_GRADCHECK,
     EXIT_NON_FINITE,
     EXIT_OK,
+    _describe_config,
     build_parser,
     main,
 )
-from biopc.config import TrainConfig
+from biopc.config import _CHOICES, TrainConfig, merge_config, parse_config_file
 from biopc.training import METRICS_HEADER
 
 
@@ -127,12 +133,25 @@ class TestTrainCommand:
         assert "config error" in capsys.readouterr().err
 
     def test_flags_are_the_config_fields(self):
+        # train takes every field, with no default of its own so that a
+        # config file entry can stand; every other flag is a field with the
+        # field's default and choices
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        flags = {opt for action in sub.choices["train"]._actions
-                 for opt in action.option_strings if opt.startswith("--")}
-        fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
-        assert flags == fields | {"--config", "--help"}
+        fields = {"--" + f.name.replace("_", "-"): f for f in dataclasses.fields(TrainConfig)}
+        for command, others in (("train", {"--config"}), ("eval", {"--checkpoint", "--split"}),
+                                ("gradcheck", set())):
+            actions = {action.option_strings[0]: action
+                       for action in sub.choices[command]._actions
+                       if action.option_strings[0] not in others | {"-h"}}
+            assert set(actions) <= set(fields)
+            if command == "train":
+                assert set(actions) == set(fields)
+            for flag, action in actions.items():
+                field = fields[flag]
+                assert action.dest == field.name
+                assert action.default == (None if command == "train" else field.default)
+                assert action.choices == _CHOICES.get(field.name)
 
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", "two"), ("--lr", "fast"), ("--positive-activities", "maybe"),
@@ -189,6 +208,42 @@ class TestTrainCommand:
                      "--out-dir", str(tmp_path / "out"), "--epochs", "1"])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+
+# Config-file values have no quoting: a path holding '#' or blanks cannot be
+# written in one, so the drawn paths hold neither.
+_PATHS = st.text(string.ascii_letters + string.digits + "/._-=", min_size=1, max_size=12)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def finalized_configs(draw):
+    fields = {name: draw(st.sampled_from(choices)) for name, choices in _CHOICES.items()}
+    fields["positive_activities"] = draw(st.booleans())
+    if enc.build(enc.ENCODINGS, "name", fields["encoding"]).needs_positive:
+        fields["positive_activities"] = True
+    if fields["model"] == MLP.name:
+        fields.update({name: getattr(value, "name", value)
+                       for name, value in MLP.fixed_structure.items()})
+    return TrainConfig(
+        **fields, data_dir=draw(_PATHS), out_dir=draw(_PATHS),
+        bias=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        epochs=draw(st.integers(1, 10**4)), batch_size=draw(st.integers(1, 10**4)),
+        lr=draw(_POSITIVE), beta=draw(st.none() | st.floats(0.0, 1.0)),
+        n_updates=draw(st.none() | st.integers(0, 100)),
+        gamma=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        epsilon=draw(_POSITIVE), e_max=draw(_POSITIVE),
+        e_min=draw(st.none() | st.floats(max_value=0.0, allow_infinity=False)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    ).finalize()
+
+
+@given(finalized_configs())
+def test_run_line_reads_back_as_the_config(tmp_path_factory, cfg):
+    lines = [item.replace("=", " = ", 1) for item in _describe_config(cfg).split("  ")]
+    path = tmp_path_factory.mktemp("runline") / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert merge_config(parse_config_file(path)).finalize() == cfg
 
 
 class TestEvalCommand:
