@@ -31,7 +31,8 @@ So an MLP record carries subtractive and transpose tags, no positivity and
 no feedback block, and zeros in the parameter slots after the bias (which
 its schemes do not read). Other tags, positivity or a feedback block are a
 `CheckpointError`, naming the path, as is any input the loader cannot turn
-into a model.
+into a model, and an optimizer block that does not hold one state per
+weight matrix with `m` and `v` shaped as that matrix.
 """
 
 from __future__ import annotations
@@ -194,6 +195,16 @@ def load_checkpoint(path):
                             feedback=feedback, positive_activities=bool(positive))
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
+    if optimizers is not None:
+        if len(optimizers) != len(weights):
+            raise CheckpointError(f"{path}: optimizer block holds {len(optimizers)} states "
+                                  f"for {len(weights)} weight matrices")
+        for i, (state, w) in enumerate(zip(optimizers, weights)):
+            for name in ("m", "v"):
+                shape = getattr(state, name).shape
+                if shape != w.shape:
+                    raise CheckpointError(f"{path}: opt[{i}] {name} is {shape[0]}x{shape[1]}, "
+                                          f"W[{i}] is {w.shape[0]}x{w.shape[1]}")
     used = _parameters(encoding, feedback)
     for slot, value in params.items():
         # +0.0 is what the writer puts in a slot nothing reads; anything

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -135,6 +136,9 @@ class TrainConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# A comment runs from a '#' at the start of a line or after a blank to the
+# line's end, so a value can hold a '#' but not a ' #'.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -158,7 +162,9 @@ def _coerce(field: str, text: str):
 
 def parse_config_file(path) -> dict:
     """Parse `key = value` lines of UTF-8 text, a byte-order mark allowed;
-    '#' starts a comment, keys may be written with dashes or underscores."""
+    '#' at the start of a line or after a blank starts a comment (so
+    `out_dir = runs/exp#1` keeps its '#'), and keys may be written with
+    dashes or underscores."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
@@ -166,7 +172,7 @@ def parse_config_file(path) -> dict:
                           f"at offset {err.start}") from None
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:

@@ -26,9 +26,10 @@ in the run config and the checkpoint. `ENCODINGS` lists the classes;
 `error` writes into a level's `LevelTerms`, which also keep what the update
 terms reuse (for division, 0.5 log e, a + eps and phat + eps), so those are
 computed once per level and step; `rising` and `top_down` then write into
-arrays they are given. The module-level kernels take 2-D float64 arrays: shapes
-are checked where a batch enters the network, and only the encodings'
-domains are checked on every call.
+arrays they are given. The methods take 2-D float64 arrays: shapes are
+checked where a batch enters the network, and only an encoding's domain is
+checked on every call, raising `EncodingDomainError` with the encoding's
+name.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ class _SubtractiveFamily:
         return terms.e
 
     def cost(self, e) -> float:
-        return energy(e)
+        """Squared prediction error of one level: sum over units of (1/2) e^2,
+        mean over batch."""
+        return float(0.5 * np.sum(e * e) / e.shape[1])
 
     def output_cost(self, y, out) -> float:
-        return energy(y - out)
+        return self.cost(y - out)
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,20 @@ class SubtractiveThreshold(_SubtractiveFamily):
     def error(self, a, phat, terms: Optional[LevelTerms] = None):
         terms = self.terms(a.shape) if terms is None else terms
         estar = np.subtract(a, phat, out=terms.e_star)
-        threshold_encode(estar, self.e_min, self.e_max, out=estar)
-        # Update rules see the decoded value; the round trip is exact up to
-        # float rounding, which is what makes this scheme track the plain
-        # subtractive one.
-        return threshold_decode(estar, self.e_min, self.e_max, out=terms.e), estar
+        lowest = estar.min() if estar.size else 0.0
+        if lowest < self.e_min:
+            raise EncodingDomainError(f"{self.name} encoding: entry {lowest} is below the "
+                                      f"representable minimum e_min={self.e_min}")
+        # Encode onto non-negative rates, e* = 2 (e - e_min) / e_max.
+        estar -= self.e_min
+        estar *= 2.0
+        estar /= self.e_max
+        # Update rules see the decoded value, e = (e_max / 2) e* + e_min; the
+        # round trip is exact up to float rounding, which is what makes this
+        # scheme track the plain subtractive one.
+        e = np.multiply(estar, self.e_max / 2.0, out=terms.e)
+        e += self.e_min
+        return e, estar
 
 
 @dataclass(frozen=True)
@@ -140,10 +152,21 @@ class Division:
         return LevelTerms(e=np.empty(shape), half_log_e=np.empty(shape),
                           a_eps=np.empty(shape), phat_eps=np.empty(shape))
 
+    def _ratio(self, a, phat, out=None, a_eps=None, phat_eps=None) -> np.ndarray:
+        """Ratio mismatch e** = sqrt((a + eps) / (phat + eps)); 1 where
+        a == phat. Written into `out` when given, with a + eps and phat + eps
+        into `a_eps` and `phat_eps`."""
+        for what, rates in (("activity", a), ("prediction", phat)):
+            if rates.size and rates.min() < 0:
+                raise EncodingDomainError(f"{self.name} encoding: negative {what} entry "
+                                          f"{rates.min()}; rates must be >= 0")
+        out = np.divide(np.add(a, self.epsilon, out=a_eps),
+                        np.add(phat, self.epsilon, out=phat_eps), out=out)
+        return np.sqrt(out, out=out)
+
     def error(self, a, phat, terms: Optional[LevelTerms] = None):
         terms = self.terms(a.shape) if terms is None else terms
-        e = division_error(a, phat, self.epsilon, out=terms.e,
-                           a_eps=terms.a_eps, phat_eps=terms.phat_eps)
+        e = self._ratio(a, phat, terms.e, terms.a_eps, terms.phat_eps)
         np.log(e, out=terms.half_log_e)
         terms.half_log_e *= 0.5
         return e, None
@@ -159,10 +182,16 @@ class Division:
         return np.divide(terms.half_log_e, terms.a_eps, out=out)
 
     def cost(self, e) -> float:
-        return division_cost(e)
+        """Cost of ratio mismatches: sum over units of (1/2) ln(e**)^2, mean
+        over batch."""
+        if e.size and e.min() <= 0:
+            raise EncodingDomainError(f"{self.name} encoding: non-positive ratio "
+                                      f"{e.min()}; ratios must be > 0")
+        logs = np.log(e)
+        return float(0.5 * np.sum(logs * logs) / e.shape[1])
 
     def output_cost(self, y, out) -> float:
-        return division_cost(division_error(y, out, self.epsilon))
+        return self.cost(self._ratio(y, out))
 
 
 ErrorEncoding = Union[Subtractive, SubtractiveThreshold, Division]
@@ -184,56 +213,3 @@ def build(registry, key: str, value, params: Optional[dict] = None):
     params = params or {}
     return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params})
 
-
-def threshold_encode(e, e_min: float, e_max: float, out=None) -> np.ndarray:
-    """Map signed errors onto non-negative rates: e* = 2 (e - e_min) / e_max,
-    written into `out` when given (which may be e itself)."""
-    lowest = e.min() if e.size else 0.0
-    if lowest < e_min:
-        raise EncodingDomainError(
-            f"threshold_encode: entry {lowest} is below the representable minimum e_min={e_min}"
-        )
-    out = np.subtract(e, e_min, out=out)
-    out *= 2.0
-    out /= e_max
-    return out
-
-
-def threshold_decode(estar, e_min: float, e_max: float, out=None) -> np.ndarray:
-    """Exact inverse of threshold_encode: e = (e_max / 2) e* + e_min."""
-    out = np.multiply(estar, e_max / 2.0, out=out)
-    out += e_min
-    return out
-
-
-def division_error(a, phat, epsilon: float, *, out=None, a_eps=None,
-                   phat_eps=None) -> np.ndarray:
-    """Ratio mismatch e** = sqrt((a + eps) / (phat + eps)); 1 where a == phat.
-    Written into `out` when given, with a + eps and phat + eps into `a_eps`
-    and `phat_eps`."""
-    if a.size and a.min() < 0:
-        raise EncodingDomainError(
-            f"division_error: negative activity entry {a.min()}; positive rates required"
-        )
-    if phat.size and phat.min() < 0:
-        raise EncodingDomainError(
-            f"division_error: negative prediction entry {phat.min()}; positive rates required"
-        )
-    out = np.divide(np.add(a, epsilon, out=a_eps), np.add(phat, epsilon, out=phat_eps), out=out)
-    return np.sqrt(out, out=out)
-
-
-def division_cost(estar2) -> float:
-    """Cost of ratio mismatches: sum over units of (1/2) ln(e**)^2, mean over batch."""
-    if estar2.size and estar2.min() <= 0:
-        raise EncodingDomainError(
-            f"division_cost: non-positive entry {estar2.min()}; ratios must be > 0"
-        )
-    logs = np.log(estar2)
-    return float(0.5 * np.sum(logs * logs) / estar2.shape[1])
-
-
-def energy(e) -> float:
-    """Squared prediction error of one level: sum over units of (1/2) e^2,
-    mean over batch."""
-    return float(0.5 * np.sum(e * e) / e.shape[1])

@@ -112,6 +112,31 @@ def test_optimizer_state_loads_without_copies(tmp_path):
     np.testing.assert_array_equal(state.v, adams[0].v)
 
 
+def test_optimizer_state_shaped_unlike_its_weight_is_rejected(tmp_path):
+    # opt[0] v's shape record rewritten from 2x3 to 3x2: the same byte count,
+    # so the file parses, but its first adam_step could not broadcast
+    net = init_network([3, 2, 4], seed=5)
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, net, [AdamState.for_shape(w.shape) for w in net.weights])
+    blob = bytearray(path.read_bytes())
+    opt_1 = struct.calcsize("<Q4d") + 2 * (8 + 8 * 4 * 2)  # step record, m and v of W[1]
+    at = len(blob) - opt_1 - (8 + 8 * 2 * 3)
+    assert struct.unpack_from("<II", blob, at) == (2, 3)
+    struct.pack_into("<II", blob, at, 3, 2)
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=r"net\.pcck: opt\[0\] v is 3x2, W\[0\] is 2x3$"):
+        load_checkpoint(path)
+
+
+def test_optimizer_state_count_must_match_weights(tmp_path):
+    net = init_network([3, 2, 4], seed=5)
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, net, [AdamState.for_shape(net.weights[0].shape)])
+    with pytest.raises(CheckpointError,
+                       match=r"net\.pcck: optimizer block holds 1 states for 2 weight matrices$"):
+        load_checkpoint(path)
+
+
 def test_magic_and_truncation_errors(tmp_path):
     path = tmp_path / "bad.pcck"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

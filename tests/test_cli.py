@@ -8,7 +8,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from biopc import dataio
@@ -210,9 +210,12 @@ class TestTrainCommand:
         assert "data error" in capsys.readouterr().err
 
 
-# Config-file values have no quoting: a path holding '#' or blanks cannot be
-# written in one, so the drawn paths hold neither.
-_PATHS = st.text(string.ascii_letters + string.digits + "/._-=", min_size=1, max_size=12)
+# Config-file values have no quoting: a path holding blanks, or a '#' right
+# after one, cannot be written in one. A '#' anywhere else is part of the
+# value, so the drawn paths hold '#' but no blank and never start with '#'
+# (it would follow the blank after '=').
+_PATHS = st.text(string.ascii_letters + string.digits + "/._-=#", min_size=1,
+                 max_size=12).filter(lambda path: not path.startswith("#"))
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -239,6 +242,7 @@ def finalized_configs(draw):
 
 
 @given(finalized_configs())
+@example(TrainConfig(out_dir="runs/exp#1").finalize())
 def test_run_line_reads_back_as_the_config(tmp_path_factory, cfg):
     lines = [item.replace("=", " = ", 1) for item in _describe_config(cfg).split("  ")]
     path = tmp_path_factory.mktemp("runline") / "run.cfg"

@@ -16,6 +16,12 @@ from biopc.network import PCNetwork
 M = lambda *rows: np.array(rows, dtype=np.float64)
 
 
+def _threshold(e, e_min=-1.0, e_max=2.1):
+    """(decoded, encoded) threshold errors for raw errors `e`: activities `e`
+    against a zero prediction."""
+    return enc.SubtractiveThreshold(e_min, e_max).error(e, np.zeros_like(e))
+
+
 class TestVariants:
     def test_threshold_parameter_validation(self):
         for params in (dict(e_min=-1.0, e_max=0.0), dict(e_min=0.5, e_max=2.0),
@@ -73,24 +79,25 @@ class TestSubtractive:
 
 class TestThreshold:
     def test_floor_maps_to_zero(self):
-        got = enc.threshold_encode(M([-1.0]), -1.0, 2.1)
+        got = _threshold(M([-1.0]))[1]
         assert got[0, 0] == 0.0
 
     def test_zero_error_near_baseline(self):
-        got = enc.threshold_encode(M([0.0]), -1.0, 2.1)
+        got = _threshold(M([0.0]))[1]
         assert got[0, 0] == pytest.approx(2.0 / 2.1, abs=1e-15)  # ~0.95238
 
     def test_ceiling_maps_to_two(self):
-        got = enc.threshold_encode(M([-1.0 + 2.1]), -1.0, 2.1)
+        got = _threshold(M([-1.0 + 2.1]))[1]
         assert got[0, 0] == pytest.approx(2.0, abs=1e-15)
 
     def test_below_floor_raises(self):
         with pytest.raises(enc.EncodingDomainError, match="e_min"):
-            enc.threshold_encode(M([-1.2]), -1.0, 2.1)
+            _threshold(M([-1.2]))
 
     def test_decode_points(self):
-        assert enc.threshold_decode(M([0.0]), -1.0, 2.1)[0, 0] == -1.0
-        back = enc.threshold_decode(M([2.0 / 2.1]), -1.0, 2.1)
+        # decoding the floor's rate 0 and the baseline rate 2 / 2.1
+        assert _threshold(M([-1.0]))[0][0, 0] == -1.0
+        back = _threshold(M([0.0]))[0]
         assert back[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     @given(
@@ -101,36 +108,35 @@ class TestThreshold:
     )
     def test_round_trip(self, unit, e_min, e_max):
         e = e_min + unit * e_max  # anywhere in the representable range
-        estar = enc.threshold_encode(e, e_min, e_max)
+        back, estar = _threshold(e, e_min, e_max)
         assert np.all(estar >= 0.0)
-        back = enc.threshold_decode(estar, e_min, e_max)
         np.testing.assert_allclose(back, e, atol=1e-12)
 
     @given(hnp.arrays(np.float64, (3, 2), elements=st.floats(-1.0, 1.1)))
     def test_encoded_rates_non_negative(self, e):
-        estar = enc.threshold_encode(e, -1.0, 2.1)
+        estar = _threshold(e)[1]
         assert np.all(estar >= 0.0)
 
 
 class TestDivision:
     def test_one_when_matched(self):
         a = M([0.2, 0.9])
-        got = enc.division_error(a, a, 1e-3)
+        got, _ = enc.Division(1e-3).error(a, a)
         np.testing.assert_allclose(got, 1.0, atol=1e-15)
 
     def test_ratio_of_four_gives_two(self):
-        got = enc.division_error(M([1.0]), M([0.25]), 1e-12)
+        got, _ = enc.Division(1e-12).error(M([1.0]), M([0.25]))
         assert got[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_over_zero_is_one(self):
-        got = enc.division_error(M([0.0]), M([0.0]), 1e-3)
+        got, _ = enc.Division(1e-3).error(M([0.0]), M([0.0]))
         assert got[0, 0] == 1.0
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(enc.EncodingDomainError, match="negative"):
-            enc.division_error(M([-0.1]), M([0.5]), 1e-3)
+            enc.Division(1e-3).error(M([-0.1]), M([0.5]))
         with pytest.raises(enc.EncodingDomainError, match="negative"):
-            enc.division_error(M([0.1]), M([-0.5]), 1e-3)
+            enc.Division(1e-3).error(M([0.1]), M([-0.5]))
 
     @given(
         hnp.arrays(np.float64, (4, 3), elements=st.floats(0.0, 5.0)),
@@ -139,7 +145,7 @@ class TestDivision:
     )
     @example(a=np.zeros((4, 3)), phat=np.full((4, 3), 1.72e-18), epsilon=1e-6)
     def test_strictly_positive_and_one_iff_matched(self, a, phat, epsilon):
-        got = enc.division_error(a, phat, epsilon)
+        got, _ = enc.Division(epsilon).error(a, phat)
         assert np.all(got > 0.0)
         assert np.all(got[a == phat] == 1.0)
         # e = sqrt(1 + d) with d = (a - phat) / (phat + eps), so |e - 1| is
@@ -154,42 +160,42 @@ class TestDivision:
 
 class TestDivisionCost:
     def test_zero_iff_all_ones(self):
-        assert enc.division_cost(np.ones((3, 2))) == 0.0
+        assert enc.Division().cost(np.ones((3, 2))) == 0.0
         almost = np.ones((3, 2))
         almost[1, 0] = 1.5
-        assert enc.division_cost(almost) > 0.0
+        assert enc.Division().cost(almost) > 0.0
 
     def test_euler_ratio(self):
-        assert enc.division_cost(M([math.e])) == pytest.approx(0.5, abs=1e-12)
+        assert enc.Division().cost(M([math.e])) == pytest.approx(0.5, abs=1e-12)
 
     def test_ratio_two(self):
         # (1/2) ln(2)^2
-        assert enc.division_cost(M([2.0])) == pytest.approx(0.24022650695910071, abs=1e-15)
+        assert enc.Division().cost(M([2.0])) == pytest.approx(0.24022650695910071, abs=1e-15)
 
     def test_mean_over_batch_sum_over_units(self):
         block = np.full((2, 3), 2.0)  # 2 units, 3 samples
-        assert enc.division_cost(block) == pytest.approx(2 * 0.24022650695910071, abs=1e-12)
+        assert enc.Division().cost(block) == pytest.approx(2 * 0.24022650695910071, abs=1e-12)
 
     def test_non_positive_entries_rejected(self):
         with pytest.raises(enc.EncodingDomainError):
-            enc.division_cost(M([0.0]))
+            enc.Division().cost(M([0.0]))
         with pytest.raises(enc.EncodingDomainError):
-            enc.division_cost(M([-1.0]))
+            enc.Division().cost(M([-1.0]))
 
 
-class TestEnergy:
+class TestSubtractiveCost:
     def test_zero(self):
-        assert enc.energy(np.zeros((3, 2))) == 0.0
+        assert enc.Subtractive().cost(np.zeros((3, 2))) == 0.0
 
     def test_single_entry(self):
-        assert enc.energy(M([2.0])) == 2.0
+        assert enc.Subtractive().cost(M([2.0])) == 2.0
 
     def test_two_units(self):
-        assert enc.energy(np.array([[0.5], [-0.5]])) == pytest.approx(0.25, abs=1e-15)
+        assert enc.Subtractive().cost(np.array([[0.5], [-0.5]])) == pytest.approx(0.25, abs=1e-15)
 
     def test_mean_over_batch(self):
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert enc.energy(e) == pytest.approx(0.5, abs=1e-15)
+        assert enc.Subtractive().cost(e) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestThresholdEquivalence:
@@ -201,5 +207,5 @@ class TestThresholdEquivalence:
         hnp.arrays(np.float64, (4, 2), elements=st.floats(-2.0, 2.0)),
     )
     def test_decoded_errors_match(self, e, fprime):
-        decoded = enc.threshold_decode(enc.threshold_encode(e, -1.0, 2.1), -1.0, 2.1)
+        decoded, _ = _threshold(e)
         np.testing.assert_allclose(decoded * fprime, e * fprime, atol=1e-12)

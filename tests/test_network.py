@@ -509,7 +509,22 @@ class TestRegistries:
         net = init_network([5, 4, 3], encoding=enc.SubtractiveThreshold(e_min=0.0), seed=1)
         x, y = _random_batch(net, 3, 2)
         state = net.clamp_output(net.init_forward(x), y)
-        with pytest.raises(enc.EncodingDomainError, match="^level 2: threshold_encode"):
+        with pytest.raises(enc.EncodingDomainError,
+                           match=r"^level 2: threshold encoding: entry .* below the "
+                                 r"representable minimum e_min=0\.0$"):
+            net.compute_errors(state)
+
+    @pytest.mark.parametrize("level, what, array", [(1, "activity", "a"),
+                                                    (2, "prediction", "phat")])
+    def test_division_domain_error_names_the_level(self, level, what, array):
+        net = init_network([5, 4, 3], encoding=enc.Division(), positive_activities=True,
+                           bias=0.1, seed=1)
+        x, y = _random_batch(net, 3, 2)
+        state = net.clamp_output(net.init_forward(x), y)
+        getattr(state, array)[level][0, 1] = -0.25
+        with pytest.raises(enc.EncodingDomainError,
+                           match=rf"^level {level}: division encoding: negative {what} entry "
+                                 r"-0\.25; rates must be >= 0$"):
             net.compute_errors(state)
 
 

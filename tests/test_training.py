@@ -123,15 +123,11 @@ def _two_sweep_evaluate(model, split, chunk=4096):
         x = split.images[:, start:start + chunk]
         wrong += int(np.sum(np.argmax(model.predict(x), axis=0)
                             != split.labels[start:start + chunk]))
-    division = isinstance(getattr(model, "encoding", None), enc.Division)
     total = 0.0
     for start in range(0, split.n_samples, chunk):
         out = model.predict(split.images[:, start:start + chunk])
         y = one_hot(split.labels[start:start + chunk])
-        if division:
-            total += enc.division_cost(enc.division_error(y, out, model.encoding.epsilon)) * y.shape[1]
-        else:
-            total += enc.energy(y - out) * y.shape[1]
+        total += model.encoding.output_cost(y, out) * y.shape[1]
     return wrong / split.n_samples, total / split.n_samples
 
 
