@@ -32,7 +32,9 @@ no feedback block, and zeros in the parameter slots after the bias (which
 its schemes do not read). Other tags, positivity or a feedback block are a
 `CheckpointError`, naming the path, as is any input the loader cannot turn
 into a model, and an optimizer block that does not hold one state per
-weight matrix with `m` and `v` shaped as that matrix.
+weight matrix with `m` and `v` shaped as that matrix. The writer refuses
+such optimizer states by the same rule, before it opens the file, so it
+writes no file its loader refuses on that account.
 """
 
 from __future__ import annotations
@@ -115,8 +117,26 @@ def _parameters(encoding, feedback) -> dict:
     return {**dataclasses.asdict(encoding), **dataclasses.asdict(feedback)}
 
 
+def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
+    """One state per weight matrix, with `m` and `v` shaped as that matrix."""
+    if optimizers is None:
+        return
+    if len(optimizers) != len(weights):
+        raise CheckpointError(f"{path}: optimizer block holds {len(optimizers)} states "
+                              f"for {len(weights)} weight matrices")
+    for i, (state, w) in enumerate(zip(optimizers, weights)):
+        for name in ("m", "v"):
+            shape = getattr(state, name).shape
+            if shape != w.shape:
+                raise CheckpointError(f"{path}: opt[{i}] {name} is {'x'.join(map(str, shape))}, "
+                                      f"W[{i}] is {w.shape[0]}x{w.shape[1]}")
+
+
 def save_checkpoint(path, model: LayeredModel,
                     optimizer_states: Optional[list] = None) -> None:
+    """Writes `model` and, when given, one optimizer state per weight
+    matrix; a mismatched state is refused before the file is opened."""
+    _check_optimizers(path, optimizer_states, model.weights)
     params = _parameters(model.encoding, model.feedback)
     fb = model.feedback_weights
     n = len(model.dims)
@@ -195,16 +215,7 @@ def load_checkpoint(path):
                             feedback=feedback, positive_activities=bool(positive))
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
-    if optimizers is not None:
-        if len(optimizers) != len(weights):
-            raise CheckpointError(f"{path}: optimizer block holds {len(optimizers)} states "
-                                  f"for {len(weights)} weight matrices")
-        for i, (state, w) in enumerate(zip(optimizers, weights)):
-            for name in ("m", "v"):
-                shape = getattr(state, name).shape
-                if shape != w.shape:
-                    raise CheckpointError(f"{path}: opt[{i}] {name} is {shape[0]}x{shape[1]}, "
-                                          f"W[{i}] is {w.shape[0]}x{w.shape[1]}")
+    _check_optimizers(path, optimizers, weights)
     used = _parameters(encoding, feedback)
     for slot, value in params.items():
         # +0.0 is what the writer puts in a slot nothing reads; anything

@@ -1,8 +1,10 @@
 """Run configuration: defaults, `key = value` config files, flag merging.
 
 `TrainConfig` is the one place a run setting and its default are written
-(a scheme parameter defaults to its class field), the class registries
-give the choices, and a field's declared type picks its value parser.
+(scheme parameters and the learning rate default to their class fields),
+the class registries give the choices, and a field's declared type picks
+its value parser. A rule a class owns is checked by that class: the config
+builds the schemes and a `BatchPlan` and calls `check_structure`.
 
 Precedence is command-line flag > config file entry > built-in default.
 Unset inference rate, activity-update count and threshold floor resolve from
@@ -22,8 +24,10 @@ from typing import Optional
 
 from . import encodings as enc
 from .baseline import MODELS
+from .dataio import BatchPlan
 from .linalg import ActivationKind
 from .network import FEEDBACK_SCHEMES, KolenPollack, PCNetwork, Transpose
+from .optim import AdamState
 
 NETWORK_DIMS = [784, 300, 300, 10]
 
@@ -57,7 +61,7 @@ class TrainConfig:
     bias: float = 0.0
     epochs: int = 25
     batch_size: int = 64
-    lr: float = 0.001
+    lr: float = AdamState.lr
     beta: Optional[float] = None
     n_updates: Optional[int] = None
     gamma: float = KolenPollack.gamma
@@ -86,20 +90,18 @@ class TrainConfig:
 
     def _validate(self) -> None:
         # Each bound is written so that NaN fails it, and infinity too.
+        # Kept though the model checks it: the e_min default is derived from it.
         if not (self.bias >= 0 and math.isfinite(self.bias)):
             raise ConfigError(f"bias must be >= 0 and finite, got {self.bias}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch-size must be >= 1, got {self.batch_size}")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
+        # Kept though `activity_step` checks it: it must fail before data loads.
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if self.n_updates < 0:
             raise ConfigError(f"n-updates must be >= 0, got {self.n_updates}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # Each encoding and feedback scheme checks its own parameters; build
         # every one, selected or not, so that any bad value is reported.
         for registry in (enc.ENCODINGS, FEEDBACK_SCHEMES):
@@ -109,16 +111,12 @@ class TrainConfig:
                 except ValueError as err:
                     raise ConfigError(f"{cls.name}: {err}") from None
         try:
+            BatchPlan(self.batch_size, self.seed)
             self.model_class().check_structure(
                 encoding=self.encoding_value(), feedback=self.feedback_value(),
                 positive_activities=self.positive_activities)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if self.encoding_value().needs_positive and not self.positive_activities:
-            raise ConfigError(
-                f"encoding={self.encoding} requires positive-activities=true: its "
-                "error is only defined on non-negative rates"
-            )
 
     # -- pieces consumed by the model builders -------------------------------
 

@@ -28,6 +28,9 @@ import numpy as np
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+# Label classes of both datasets (digits and clothing types 0..9): the
+# width of a one-hot target, and so of a model's output level.
+N_CLASSES = 10
 
 _SPLIT_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -44,7 +47,7 @@ class DatasetSplit:
     # features x N, Fortran-ordered from both loaders: uint8 pixels from
     # `load_split`, float64 in [0, 1] from `synthetic_split`; read through `columns`
     images: np.ndarray
-    labels: np.ndarray  # int64 in 0..9, length N
+    labels: np.ndarray  # int64 in 0..N_CLASSES-1, length N
     name: str
 
     def __post_init__(self):
@@ -134,9 +137,10 @@ def load_idx_labels(path) -> np.ndarray:
     if len(buf) != 8 + n:
         raise IdxError(f"{path}: {len(buf)} bytes, expected {8 + n} for {n} labels (payload at offset 8)")
     labels = np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
-    if labels.size and labels.max() > 9:
-        bad = int(np.argmax(labels > 9))
-        raise IdxError(f"{path}: label {labels[bad]} out of range 0..9 at offset {8 + bad}")
+    if labels.size and labels.max() >= N_CLASSES:
+        bad = int(np.argmax(labels >= N_CLASSES))
+        raise IdxError(f"{path}: label {labels[bad]} out of range 0..{N_CLASSES - 1} "
+                       f"at offset {8 + bad}")
     return labels
 
 
@@ -193,7 +197,7 @@ def load_split(data_dir, dataset: str, split: str) -> DatasetSplit:
     return DatasetSplit(images=images, labels=labels, name=split)
 
 
-def one_hot(labels, classes: int = 10) -> np.ndarray:
+def one_hot(labels, classes: int = N_CLASSES) -> np.ndarray:
     """classes x N matrix with a single 1.0 per column."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
@@ -235,8 +239,7 @@ SYNTHETIC_ROWS = 16
 
 
 def synthetic_split(n_samples: int, seed: int, name: str = "train", *,
-                    n_classes: int = 10, n_features: int = 784,
-                    task_seed: int = 0) -> DatasetSplit:
+                    n_features: int = 784, task_seed: int = 0) -> DatasetSplit:
     """MNIST-shaped synthetic classification data for dataset-free tests.
 
     Each class is a fixed random prototype in [0, 1]^features determined by
@@ -246,9 +249,9 @@ def synthetic_split(n_samples: int, seed: int, name: str = "train", *,
     high dimension are nearly orthogonal, so the task is easily learnable.
     """
     proto_rng = np.random.default_rng([task_seed, 0xDA7A])
-    protos = proto_rng.uniform(0.0, 1.0, size=(n_features, n_classes))
+    protos = proto_rng.uniform(0.0, 1.0, size=(n_features, N_CLASSES))
     rng = np.random.default_rng([seed, 0x5A11])
-    labels = rng.integers(0, n_classes, size=n_samples)
+    labels = rng.integers(0, N_CLASSES, size=n_samples)
     # clip(0.75 proto + 0.25 noise) a few feature rows at a time, with no
     # full-size temporaries: the generator fills arrays in C order, so
     # drawing the noise in row chunks gives the values of one whole draw.

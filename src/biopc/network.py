@@ -20,7 +20,10 @@ as in the run config and the checkpoint. `FEEDBACK_SCHEMES` lists the
 classes. The encoding (see `encodings`) owns every per-encoding term, so
 `PCNetwork` holds no branch on either. `LayeredModel` is what the network
 and the backprop `MLP` share: one constructor, which takes and checks the
-whole structure, and the forward sweep. Each model class owns its config
+whole structure, and the forward sweep. Its `check_structure`, which
+`TrainConfig` calls too, holds the structure rules: a model class's fixed
+fields, and that an encoding which `needs_positive` rates (division) takes
+`positive_activities`. Each model class owns its config
 `name`, its checkpoint `tag`, the `fixed_structure` the constructor holds
 it to (none for `PCNetwork`, backprop's for `MLP`, see `baseline`) and
 `descent`, which gives a batch's objective and weight directions.
@@ -196,8 +199,6 @@ class LayeredModel:
                     raise ShapeMismatchError(f"B[{l}] has shape {b.shape}, expected {want}")
         if not (bias >= 0 and math.isfinite(bias)):
             raise ValueError(f"bias must be >= 0 and finite, got {bias}")
-        if encoding.needs_positive and not positive_activities:
-            raise ValueError(f"{encoding.name} encoding requires positive_activities=True")
         self.bias = float(bias)
         self.hidden_activation = hidden_activation
         self.encoding = encoding
@@ -206,10 +207,16 @@ class LayeredModel:
 
     @classmethod
     def check_structure(cls, **structure) -> None:
-        """Raises ValueError naming the first fixed field `structure` changes."""
+        """Raises ValueError naming the first fixed field `structure` changes,
+        or else an encoding that needs positive rates without them."""
         for field, want in cls.fixed_structure.items():
             if structure[field] != want:
                 raise ValueError(f"{cls.name} models take {field}={want!r}, got {structure[field]!r}")
+        encoding = structure["encoding"]
+        if encoding.needs_positive and not structure["positive_activities"]:
+            raise ValueError(f"{encoding.name} encoding requires positive_activities=True "
+                             "(--positive-activities true): its error is only defined on "
+                             "non-negative rates")
 
     @property
     def n_levels(self) -> int:

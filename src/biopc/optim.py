@@ -5,6 +5,10 @@ parameter) and returns the increment to add; there is no internal sign flip.
 Each weight matrix owns its own state. The increment is a buffer that the
 state owns and overwrites on its next step: add it to the weights (or copy
 it) before stepping the same state again.
+
+Adam's defaults are written once, as the `AdamState` field defaults:
+`for_shape` passes on only what its caller sets, and `TrainConfig.lr`
+defaults to `AdamState.lr`.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ class AdamState:
     _increment: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_shape(cls, shape, lr: float = 1e-3, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_shape(cls, shape, **settings) -> "AdamState":
+        """A fresh state for a matrix of `shape`; `settings` (lr, beta1,
+        beta2, eps) override the field defaults."""
+        return cls(m=np.zeros(shape), v=np.zeros(shape), **settings)
 
     def _buffers(self):
         rows, cols = self.m.shape

@@ -95,12 +95,14 @@ def predict_split(model, split: dataio.DatasetSplit) -> np.ndarray:
 
 
 def _split_outputs(model, split: dataio.DatasetSplit, outputs) -> np.ndarray:
-    if outputs is None:
-        return predict_split(model, split)
-    outputs = as_matrix(outputs)
+    outputs = predict_split(model, split) if outputs is None else as_matrix(outputs)
     if outputs.shape[1] != split.n_samples:
         raise ShapeMismatchError(
             f"outputs have {outputs.shape[1]} columns, the split has {split.n_samples} samples"
+        )
+    if outputs.shape[0] != dataio.N_CLASSES:
+        raise ShapeMismatchError(
+            f"outputs have {outputs.shape[0]} rows, the labels have {dataio.N_CLASSES} classes"
         )
     return outputs
 

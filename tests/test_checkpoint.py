@@ -1,5 +1,6 @@
 """Checkpoint container: bit-exact round trips across model variants."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -8,9 +9,11 @@ import pytest
 
 from biopc import encodings as enc
 from biopc.baseline import MLP, init_mlp
-from biopc.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from biopc.checkpoint import (_PARAM_SLOTS, MAGIC, CheckpointError, load_checkpoint,
+                              save_checkpoint)
 from biopc.linalg import ActivationKind
-from biopc.network import KolenPollack, PCNetwork, RandomFixed, Transpose, init_network
+from biopc.network import (FEEDBACK_SCHEMES, KolenPollack, PCNetwork, RandomFixed, Transpose,
+                           init_network)
 from biopc.optim import AdamState, adam_step
 
 VARIANTS = [
@@ -19,6 +22,14 @@ VARIANTS = [
     dict(encoding=enc.Division(epsilon=5e-4), feedback=KolenPollack(gamma=0.02),
          positive_activities=True),
 ]
+
+
+def test_parameter_slots_are_the_scheme_fields():
+    # the slots are part of the file format, so they are written out; a new
+    # scheme parameter missing from them would not be saved
+    fields = (f.name for cls in (*enc.ENCODINGS, *FEEDBACK_SCHEMES)
+              for f in dataclasses.fields(cls))
+    assert _PARAM_SLOTS == tuple(dict.fromkeys(fields))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -129,12 +140,34 @@ def test_optimizer_state_shaped_unlike_its_weight_is_rejected(tmp_path):
 
 
 def test_optimizer_state_count_must_match_weights(tmp_path):
+    # the writer refuses one state for two weights, so the file is a valid
+    # one with its optimizer count rewritten to 1 and opt[1] cut off
     net = init_network([3, 2, 4], seed=5)
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, net, [AdamState.for_shape(net.weights[0].shape)])
+    save_checkpoint(path, net, [AdamState.for_shape(w.shape) for w in net.weights])
+    blob = bytearray(path.read_bytes())
+    opt_1 = struct.calcsize("<Q4d") + 2 * (8 + 8 * 4 * 2)  # step record, m and v of W[1]
+    at = len(blob) - opt_1 - (struct.calcsize("<Q4d") + 2 * (8 + 8 * 2 * 3)) - 4
+    assert struct.unpack_from("<I", blob, at) == (2,)
+    struct.pack_into("<I", blob, at, 1)
+    path.write_bytes(blob[:-opt_1])
     with pytest.raises(CheckpointError,
                        match=r"net\.pcck: optimizer block holds 1 states for 2 weight matrices$"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("states,message", [
+    (lambda ws: [AdamState.for_shape(ws[0].shape)],
+     r"optimizer block holds 1 states for 2 weight matrices$"),
+    (lambda ws: [AdamState.for_shape(ws[0].shape), AdamState.for_shape((2, 4))],
+     r"opt\[1\] m is 2x4, W\[1\] is 4x2$"),
+], ids=["count", "shape"])
+def test_writer_refuses_optimizer_states_its_loader_refuses(tmp_path, states, message):
+    net = init_network([3, 2, 4], seed=5)
+    path = tmp_path / "net.pcck"
+    with pytest.raises(CheckpointError, match=r"net\.pcck: " + message):
+        save_checkpoint(path, net, states(net.weights))
+    assert not path.exists()
 
 
 def test_magic_and_truncation_errors(tmp_path):

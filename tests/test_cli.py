@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from biopc import dataio
 from biopc import encodings as enc
 from biopc.baseline import MLP
+from biopc.checkpoint import save_checkpoint
 from biopc.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -26,6 +27,7 @@ from biopc.cli import (
     main,
 )
 from biopc.config import _CHOICES, TrainConfig, merge_config, parse_config_file
+from biopc.network import init_network
 from biopc.training import METRICS_HEADER
 
 
@@ -304,6 +306,17 @@ class TestEvalCommand:
                      "--data-dir", str(tmp_path / "empty")])
         assert code == EXIT_DATA
         assert "no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", [5, 12])
+    def test_output_level_unlike_the_classes_is_data_error(self, fake_data_dir, tmp_path,
+                                                           width, capsys):
+        path = tmp_path / "narrow.pcck"
+        save_checkpoint(path, init_network([784, width], seed=0))
+        code = main(["eval", "--checkpoint", str(path), "--data-dir", str(fake_data_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"data error: outputs have {width} rows, the labels "
+                                    f"have {dataio.N_CLASSES} classes"]
 
     def test_untrained_network_near_chance(self, fake_data_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,8 +1,14 @@
 """Config defaults, file parsing, flag precedence and validation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from biopc import encodings as enc
+from biopc.baseline import MODELS
 from biopc.config import ConfigError, TrainConfig, merge_config, parse_config_file
+from biopc.linalg import ActivationKind
+from biopc.network import FEEDBACK_SCHEMES, init_network
 
 
 class TestFinalize:
@@ -51,6 +57,29 @@ class TestFinalize:
             TrainConfig(encoding="division").finalize()
         cfg = TrainConfig(encoding="division", positive_activities=True).finalize()
         assert cfg.positive_activities
+
+    @given(model=st.sampled_from(MODELS), encoding=st.sampled_from(enc.ENCODINGS),
+           feedback=st.sampled_from(FEEDBACK_SCHEMES), act=st.sampled_from(ActivationKind),
+           positive=st.booleans(),
+           bias=st.sampled_from([-0.5, float("nan"), float("inf")]) | st.floats())
+    def test_config_refuses_exactly_what_the_model_refuses(self, model, encoding, feedback,
+                                                           act, positive, bias):
+        # the config holds no structure rule of its own: it fails where the
+        # model it describes cannot be built, and only there
+        cfg = TrainConfig(model=model.name, encoding=encoding.name, feedback=feedback.name,
+                          hidden_activation=act.value, positive_activities=positive, bias=bias)
+        try:
+            cfg.finalize()
+            config_ok = True
+        except ConfigError:
+            config_ok = False
+        try:
+            init_network([4, 3], encoding=encoding(), feedback=feedback(), hidden_activation=act,
+                         bias=bias, positive_activities=positive, model_class=model)
+            model_ok = True
+        except ValueError:
+            model_ok = False
+        assert config_ok == model_ok
 
     @pytest.mark.parametrize("field,value", [
         ("dataset", "cifar"),
