@@ -17,6 +17,10 @@ synthetic MNIST-shaped samples:
 * the class name of the model that `load_checkpoint` makes from the
   `.pcck` file, and `evaluate` of that reloaded model on the 9001-sample
   split: this covers the checkpoint loader,
+* the SHA-256 of the `predict` output bytes on the first 1, 511, 512,
+  513, 1023, 1024, 1535 and 4500 samples of that split, each as a C- and
+  a Fortran-ordered matrix: these widths sit on both sides of the edges
+  of `predict`'s column blocks,
 * the reprs of the finalized `TrainConfig` fields (`dataclasses.asdict`),
   with the temporary work directory in its paths written as `WORK`: this
   covers how `experiments.make_config` and `finalize` build a run;
@@ -69,6 +73,8 @@ SEED = 1
 SHORT_BATCH = 48
 # The row that `train(cfg)` trains from IDX files.
 IDX_ROW = "pc_idx"
+# Batch widths at and around the edges of predict's 512-column blocks.
+PREDICT_WIDTHS = (1, 511, 512, 513, 1023, 1024, 1535, 4500)
 
 
 def _rows(experiments) -> dict:
@@ -125,6 +131,14 @@ def _config_record(cfg, work_dir: Path) -> dict:
             for field, value in dataclasses.asdict(cfg.finalize()).items()}
 
 
+def _predict_digests(model, images: np.ndarray) -> dict:
+    """SHA-256 of `predict`'s output bytes on the first columns of
+    `images`, per width and memory order."""
+    return {f"{width}{order}": _sha256(model.predict(np.asarray(images[:, :width],
+                                                                order=order)).tobytes())
+            for width in PREDICT_WIDTHS for order in "CF"}
+
+
 def digests(work_dir: Path) -> dict:
     from biopc import dataio, experiments
     from biopc import encodings as enc
@@ -157,6 +171,7 @@ def digests(work_dir: Path) -> dict:
             "evaluate": [repr(v) for v in evaluate(result.model, eval_split)],
             "reloaded_class": type(reloaded).__name__,
             "reloaded_evaluate": [repr(v) for v in evaluate(reloaded, eval_split)],
+            "predict_sha256": _predict_digests(result.model, eval_split.images),
             "evaluate_idx": {
                 key: [repr(v) for v in evaluate(result.model,
                                                 dataio.load_split(d, "mnist", "test"))]

@@ -34,13 +34,23 @@ its schemes do not read). Other tags, positivity or a feedback block are a
 into a model, and an optimizer block that does not hold one state per
 weight matrix with `m` and `v` shaped as that matrix. The writer refuses
 such optimizer states by the same rule, before it opens the file, so it
-writes no file its loader refuses on that account.
+writes no file its loader refuses on that account. Each loaded optimizer
+state is an `AdamState`, which holds Adam's bounds: a state outside them is
+a `CheckpointError` naming it.
+
+A checkpoint is written whole or not at all. Every record is packed first
+(matrices as views of their data, not copies), and a value a record cannot
+hold is a `CheckpointError` naming the path and the record. The file is
+then written under a temporary name in the target's directory and renamed
+over the target; on any failure the temporary is removed and the old file
+stays as it was.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Optional
@@ -79,12 +89,27 @@ def _dims(n_levels: int) -> struct.Struct:
     return struct.Struct(f"<{n_levels}I")
 
 
-def _write_matrix(f, m: np.ndarray) -> None:
-    m = np.ascontiguousarray(m, dtype="<f8")
-    if m.ndim != 2:
-        raise CheckpointError(f"can only store 2-D matrices, got ndim={m.ndim}")
-    f.write(_SHAPE.pack(*m.shape))
-    f.write(m)
+class _Writer:
+    """The records of a file in order, packed before anything is written:
+    bytes, and each matrix as a view of its float64 data."""
+
+    def __init__(self, path):
+        self.chunks = []
+        self.path = path
+
+    def write(self, record: struct.Struct, what: str, *values) -> None:
+        try:
+            self.chunks.append(record.pack(*values))
+        except struct.error as err:
+            raise CheckpointError(f"{self.path}: cannot write {what}: {err}") from None
+
+    def matrix(self, what: str, m: np.ndarray) -> None:
+        m = np.ascontiguousarray(m, dtype="<f8")
+        if m.ndim != 2:
+            raise CheckpointError(f"{self.path}: can only store 2-D matrices, "
+                                  f"{what} has ndim={m.ndim}")
+        self.write(_SHAPE, f"{what} shape", *m.shape)
+        self.chunks.append(m)
 
 
 class _Reader:
@@ -135,37 +160,50 @@ def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
 def save_checkpoint(path, model: LayeredModel,
                     optimizer_states: Optional[list] = None) -> None:
     """Writes `model` and, when given, one optimizer state per weight
-    matrix; a mismatched state is refused before the file is opened."""
+    matrix; a mismatched state is refused before the file is opened, and
+    the target keeps its old bytes unless the whole new file is written."""
     _check_optimizers(path, optimizer_states, model.weights)
     params = _parameters(model.encoding, model.feedback)
     fb = model.feedback_weights
     n = len(model.dims)
 
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, model.tag, n))
-        f.write(_dims(n).pack(*model.dims))
-        f.write(_TAGS.pack(_ACT_TAGS[model.hidden_activation],
-                           _ACT_TAGS[model.activation_at(model.n_levels)], model.encoding.tag,
-                           model.feedback.tag, 1 if model.positive_activities else 0))
-        f.write(_PARAMS.pack(model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS)))
+    w = _Writer(path)
+    w.write(_HEADER, "header", MAGIC, VERSION, model.tag, n)
+    w.write(_dims(n), "dims", *model.dims)
+    w.write(_TAGS, "tags", _ACT_TAGS[model.hidden_activation],
+            _ACT_TAGS[model.activation_at(model.n_levels)], model.encoding.tag,
+            model.feedback.tag, 1 if model.positive_activities else 0)
+    w.write(_PARAMS, "parameters", model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS))
 
-        f.write(_COUNT.pack(len(model.weights)))
-        for w in model.weights:
-            _write_matrix(f, w)
+    w.write(_COUNT, "weight count", len(model.weights))
+    for l, m in enumerate(model.weights):
+        w.matrix(f"W[{l}]", m)
 
-        f.write(_FLAG.pack(0 if fb is None else 1))
-        if fb is not None:
-            f.write(_COUNT.pack(len(fb)))
-            for b in fb:
-                _write_matrix(f, b)
+    w.write(_FLAG, "feedback presence", 0 if fb is None else 1)
+    if fb is not None:
+        w.write(_COUNT, "feedback count", len(fb))
+        for l, b in enumerate(fb):
+            w.matrix(f"B[{l}]", b)
 
-        f.write(_FLAG.pack(0 if optimizer_states is None else 1))
-        if optimizer_states is not None:
-            f.write(_COUNT.pack(len(optimizer_states)))
-            for s in optimizer_states:
-                f.write(_ADAM.pack(s.step_count, s.lr, s.beta1, s.beta2, s.eps))
-                _write_matrix(f, s.m)
-                _write_matrix(f, s.v)
+    w.write(_FLAG, "optimizer presence", 0 if optimizer_states is None else 1)
+    if optimizer_states is not None:
+        w.write(_COUNT, "optimizer count", len(optimizer_states))
+        for i, s in enumerate(optimizer_states):
+            w.write(_ADAM, f"opt[{i}] header", s.step_count, s.lr, s.beta1, s.beta2, s.eps)
+            w.matrix(f"opt[{i}] m", s.m)
+            w.matrix(f"opt[{i}] v", s.v)
+
+    # `open`, not `mkstemp` (0600), so the file gets a new file's usual permissions.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            for chunk in w.chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
@@ -200,8 +238,11 @@ def load_checkpoint(path):
         for i in range(n_opt):
             step, lr, beta1, beta2, eps = r.read(_ADAM, f"opt[{i}] header")
             m, v = r.matrix(f"opt[{i}] m"), r.matrix(f"opt[{i}] v")
-            optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr,
-                                        beta1=beta1, beta2=beta2, eps=eps))
+            try:
+                optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr,
+                                            beta1=beta1, beta2=beta2, eps=eps))
+            except ValueError as err:
+                raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 
     if r.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - r.pos} trailing bytes at offset {r.pos}")

@@ -4,7 +4,8 @@
 (scheme parameters and the learning rate default to their class fields),
 the class registries give the choices, and a field's declared type picks
 its value parser. A rule a class owns is checked by that class: the config
-builds the schemes and a `BatchPlan` and calls `check_structure`.
+builds the schemes, a `BatchPlan` and an `AdamState` and calls
+`check_structure`.
 
 Precedence is command-line flag > config file entry > built-in default.
 Unset inference rate, activity-update count and threshold floor resolve from
@@ -95,8 +96,6 @@ class TrainConfig:
             raise ConfigError(f"bias must be >= 0 and finite, got {self.bias}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
         # Kept though `activity_step` checks it: it must fail before data loads.
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
@@ -112,6 +111,7 @@ class TrainConfig:
                     raise ConfigError(f"{cls.name}: {err}") from None
         try:
             BatchPlan(self.batch_size, self.seed)
+            AdamState.for_shape((0, 0), lr=self.lr)
             self.model_class().check_structure(
                 encoding=self.encoding_value(), feedback=self.feedback_value(),
                 positive_activities=self.positive_activities)

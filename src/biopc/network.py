@@ -37,9 +37,9 @@ next `activity_step` overwrites, and `weight_update_direction` returns
 arrays that its next call on the same state overwrites. Copy what has to
 outlive that.
 
-`predict` makes its level arrays once per call, sized for one column
-block, and runs every block of the batch through them; only the output
-array it returns is batch-sized.
+`predict` makes one activation, scratch and mask array per level once
+per call, sized for one column block, and runs every block of the batch
+through them; only the output array it returns is batch-sized.
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ class LevelWork:
 PREDICT_BLOCK = 512
 
 
-def _leading(flat: np.ndarray, shape) -> np.ndarray:
-    """The leading entries of a flat array, viewed as a C-ordered matrix."""
-    return flat[:shape[0] * shape[1]].reshape(shape)
-
-
 def _xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
@@ -254,14 +249,14 @@ class LayeredModel:
         and its effective prediction, the activation plus the level's shift.
 
         Given arrays are written in place (`scratch` and `mask` serve the
-        sigmoid, see `activate`); missing ones are made. A `phat` that is
-        the `fp` array takes no shift: the callers pass that only where
-        `_phat_is_fp` holds."""
+        sigmoid, see `activate`, and `phat` may be `scratch`); missing ones
+        are made. Where `_phat_is_fp` holds, the prediction is the `fp`
+        array itself and `phat` is not written."""
         fp = activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
                       out=fp, scratch=scratch, mask=mask)
-        if phat is not fp:
-            phat = np.add(fp, self.bias_at(l), out=phat)
-        return fp, phat
+        if self._phat_is_fp(l):
+            return fp, fp
+        return fp, np.add(fp, self.bias_at(l), out=phat)
 
     def _sweep(self, x: np.ndarray):
         """Forward pass: per level the activation, the effective prediction
@@ -269,8 +264,7 @@ class LayeredModel:
         activity (index 0 of the first two is None)."""
         a, fp, phat = [x], [None], [None]
         for l in range(1, self.n_levels + 1):
-            fl = np.empty((self.dims[l], x.shape[1]))
-            fl, ph = self._level(l, a[l - 1], fl, fl if self._phat_is_fp(l) else None)
+            fl, ph = self._level(l, a[l - 1], np.empty((self.dims[l], x.shape[1])))
             fp.append(fl)
             phat.append(ph)
             a.append(np.maximum(ph, 0.0) if self.positive_activities else ph.copy())
@@ -307,30 +301,24 @@ class LayeredModel:
         bits as one product over the whole batch (the tests compare the
         two).
 
-        The arrays are made once per call, flat and sized for the widest
-        block (the last); every block runs `_level` into their leading
-        entries, viewed as C-ordered matrices of its width (a
-        Fortran-ordered hidden operand would move bits). Levels write their
-        activations into two arrays in turn, so no product writes the array
-        it reads. The sigmoid's scratch and mask are free once it returns,
-        so all levels share one pair, and a shifted level writes its
-        effective prediction into that scratch: the next level's product
-        reads it before that level's sigmoid overwrites it."""
+        Each level has an activation, a scratch and a mask array, made once
+        per call, C-ordered (a Fortran-ordered hidden operand would move
+        bits) and as wide as the widest block (the last); every block runs
+        `_level` into their leading columns, and a shifted level writes its
+        effective prediction into its own scratch."""
         x = self._check_input(x)
         n = x.shape[1]
         k = max(1, n // PREDICT_BLOCK)
-        size = max(self.dims[1:]) * (n - (k - 1) * PREDICT_BLOCK)
-        fps = (np.empty(size), np.empty(size))
-        scratch, mask = np.empty(size), np.empty(size, dtype=bool)
+        width = n - (k - 1) * PREDICT_BLOCK
+        levels = [(np.empty((d, width)), np.empty((d, width)), np.empty((d, width), dtype=bool))
+                  for d in self.dims[1:]]
         out = np.empty((self.dims[-1], n))
         for i in range(k):
             lo, hi = i * PREDICT_BLOCK, n if i == k - 1 else (i + 1) * PREDICT_BLOCK
             a = x[:, lo:hi]
-            for l in range(1, self.n_levels + 1):
-                shape = (self.dims[l], hi - lo)
-                fp, s = _leading(fps[l % 2], shape), _leading(scratch, shape)
-                _, a = self._level(l, a, fp, fp if self._phat_is_fp(l) else s, s,
-                                   _leading(mask, shape))
+            for l, arrays in enumerate(levels, start=1):
+                fp, scratch, mask = (m[:, :hi - lo] for m in arrays)
+                _, a = self._level(l, a, fp, scratch, scratch, mask)
                 if self.positive_activities:
                     np.maximum(a, 0.0, out=a)
             out[:, lo:hi] = a

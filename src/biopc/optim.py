@@ -8,11 +8,16 @@ it) before stepping the same state again.
 
 Adam's defaults are written once, as the `AdamState` field defaults:
 `for_shape` passes on only what its caller sets, and `TrainConfig.lr`
-defaults to `AdamState.lr`.
+defaults to `AdamState.lr`. Its bounds are written once too: an
+`AdamState` refuses, with a ValueError, an `lr` or `eps` that is not
+positive and finite, a `beta1` or `beta2` outside [0, 1) and a negative
+`step_count`. `TrainConfig` and the checkpoint loader build one to check
+them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,6 +47,19 @@ class AdamState:
     # increment that `adam_step` returns. Read-only m and v are copied then.
     _scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _increment: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Each bound is written so that NaN fails it.
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not self.step_count >= 0:
+            raise ValueError(f"step_count must be >= 0, got {self.step_count}")
 
     @classmethod
     def for_shape(cls, shape, **settings) -> "AdamState":

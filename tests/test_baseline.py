@@ -3,6 +3,8 @@ finite-difference verification of the exact gradients."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import activate_deriv
 
@@ -10,6 +12,8 @@ from biopc import encodings as enc
 from biopc.baseline import MLP, init_mlp
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import KolenPollack, RandomFixed, Transpose, init_network
+
+THRESHOLD = enc.SubtractiveThreshold(e_min=-5.0, e_max=10.0)
 
 
 def _data(dims, batch, seed):
@@ -180,3 +184,59 @@ class TestBackward:
         y = rng.uniform(size=(3, 6))
         for ga, gb in zip(mlp.backward(x, y, sweep=mlp._sweep(x)), mlp.backward(x, y)):
             np.testing.assert_array_equal(ga, gb)
+
+
+def _pc_backprop(net, x, y) -> list:
+    """PC weight directions under the fixed-prediction schedule: L-1 full
+    activity steps with the predictions held at their forward values make
+    every level's error backprop's delta, and the presynaptic terms are put
+    back to the forward values before the weight directions are taken."""
+    state = net.init_forward(x)
+    net.clamp_output(state, y)
+    L = net.n_levels
+    for _ in range(L - 1):
+        net.compute_errors(state)
+        dirs = net.activity_directions(state)
+        for l in range(1, L):
+            state.a[l] += dirs[l]
+    net.compute_errors(state)
+    for l in range(1, L):
+        state.a[l][...] = state.phat[l]
+    return net.weight_update_direction(state)
+
+
+def _oracle_deviations(dims, batch, seed, act, bias, encoding) -> list:
+    """Per layer, max|pc - bp| / max|bp| of the fixed-prediction PC
+    directions against `MLP.descent` on the same weights."""
+    net = init_network(dims, seed=seed, hidden_activation=act, bias=bias, encoding=encoding)
+    mlp = MLP(dims, net.weights, bias=bias, hidden_activation=act)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.uniform(0.0, 1.0, size=(dims[0], batch))
+    y = rng.uniform(0.0, 1.0, size=(dims[-1], batch))
+    pc = _pc_backprop(net, x, y)
+    _, bp = mlp.descent(x, y, 0, 0.0)
+    return [np.max(np.abs(p - b)) / np.max(np.abs(b)) for p, b in zip(pc, bp)]
+
+
+class TestExactBackpropOracle:
+    """With the predictions held at their forward values, PC's machinery
+    gives backprop's gradients at every layer (the fixed prediction
+    assumption). Division minimises another cost and is left out."""
+
+    @pytest.mark.parametrize("act", list(ActivationKind))
+    @pytest.mark.parametrize("encoding", [enc.Subtractive(), THRESHOLD],
+                             ids=["subtractive", "threshold"])
+    def test_default_network(self, act, encoding):
+        deviations = _oracle_deviations([784, 300, 300, 10], 8, 3, act, 0.0, encoding)
+        assert max(deviations) <= 1e-12, deviations
+
+    # Narrow random networks lose more digits: over 26000 draws the worst
+    # deviation was 3.7e-11, each worst draw with a 1-unit layer.
+    @given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=5),
+           batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           act=st.sampled_from(list(ActivationKind)), bias=st.sampled_from([0.0, 0.3]),
+           encoding=st.sampled_from([enc.Subtractive(), THRESHOLD]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_small_network(self, dims, batch, seed, act, bias, encoding):
+        deviations = _oracle_deviations(dims, batch, seed, act, bias, encoding)
+        assert max(deviations) <= 1e-9, deviations

@@ -1,12 +1,16 @@
 """Checkpoint container: bit-exact round trips across model variants."""
 
+import builtins
 import dataclasses
+import math
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from biopc import checkpoint
 from biopc import encodings as enc
 from biopc.baseline import MLP, init_mlp
 from biopc.checkpoint import (_PARAM_SLOTS, MAGIC, CheckpointError, load_checkpoint,
@@ -168,6 +172,84 @@ def test_writer_refuses_optimizer_states_its_loader_refuses(tmp_path, states, me
     with pytest.raises(CheckpointError, match=r"net\.pcck: " + message):
         save_checkpoint(path, net, states(net.weights))
     assert not path.exists()
+
+
+def _good_file_with_adam(tmp_path):
+    """A 3-2-4 network saved with two Adam states: (path, net, states, bytes)."""
+    net = init_network([3, 2, 4], seed=5)
+    states = [AdamState.for_shape(w.shape) for w in net.weights]
+    path = tmp_path / "net.pcck"
+    save_checkpoint(path, net, states)
+    blob = path.read_bytes()
+    assert len(blob) == 544
+    return path, net, states, blob
+
+
+def test_unpackable_record_leaves_the_old_file(tmp_path):
+    # opt[1]'s step count is refused by its u64 record after 360 bytes
+    path, net, states, blob = _good_file_with_adam(tmp_path)
+    states[1].step_count = -1
+    with pytest.raises(CheckpointError, match=r"net\.pcck: cannot write opt\[1\] header: "):
+        save_checkpoint(path, net, states)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["net.pcck"]
+
+
+class _FailsAfterFirstWrite:
+    def __init__(self, f):
+        self.f = f
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        if self.writes:
+            raise OSError(28, "No space left on device")
+        self.writes += 1
+        return self.f.write(data)
+
+
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path, net, states, blob = _good_file_with_adam(tmp_path)
+    monkeypatch.setattr(checkpoint, "open", lambda *args, **kwargs:
+                        _FailsAfterFirstWrite(builtins.open(*args, **kwargs)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, net, states)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["net.pcck"]
+
+
+def test_new_file_gets_plain_open_permissions(tmp_path):
+    old = os.umask(0o022)
+    try:
+        save_checkpoint(tmp_path / "net.pcck", init_network([3, 2], seed=0))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "net.pcck").stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("lr", math.nan, r"lr must be > 0 and finite, got nan"),
+    ("beta1", 1.0, r"beta1 must be in \[0, 1\), got 1\.0"),
+    ("eps", 0.0, r"eps must be > 0 and finite, got 0\.0"),
+], ids=["lr_nan", "beta1_one", "eps_zero"])
+def test_adam_state_out_of_bounds_is_checkpoint_error(tmp_path, field, value, message):
+    path, _, _, blob = _good_file_with_adam(tmp_path)
+    blob = bytearray(blob)
+    opt_1 = struct.calcsize("<Q4d") + 2 * (8 + 8 * 4 * 2)  # step record, m and v of W[1]
+    at = len(blob) - opt_1 - (struct.calcsize("<Q4d") + 2 * (8 + 8 * 2 * 3))
+    header = dict(zip(("step_count", "lr", "beta1", "beta2", "eps"),
+                      struct.unpack_from("<Q4d", blob, at)))
+    assert header == dict(step_count=0, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+    header[field] = value
+    struct.pack_into("<Q4d", blob, at, *header.values())
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=r"net\.pcck: opt\[0\]: " + message + "$"):
+        load_checkpoint(path)
 
 
 def test_magic_and_truncation_errors(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,20 @@ def test_adam_first_step_is_signed_learning_rate():
     inc = adam_step(state, g)
     np.testing.assert_allclose(np.abs(inc), state.lr, atol=1e-6)
     np.testing.assert_array_equal(np.sign(inc), np.sign(g))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", -0.5), ("beta2", math.nan),
+    ("eps", 0.0), ("eps", math.inf), ("step_count", -1),
+])
+def test_adam_state_refuses_values_outside_its_bounds(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        AdamState.for_shape((2, 2), **{field: value})
+
+
+def test_adam_state_takes_its_bounds_edges():
+    AdamState.for_shape((2, 2), beta1=0.0, beta2=0.0, lr=1e-300, eps=1e-300)
 
 
 def test_adam_zero_directions_stay_zero():
