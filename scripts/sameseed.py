@@ -27,8 +27,12 @@ synthetic MNIST-shaped samples:
 
 plus the `max_rel_err` reprs and the verdict of `run_gradcheck` (or the
 encoding-domain error it raised) for every encoding x feedback x
-hidden-activation combination that `biopc gradcheck` accepts. A refactor
-that moves no output bit gives the same file as its parent commit.
+hidden-activation combination that `biopc gradcheck` accepts, and the
+SHA-256 of every IDX file the script wrote with `write_idx_images` and
+`write_idx_labels` (a gzipped file's decompressed bytes, since the gzip
+header carries a time stamp): this covers the IDX writer byte for byte.
+A refactor that moves no output bit gives the same file as its parent
+commit.
 
 The `pc_idx` row is trained by `train(cfg)` alone, which loads its train
 and test splits from IDX files holding the synthetic splits' pixels,
@@ -54,6 +58,7 @@ variable of the BLAS in use) for both runs.
 
 import argparse
 import dataclasses
+import gzip
 import hashlib
 import json
 import sys
@@ -124,6 +129,15 @@ def _write_idx_train_test(dataio, data_dir: Path, train_split, test_split) -> Pa
     return data_dir
 
 
+def _idx_digests(data_dir: Path) -> dict:
+    """SHA-256 of each file under `data_dir`, keyed by relative path; for
+    a .gz file, of its decompressed bytes."""
+    return {str(path.relative_to(data_dir)):
+            _sha256(gzip.decompress(path.read_bytes()) if path.suffix == ".gz"
+                    else path.read_bytes())
+            for path in sorted(data_dir.rglob("*")) if path.is_file()}
+
+
 def _config_record(cfg, work_dir: Path) -> dict:
     """Reprs of the finalized config's fields, the work directory in its
     paths written as WORK so that two runs' records compare."""
@@ -154,7 +168,7 @@ def digests(work_dir: Path) -> dict:
                                  (eval_split, dataio.synthetic_split(IDX_SHORT, seed=4)))
     train_dir = _write_idx_train_test(dataio, work_dir / "data" / "train_test",
                                       train_split, test_split)
-    out = {"rows": {}, "gradcheck": {}}
+    out = {"rows": {}, "gradcheck": {}, "idx_sha256": _idx_digests(work_dir / "data")}
     for name, overrides in _rows(experiments).items():
         from_idx = name == IDX_ROW
         cfg = experiments.make_config("mnist", SEED, overrides, epochs=EPOCHS,

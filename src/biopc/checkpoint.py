@@ -32,11 +32,11 @@ no feedback block, and zeros in the parameter slots after the bias (which
 its schemes do not read). Other tags, positivity or a feedback block are a
 `CheckpointError`, naming the path, as is any input the loader cannot turn
 into a model, and an optimizer block that does not hold one state per
-weight matrix with `m` and `v` shaped as that matrix. The writer refuses
-such optimizer states by the same rule, before it opens the file, so it
-writes no file its loader refuses on that account. Each loaded optimizer
+weight matrix with `m` and `v` shaped as that matrix. Each loaded optimizer
 state is an `AdamState`, which holds Adam's bounds: a state outside them is
-a `CheckpointError` naming it.
+a `CheckpointError` naming it. The writer refuses optimizer states by both
+rules, before it opens the file (a state changed after it was built is
+checked again), so it writes no file its loader refuses on that account.
 
 A checkpoint is written whole or not at all. Every record is packed first
 (matrices as views of their data, not copies), and a value a record cannot
@@ -143,7 +143,7 @@ def _parameters(encoding, feedback) -> dict:
 
 
 def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
-    """One state per weight matrix, with `m` and `v` shaped as that matrix."""
+    """One state per weight matrix, `m` and `v` shaped as it, within Adam's bounds."""
     if optimizers is None:
         return
     if len(optimizers) != len(weights):
@@ -155,6 +155,10 @@ def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
             if shape != w.shape:
                 raise CheckpointError(f"{path}: opt[{i}] {name} is {'x'.join(map(str, shape))}, "
                                       f"W[{i}] is {w.shape[0]}x{w.shape[1]}")
+        try:
+            dataclasses.replace(state)  # reruns the bounds; copies no array
+        except ValueError as err:
+            raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 
 
 def save_checkpoint(path, model: LayeredModel,

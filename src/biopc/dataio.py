@@ -2,8 +2,9 @@
 
 The IDX layout is big-endian: a u32 magic (0x00000803 for image files,
 0x00000801 for label files), u32 dimension sizes, then raw unsigned bytes.
-Both plain and gzip-compressed files are accepted; compression is detected
-from the leading bytes, not the file name.
+The magic's last byte is the dimension count. One reader (`_read_idx`) and
+one writer (`_write_idx`) serve both. Plain and gzip-compressed files are
+accepted; compression is detected from the leading bytes, not the name.
 
 Both loaders, `load_split` and `synthetic_split`, return images as a
 features x N matrix in Fortran order: each sample's column is contiguous,
@@ -19,6 +20,7 @@ evaluation chunk (`column_chunks`) at a time, by the rule of
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -96,23 +98,30 @@ def _read_payload(path) -> bytes:
         raise IdxError(f"{path}: corrupt or truncated gzip data: {err}") from None
 
 
+def _read_idx(path, magic: int):
+    """The dimension sizes of the IDX file at `path`, which must carry
+    `magic`, and its payload as a read-only uint8 view. The sizes multiply
+    as Python integers, so no forged header overflows the expected length."""
+    buf = _read_payload(path)
+    header = 4 + 4 * (magic & 0xFF)
+    if len(buf) < header:
+        raise IdxError(f"{path}: truncated header, {len(buf)} bytes at offset 0 (need {header})")
+    found, *sizes = struct.unpack(f">{header // 4}I", buf[:header])
+    if found != magic:
+        raise IdxError(f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}")
+    expected = header + math.prod(sizes)
+    if len(buf) != expected:
+        raise IdxError(f"{path}: {len(buf)} bytes, expected {expected} for dimensions "
+                       f"{'x'.join(map(str, sizes))} (payload starts at offset {header})")
+    return sizes, np.frombuffer(buf, dtype=np.uint8, offset=header)
+
+
 def _idx_pixels(path) -> np.ndarray:
     """The pixels of an IDX image file as a (rows*cols) x N uint8 matrix,
     Fortran-ordered (each sample's column is contiguous): a read-only view
     of the file's payload."""
-    buf = _read_payload(path)
-    if len(buf) < 16:
-        raise IdxError(f"{path}: truncated header, {len(buf)} bytes at offset 0 (need 16)")
-    magic, n, rows, cols = struct.unpack(">IIII", buf[:16])
-    if magic != IMAGES_MAGIC:
-        raise IdxError(f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{IMAGES_MAGIC:08x}")
-    expected = 16 + n * rows * cols
-    if len(buf) != expected:
-        raise IdxError(
-            f"{path}: {len(buf)} bytes, expected {expected} for {n} images of "
-            f"{rows}x{cols} (payload starts at offset 16)"
-        )
-    return np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(n, rows * cols).T
+    (n, rows, cols), payload = _read_idx(path, IMAGES_MAGIC)
+    return payload.reshape(n, rows * cols).T
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -128,15 +137,8 @@ def load_idx_images(path) -> np.ndarray:
 
 
 def load_idx_labels(path) -> np.ndarray:
-    buf = _read_payload(path)
-    if len(buf) < 8:
-        raise IdxError(f"{path}: truncated header, {len(buf)} bytes at offset 0 (need 8)")
-    magic, n = struct.unpack(">II", buf[:8])
-    if magic != LABELS_MAGIC:
-        raise IdxError(f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{LABELS_MAGIC:08x}")
-    if len(buf) != 8 + n:
-        raise IdxError(f"{path}: {len(buf)} bytes, expected {8 + n} for {n} labels (payload at offset 8)")
-    labels = np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
+    _, payload = _read_idx(path, LABELS_MAGIC)
+    labels = payload.astype(np.int64)
     if labels.size and labels.max() >= N_CLASSES:
         bad = int(np.argmax(labels >= N_CLASSES))
         raise IdxError(f"{path}: label {labels[bad]} out of range 0..{N_CLASSES - 1} "
@@ -144,31 +146,27 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    """Write a uint8 array as an IDX file, one header size per dimension;
+    gzips iff the path ends in .gz."""
+    blob = struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes()
+    path = Path(path)
+    path.write_bytes(gzip.compress(blob) if path.suffix == ".gz" else blob)
+
+
 def write_idx_images(path, pixels: np.ndarray, rows: int = 28, cols: int = 28) -> None:
-    """Write uint8 pixels (N x rows*cols) as an IDX image file; gzips iff the
-    path ends in .gz."""
+    """Write uint8 pixels (N x rows*cols) as an IDX image file (see `_write_idx`)."""
     pixels = np.asarray(pixels, dtype=np.uint8)
-    n = pixels.shape[0]
     if pixels.shape[1] != rows * cols:
         raise IdxError(f"pixels have {pixels.shape[1]} columns, expected {rows * cols}")
-    blob = struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols) + pixels.tobytes()
-    _write_maybe_gz(path, blob)
+    _write_idx(path, IMAGES_MAGIC, pixels.reshape(pixels.shape[0], rows, cols))
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise IdxError("labels must fit in a byte")
-    blob = struct.pack(">II", LABELS_MAGIC, labels.shape[0]) + labels.astype(np.uint8).tobytes()
-    _write_maybe_gz(path, blob)
-
-
-def _write_maybe_gz(path, blob: bytes) -> None:
-    path = Path(path)
-    if path.suffix == ".gz":
-        path.write_bytes(gzip.compress(blob))
-    else:
-        path.write_bytes(blob)
+    if labels.ndim != 1 or labels.size and (labels.min() < 0 or labels.max() > 255):
+        raise IdxError("labels must be 1-D and fit in a byte")
+    _write_idx(path, LABELS_MAGIC, labels.astype(np.uint8))
 
 
 def resolve_idx_path(data_dir, dataset: str, filename: str) -> Path:

@@ -1,9 +1,9 @@
 """Experiment definitions: the six-model comparison table and the
 positive-activity study, with their aggregation conventions.
 
-Each run is one `TrainConfig` (`make_config`). A script finalizes every
-run's config (`seed_configs`) before any data loads; `run_experiment` then
-trains a row's runs and returns their mean.
+Each run is one `TrainConfig` (`make_config`, merged as the CLI merges
+flags). A script finalizes every run's config (`seed_configs`) before any
+data loads; `run_experiment` then trains a row's runs and returns their mean.
 
 Reported numbers are the mean test error over the last three epochs of
 each run, averaged across seeds. Division-encoding rows force the positivity
@@ -14,7 +14,7 @@ predictions non-negative everywhere.
 
 from __future__ import annotations
 
-from .config import TrainConfig
+from .config import TrainConfig, merge_config
 from .training import TrainResult, train
 
 TABLE_SEEDS = (1, 2, 3)
@@ -44,9 +44,8 @@ POSITIVITY_ROWS = {
 
 def make_config(dataset: str, seed: int, overrides: dict, **fields) -> TrainConfig:
     """The config of one run: `TrainConfig`'s defaults, then `overrides` (a
-    row's), then the `fields` that are not None."""
-    fields = {name: value for name, value in fields.items() if value is not None}
-    return TrainConfig(**{"dataset": dataset, "seed": seed, **overrides, **fields})
+    row's), then the `fields` that are not None, merged by `merge_config`."""
+    return merge_config({"dataset": dataset, "seed": seed, **overrides}, fields)
 
 
 def seed_configs(name: str, dataset: str, overrides: dict, seeds, out_root: str,

@@ -26,7 +26,8 @@ fields, and that an encoding which `needs_positive` rates (division) takes
 `positive_activities`. Each model class owns its config
 `name`, its checkpoint `tag`, the `fixed_structure` the constructor holds
 it to (none for `PCNetwork`, backprop's for `MLP`, see `baseline`) and
-`descent`, which gives a batch's objective and weight directions.
+`descent`, which gives a batch's objective and weight directions. Every
+entry that takes an input batch checks it in `_check_input`.
 
 A `NetworkState` owns every array its batch's relaxation and learning
 steps write: `init_forward` makes them, shaped for the batch, and each step
@@ -153,6 +154,15 @@ def _xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
+def _matrices(name: str, given, shapes) -> list:
+    """float64 copies of the `given` matrices, the l-th of shape `shapes[l]`."""
+    copies = [np.array(m, dtype=np.float64) for m in given]
+    for l, (m, want) in enumerate(zip(copies, shapes)):
+        if m.shape != want:
+            raise ShapeMismatchError(f"{name}[{l}] has shape {m.shape}, expected {want}")
+    return copies
+
+
 class LayeredModel:
     """Levels 0..L joined by forward weights. Hidden level l computes
     f(W_{l-1} a_{l-1}) + b with a fixed scalar shift b; the output level is
@@ -175,23 +185,16 @@ class LayeredModel:
         if len(weights) != L:
             raise ValueError(f"expected {L} weight matrices for dims {dims}, got {len(weights)}")
         self.dims = dims
-        self.weights = [np.array(w, dtype=np.float64) for w in weights]
-        for l, w in enumerate(self.weights):
-            want = (dims[l + 1], dims[l])
-            if w.shape != want:
-                raise ShapeMismatchError(f"W[{l}] has shape {w.shape}, expected {want}")
-        if not feedback.has_matrices:
+        self.weights = _matrices("W", weights, [(dims[l + 1], dims[l]) for l in range(L)])
+        if feedback.has_matrices:
+            if feedback_weights is None or len(feedback_weights) != L:
+                raise ValueError(f"{feedback.name} feedback needs {L} feedback matrices")
+            self.feedback_weights = _matrices("B", feedback_weights,
+                                              [w.shape[::-1] for w in self.weights])
+        else:
             if feedback_weights is not None:
                 raise ValueError(f"{feedback.name} feedback carries no separate feedback matrices")
             self.feedback_weights = None
-        else:
-            if feedback_weights is None or len(feedback_weights) != L:
-                raise ValueError(f"{feedback.name} feedback needs {L} feedback matrices")
-            self.feedback_weights = [np.array(b, dtype=np.float64) for b in feedback_weights]
-            for l, b in enumerate(self.feedback_weights):
-                want = (dims[l], dims[l + 1])
-                if b.shape != want:
-                    raise ShapeMismatchError(f"B[{l}] has shape {b.shape}, expected {want}")
         if not (bias >= 0 and math.isfinite(bias)):
             raise ValueError(f"bias must be >= 0 and finite, got {bias}")
         self.bias = float(bias)
@@ -236,13 +239,16 @@ class LayeredModel:
         return x
 
     def _check_input(self, x) -> np.ndarray:
-        """An input batch as a float64 matrix of level 0's width. Integer
-        batches are refused: pixel bytes would enter as values up to 255."""
+        """An input batch as a float64 matrix of level 0's width, not empty.
+        Integer batches are refused: pixel bytes would enter as values up to 255."""
         dtype = np.asarray(x).dtype
         if np.issubdtype(dtype, np.integer):
             raise TypeError(f"input batch is {dtype}, expected floats in [0, 1]; "
                             "a split of pixel bytes gives them through DatasetSplit.columns")
-        return self._check_level_shape(x, 0, "input batch")
+        x = self._check_level_shape(x, 0, "input batch")
+        if x.shape[1] == 0:
+            raise ShapeMismatchError("input batch is empty")
+        return x
 
     def _level(self, l: int, below: np.ndarray, fp=None, phat=None, scratch=None, mask=None):
         """Level l's activation f(W_{l-1} below) of the activities below it,
@@ -329,10 +335,6 @@ class PCNetwork(LayeredModel):
     name = "pc"
     tag = 0
 
-    def feedback_matrix(self, l: int) -> np.ndarray:
-        """Matrix that carries level l+1 errors down to level l."""
-        return self.feedback.matrix(self, l)
-
     # -- inference ----------------------------------------------------------
 
     def init_forward(self, x) -> NetworkState:
@@ -341,8 +343,6 @@ class PCNetwork(LayeredModel):
         at zero. The state's work arrays are made here, shaped for the
         batch."""
         x = self._check_input(x).copy()
-        if x.shape[1] == 0:
-            raise ShapeMismatchError("input batch is empty")
         a, fp, phat = self._sweep(x)
         L = self.n_levels
         work = [None] + [LevelWork(terms=self.encoding.terms(f.shape), rising=np.empty(f.shape),
@@ -402,7 +402,8 @@ class PCNetwork(LayeredModel):
         dirs = [None] * (self.n_levels + 1)
         for l in range(1, self.n_levels):
             work = state.work[l]
-            d = np.matmul(self.feedback_matrix(l), self._rising(state, l + 1), out=work.direction)
+            d = np.matmul(self.feedback.matrix(self, l), self._rising(state, l + 1),
+                          out=work.direction)
             d -= self.encoding.top_down(work.terms, out=work.scratch)
             dirs[l] = d
         return dirs

@@ -94,8 +94,8 @@ def predict_split(model, split: dataio.DatasetSplit) -> np.ndarray:
     return np.concatenate([model.predict(x) for x in split.column_chunks(bounds)], axis=1)
 
 
-def _split_outputs(model, split: dataio.DatasetSplit, outputs) -> np.ndarray:
-    outputs = predict_split(model, split) if outputs is None else as_matrix(outputs)
+def _split_outputs(split: dataio.DatasetSplit, outputs) -> np.ndarray:
+    outputs = as_matrix(outputs)
     if outputs.shape[1] != split.n_samples:
         raise ShapeMismatchError(
             f"outputs have {outputs.shape[1]} columns, the split has {split.n_samples} samples"
@@ -107,23 +107,23 @@ def _split_outputs(model, split: dataio.DatasetSplit, outputs) -> np.ndarray:
     return outputs
 
 
-def classification_error(model, split: dataio.DatasetSplit, outputs=None) -> float:
+def classification_error(model, split: dataio.DatasetSplit, outputs) -> float:
     """Fraction of samples whose argmax output misses the label.
 
     `outputs` are the model's forward-sweep outputs for the split (see
-    `predict_split`); they are computed when not given."""
-    outputs = _split_outputs(model, split, outputs)
+    `predict_split`)."""
+    outputs = _split_outputs(split, outputs)
     wrong = int(np.count_nonzero(np.argmax(outputs, axis=0) != split.labels))
     return wrong / split.n_samples
 
 
-def output_objective(model, split: dataio.DatasetSplit, outputs=None) -> float:
+def output_objective(model, split: dataio.DatasetSplit, outputs) -> float:
     """Output-level mismatch between forward-sweep predictions and targets,
     in the model's objective family, mean per sample.
 
     `outputs` are as for `classification_error`. The per-sample cost is
     summed one EVAL_CHUNK of samples at a time."""
-    outputs = _split_outputs(model, split, outputs)
+    outputs = _split_outputs(split, outputs)
     total = 0.0
     for start in range(0, split.n_samples, EVAL_CHUNK):
         y = dataio.one_hot(split.labels[start:start + EVAL_CHUNK])
@@ -218,7 +218,7 @@ def _fit(cfg: TrainConfig, model, adams, train_split: dataio.DatasetSplit,
             objective_sum += batch_objective * idx.shape[0]
         train_seconds = time.perf_counter() - t0
 
-        train_error = classification_error(model, train_split)
+        train_error = classification_error(model, train_split, predict_split(model, train_split))
         metrics.append(EpochMetrics(epoch, "train", train_error,
                                     objective_sum / train_split.n_samples, train_seconds))
         t1 = time.perf_counter()

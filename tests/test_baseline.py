@@ -3,7 +3,7 @@ finite-difference verification of the exact gradients."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import activate_deriv
@@ -70,6 +70,17 @@ class TestForward:
         mlp = init_mlp([6, 3], seed=0)
         with pytest.raises(ShapeMismatchError):
             mlp.predict(np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("call", [
+        lambda mlp, x, y: mlp.descent(x, y, 0, 0.0),
+        lambda mlp, x, y: mlp.backward(x, y),
+        lambda mlp, x, y: mlp.predict(x),
+    ], ids=["descent", "backward", "predict"])
+    def test_empty_batch_refused(self, call):
+        # a 0-column mean would be a NaN loss and NaN gradients
+        mlp = init_mlp([6, 4, 3], seed=0)
+        with pytest.raises(ShapeMismatchError, match="input batch is empty"):
+            call(mlp, np.zeros((6, 0)), np.zeros((3, 0)))
 
 
 class TestBackward:
@@ -205,9 +216,10 @@ def _pc_backprop(net, x, y) -> list:
     return net.weight_update_direction(state)
 
 
-def _oracle_deviations(dims, batch, seed, act, bias, encoding) -> list:
-    """Per layer, max|pc - bp| / max|bp| of the fixed-prediction PC
-    directions against `MLP.descent` on the same weights."""
+def _oracle_deviations(dims, batch, seed, act, bias, encoding, whole_network=False) -> list:
+    """Per layer, max|pc - bp| of the fixed-prediction PC directions
+    against `MLP.descent` on the same weights, over max|bp| of that layer
+    or, with `whole_network`, of every layer."""
     net = init_network(dims, seed=seed, hidden_activation=act, bias=bias, encoding=encoding)
     mlp = MLP(dims, net.weights, bias=bias, hidden_activation=act)
     rng = np.random.default_rng(seed + 1)
@@ -215,7 +227,10 @@ def _oracle_deviations(dims, batch, seed, act, bias, encoding) -> list:
     y = rng.uniform(0.0, 1.0, size=(dims[-1], batch))
     pc = _pc_backprop(net, x, y)
     _, bp = mlp.descent(x, y, 0, 0.0)
-    return [np.max(np.abs(p - b)) / np.max(np.abs(b)) for p, b in zip(pc, bp)]
+    scales = [np.max(np.abs(b)) for b in bp]
+    if whole_network:
+        scales = [max(scales)] * len(scales)
+    return [np.max(np.abs(p - b)) / s for p, b, s in zip(pc, bp, scales)]
 
 
 class TestExactBackpropOracle:
@@ -230,13 +245,22 @@ class TestExactBackpropOracle:
         deviations = _oracle_deviations([784, 300, 300, 10], 8, 3, act, 0.0, encoding)
         assert max(deviations) <= 1e-12, deviations
 
-    # Narrow random networks lose more digits: over 26000 draws the worst
-    # deviation was 3.7e-11, each worst draw with a 1-unit layer.
+    # Narrow random networks lose more digits. The threshold decode rounds
+    # at the scale of the largest error, not of a layer's gradient, so a
+    # layer whose gradient is tiny can read above 1e-9 against its own
+    # size (the example: 1.8e-9 on a W0 gradient of at most 1.4e-8, 2.4e-17
+    # absolute); threshold draws are measured against the network's
+    # largest gradient entry. Over 6000 draws (half with seeds below 50)
+    # the worst was 9.4e-12 for subtractive draws and 2.6e-12 for threshold
+    # ones (6.3e-11 against each layer's own largest entry).
     @given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=5),
            batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
            act=st.sampled_from(list(ActivationKind)), bias=st.sampled_from([0.0, 0.3]),
            encoding=st.sampled_from([enc.Subtractive(), THRESHOLD]))
+    @example(dims=[1, 1, 7, 1], batch=1, seed=2, act=ActivationKind.SIGMOID, bias=0.0,
+             encoding=THRESHOLD)
     @settings(max_examples=60, deadline=None)
     def test_any_small_network(self, dims, batch, seed, act, bias, encoding):
-        deviations = _oracle_deviations(dims, batch, seed, act, bias, encoding)
+        deviations = _oracle_deviations(dims, batch, seed, act, bias, encoding,
+                                        whole_network=encoding is THRESHOLD)
         assert max(deviations) <= 1e-9, deviations

@@ -186,10 +186,27 @@ def _good_file_with_adam(tmp_path):
 
 
 def test_unpackable_record_leaves_the_old_file(tmp_path):
-    # opt[1]'s step count is refused by its u64 record after 360 bytes
+    # opt[1]'s step count is within Adam's bounds, but its u64 record
+    # refuses it after 360 bytes
     path, net, states, blob = _good_file_with_adam(tmp_path)
-    states[1].step_count = -1
+    states[1].step_count = 2**64
     with pytest.raises(CheckpointError, match=r"net\.pcck: cannot write opt\[1\] header: "):
+        save_checkpoint(path, net, states)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["net.pcck"]
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("lr", math.nan, r"lr must be > 0 and finite, got nan"),
+    ("step_count", -1, r"step_count must be >= 0, got -1"),
+], ids=["lr_nan", "step_count_negative"])
+def test_state_changed_after_it_was_built_is_refused(tmp_path, monkeypatch, field, value,
+                                                     message):
+    # the loader would refuse the file; the writer refuses before opening it
+    path, net, states, blob = _good_file_with_adam(tmp_path)
+    setattr(states[0], field, value)
+    monkeypatch.setattr(checkpoint, "open", None, raising=False)
+    with pytest.raises(CheckpointError, match=r"net\.pcck: opt\[0\]: " + message + "$"):
         save_checkpoint(path, net, states)
     assert path.read_bytes() == blob
     assert os.listdir(tmp_path) == ["net.pcck"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from biopc import encodings as enc
 from biopc.baseline import MODELS
 from biopc.config import ConfigError, TrainConfig, merge_config, parse_config_file
+from biopc.experiments import make_config
 from biopc.linalg import ActivationKind
 from biopc.network import FEEDBACK_SCHEMES, init_network
 
@@ -174,3 +175,9 @@ class TestPrecedence:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             merge_config({"unknown_thing": 1}, None)
+
+    def test_make_config_merges_as_the_cli_does(self):
+        cfg = make_config("fashion", 4, dict(epochs=7, lr=0.5), epochs=3, lr=None)
+        assert (cfg.dataset, cfg.seed, cfg.epochs, cfg.lr) == ("fashion", 4, 3, 0.5)
+        with pytest.raises(ConfigError, match="unknown_thing"):
+            make_config("mnist", 1, dict(unknown_thing=1))

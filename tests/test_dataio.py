@@ -82,6 +82,14 @@ class TestImages:
         with pytest.raises(dataio.IdxError, match="truncated"):
             dataio.load_idx_images(path)
 
+    def test_forged_sizes_do_not_overflow(self, tmp_path):
+        # n * rows * cols = (2**32 - 1)**3 > 2**64: the expected length is
+        # computed exactly, so the file is merely too short
+        path = tmp_path / "forged"
+        path.write_bytes(struct.pack(">IIII", dataio.IMAGES_MAGIC, *[2**32 - 1] * 3) + b"\x00")
+        with pytest.raises(dataio.IdxError, match=f"expected {16 + (2**32 - 1) ** 3} .*offset 16"):
+            dataio.load_idx_images(path)
+
 
 class TestLabels:
     def test_round_trip(self, tmp_path):
@@ -95,6 +103,25 @@ class TestLabels:
         path.write_bytes(struct.pack(">II", dataio.IMAGES_MAGIC, 1) + b"\x07")
         with pytest.raises(dataio.IdxError, match="magic"):
             dataio.load_idx_labels(path)
+
+    @pytest.mark.parametrize("blob,message", [
+        (struct.pack(">I", dataio.LABELS_MAGIC) + b"\x00\x00", r"6 bytes at offset 0 \(need 8\)"),
+        (struct.pack(">II", 0x00000802, 1) + b"\x07", "bad magic 0x00000802 at offset 0"),
+        (struct.pack(">II", dataio.LABELS_MAGIC, 3) + b"\x07", r"9 bytes, expected 11 .*offset 8"),
+    ], ids=["short_header", "bad_magic", "payload_length"])
+    def test_malformed_file_names_an_offset(self, tmp_path, blob, message):
+        path = tmp_path / "lab"
+        path.write_bytes(blob)
+        with pytest.raises(dataio.IdxError, match="lab: .*" + message):
+            dataio.load_idx_labels(path)
+
+    @pytest.mark.parametrize("labels", [np.zeros((3, 1)), np.zeros((2, 2)), np.array([1, 256])],
+                             ids=["column", "matrix", "out_of_range"])
+    def test_writer_refuses_what_no_label_file_holds(self, tmp_path, labels):
+        # a label file's header holds one size, and its payload one byte per label
+        with pytest.raises(dataio.IdxError, match="1-D and fit in a byte"):
+            dataio.write_idx_labels(tmp_path / "lab", labels)
+        assert not (tmp_path / "lab").exists()
 
     def test_out_of_range_label(self, tmp_path):
         path = tmp_path / "lab"

@@ -121,6 +121,11 @@ class TestInitForward:
         with pytest.raises(ShapeMismatchError, match="empty"):
             net.init_forward(np.zeros((6, 0)))
 
+    def test_predict_refuses_empty_batch(self):
+        net = init_network([6, 3], seed=0)
+        with pytest.raises(ShapeMismatchError, match="input batch is empty"):
+            net.predict(np.zeros((6, 0)))
+
     def test_input_copied_not_aliased(self):
         net = init_network([3, 2], seed=0)
         x = np.zeros((3, 2))
@@ -466,12 +471,12 @@ def test_integer_input_is_refused(model, dtype):
 class TestFeedbackSchemes:
     def test_transpose_uses_weight_transpose(self):
         net = init_network([5, 4, 3], seed=1)
-        np.testing.assert_array_equal(net.feedback_matrix(0), net.weights[0].T)
+        np.testing.assert_array_equal(net.feedback.matrix(net, 0), net.weights[0].T)
 
     def test_random_uses_separate_matrix(self):
         net = init_network([5, 4, 3], feedback=RandomFixed(), seed=1)
-        assert net.feedback_matrix(0) is net.feedback_weights[0]
-        assert not np.allclose(net.feedback_matrix(0), net.weights[0].T)
+        assert net.feedback.matrix(net, 0) is net.feedback_weights[0]
+        assert not np.allclose(net.feedback.matrix(net, 0), net.weights[0].T)
 
     def test_kp_gamma_validated(self):
         with pytest.raises(ValueError):
@@ -483,6 +488,17 @@ class TestFeedbackSchemes:
         with pytest.raises(ValueError):
             PCNetwork([3, 2], [np.zeros((2, 3))], [np.zeros((3, 2))],
                       feedback=Transpose())
+
+    @pytest.mark.parametrize("feedback", [Transpose(), RandomFixed(), KolenPollack()],
+                             ids=["transpose", "random", "kp"])
+    def test_empty_feedback_list_refused(self, feedback):
+        # a separate-matrix scheme needs one per weight matrix; transpose takes None only
+        with pytest.raises(ValueError, match="feedback"):
+            PCNetwork([3, 2], [np.zeros((2, 3))], [], feedback=feedback)
+
+    def test_feedback_shape_checked(self):
+        with pytest.raises(ShapeMismatchError, match=r"B\[0\] has shape \(2, 3\), expected \(3, 2"):
+            PCNetwork([3, 2], [np.zeros((2, 3))], [np.zeros((2, 3))], feedback=RandomFixed())
 
 
 class TestRegistries:
@@ -577,7 +593,7 @@ def _reference_relax(net, x, y, n_steps, beta):
         e = errors(a, phat)
         dirs = [None] * (L + 1)
         for l in range(1, L):
-            bottom_up = net.feedback_matrix(l) @ rising(e, fp, phat, l + 1)
+            bottom_up = net.feedback.matrix(net, l) @ rising(e, fp, phat, l + 1)
             dirs[l] = bottom_up - top_down(e, a, l)
         for l in range(1, L):
             a[l] = a[l] + dirs[l] * beta
