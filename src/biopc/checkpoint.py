@@ -11,8 +11,7 @@ Layout, all little-endian. Each bracketed name is the module-level
                subtractive, 1 threshold, 2 division), feedback `tag` (0 transpose,
                1 random fixed, 2 Kolen-Pollack), positivity of activities (0/1)
     [_PARAMS]  f64 each: bias, then e_min, e_max, epsilon, gamma (+0.0 where
-               the model's encoding and feedback scheme have no such field;
-               the loader rejects any other value there)
+               the model's encoding and feedback scheme have no such field)
     [_COUNT]   weight count u32, then per matrix a block: [_SHAPE] rows u32,
                cols u32, then rows*cols f64 row-major
     [_FLAG]    feedback presence u8; if 1: [_COUNT] and blocks as above
@@ -25,18 +24,16 @@ matrix is copied once; an optimizer state's m and v stay read-only views
 of the file's bytes, which its first step copies (see `AdamState`), so a
 load that only needs the model copies no optimizer state.
 
-Every model takes one write path and loads through one constructor call on
-the class its kind byte names, which owns the structure (see `baseline`).
-So an MLP record carries subtractive and transpose tags, no positivity and
-no feedback block, and zeros in the parameter slots after the bias (which
-its schemes do not read). Other tags, positivity or a feedback block are a
-`CheckpointError`, naming the path, as is any input the loader cannot turn
-into a model, and an optimizer block that does not hold one state per
-weight matrix with `m` and `v` shaped as that matrix. Each loaded optimizer
-state is an `AdamState`, which holds Adam's bounds: a state outside them is
-a `CheckpointError` naming it. The writer refuses optimizer states by both
-rules, before it opens the file (a state changed after it was built is
-checked again), so it writes no file its loader refuses on that account.
+Every model takes one write path, `_pack`, and loads through one
+constructor call on the class its kind byte names, which owns the
+structure (see `baseline`). The writer is the one statement of the format:
+the loader packs what it built and refuses the file unless each record
+equals the file's bytes at its offset and nothing follows (matrix data,
+the file's own bytes, are skipped), so every file that loads saves back to
+its own bytes. That refusal, any input the loader cannot turn into a model
+and an optimizer state outside Adam's bounds or not one per weight matrix
+shaped as it are `CheckpointError`s naming the path; the writer refuses
+such a state before it opens the file.
 
 A checkpoint is written whole or not at all. Every record is packed first
 (matrices as views of their data, not copies), and a value a record cannot
@@ -49,7 +46,6 @@ stays as it was.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import struct
 from pathlib import Path
@@ -66,9 +62,6 @@ from .optim import AdamState
 MAGIC = b"PCCK"
 VERSION = 1
 
-_ACT_TAGS = {ActivationKind.SIGMOID: 0, ActivationKind.TANH: 1}
-_ACT_FROM_TAG = {v: k for k, v in _ACT_TAGS.items()}
-
 
 class CheckpointError(ValueError):
     pass
@@ -76,6 +69,7 @@ class CheckpointError(ValueError):
 
 # The records of the layout above, and the parameters after the bias.
 _PARAM_SLOTS = ("e_min", "e_max", "epsilon", "gamma")
+_ACTIVATIONS = (ActivationKind.SIGMOID, ActivationKind.TANH)  # indexed by tag
 _HEADER = struct.Struct("<4sIBI")
 _TAGS = struct.Struct("<5B")
 _PARAMS = struct.Struct("<5d")
@@ -91,25 +85,22 @@ def _dims(n_levels: int) -> struct.Struct:
 
 class _Writer:
     """The records of a file in order, packed before anything is written:
-    bytes, and each matrix as a view of its float64 data."""
+    (name, bytes), and (name, a view of its float64 data) per matrix."""
 
     def __init__(self, path):
-        self.chunks = []
+        self.records = []
         self.path = path
 
     def write(self, record: struct.Struct, what: str, *values) -> None:
         try:
-            self.chunks.append(record.pack(*values))
+            self.records.append((what, record.pack(*values)))
         except struct.error as err:
             raise CheckpointError(f"{self.path}: cannot write {what}: {err}") from None
 
     def matrix(self, what: str, m: np.ndarray) -> None:
-        m = np.ascontiguousarray(m, dtype="<f8")
-        if m.ndim != 2:
-            raise CheckpointError(f"{self.path}: can only store 2-D matrices, "
-                                  f"{what} has ndim={m.ndim}")
+        m = np.ascontiguousarray(m, dtype="<f8")  # _SHAPE refuses all but 2-D
         self.write(_SHAPE, f"{what} shape", *m.shape)
-        self.chunks.append(m)
+        self.records.append((f"{what} data", m))
 
 
 class _Reader:
@@ -137,11 +128,6 @@ class _Reader:
                              offset=start).reshape(rows, cols)
 
 
-def _parameters(encoding, feedback) -> dict:
-    """The parameter slots the encoding and the feedback scheme read."""
-    return {**dataclasses.asdict(encoding), **dataclasses.asdict(feedback)}
-
-
 def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
     """One state per weight matrix, `m` and `v` shaped as it, within Adam's bounds."""
     if optimizers is None:
@@ -161,21 +147,19 @@ def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
             raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 
 
-def save_checkpoint(path, model: LayeredModel,
-                    optimizer_states: Optional[list] = None) -> None:
-    """Writes `model` and, when given, one optimizer state per weight
-    matrix; a mismatched state is refused before the file is opened, and
-    the target keeps its old bytes unless the whole new file is written."""
+def _pack(path, model: LayeredModel, optimizer_states: Optional[list]) -> list:
+    """The records of the file that holds `model` and `optimizer_states`
+    (see `_Writer`), after the optimizer states are checked."""
     _check_optimizers(path, optimizer_states, model.weights)
-    params = _parameters(model.encoding, model.feedback)
+    params = {**dataclasses.asdict(model.encoding), **dataclasses.asdict(model.feedback)}
     fb = model.feedback_weights
     n = len(model.dims)
 
     w = _Writer(path)
     w.write(_HEADER, "header", MAGIC, VERSION, model.tag, n)
     w.write(_dims(n), "dims", *model.dims)
-    w.write(_TAGS, "tags", _ACT_TAGS[model.hidden_activation],
-            _ACT_TAGS[model.activation_at(model.n_levels)], model.encoding.tag,
+    w.write(_TAGS, "tags", _ACTIVATIONS.index(model.hidden_activation),
+            _ACTIVATIONS.index(model.activation_at(model.n_levels)), model.encoding.tag,
             model.feedback.tag, 1 if model.positive_activities else 0)
     w.write(_PARAMS, "parameters", model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS))
 
@@ -196,13 +180,21 @@ def save_checkpoint(path, model: LayeredModel,
             w.write(_ADAM, f"opt[{i}] header", s.step_count, s.lr, s.beta1, s.beta2, s.eps)
             w.matrix(f"opt[{i}] m", s.m)
             w.matrix(f"opt[{i}] v", s.v)
+    return w.records
 
+
+def save_checkpoint(path, model: LayeredModel,
+                    optimizer_states: Optional[list] = None) -> None:
+    """Writes `model` and, when given, one optimizer state per weight
+    matrix; a mismatched state is refused before the file is opened, and
+    the target keeps its old bytes unless the whole new file is written."""
+    records = _pack(path, model, optimizer_states)
     # `open`, not `mkstemp` (0600), so the file gets a new file's usual permissions.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
-            for chunk in w.chunks:
+            for _, chunk in records:
                 f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
@@ -220,11 +212,9 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     dims = list(r.read(_dims(n_levels), "dims"))
-    hidden_tag, output_tag, encoding_tag, feedback_tag, positive = r.read(_TAGS, "tags")
-    if hidden_tag not in _ACT_FROM_TAG:
+    hidden_tag, _, encoding_tag, feedback_tag, positive = r.read(_TAGS, "tags")
+    if hidden_tag >= len(_ACTIVATIONS):
         raise CheckpointError(f"{path}: unknown activation tag {hidden_tag}")
-    if output_tag != _ACT_TAGS[ActivationKind.SIGMOID]:
-        raise CheckpointError(f"{path}: output activation tag {output_tag}, not the sigmoid's")
     bias, *slots = r.read(_PARAMS, "parameters")
     params = dict(zip(_PARAM_SLOTS, slots))
 
@@ -248,25 +238,21 @@ def load_checkpoint(path):
             except ValueError as err:
                 raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 
-    if r.pos != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - r.pos} trailing bytes at offset {r.pos}")
-
     try:
         model_class = enc.find(MODELS, "tag", model_kind)
         encoding = enc.build(enc.ENCODINGS, "tag", encoding_tag, params)
         feedback = enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params)
         model = model_class(dims, weights, feedback_weights, bias=bias,
-                            hidden_activation=_ACT_FROM_TAG[hidden_tag], encoding=encoding,
+                            hidden_activation=_ACTIVATIONS[hidden_tag], encoding=encoding,
                             feedback=feedback, positive_activities=bool(positive))
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
-    _check_optimizers(path, optimizers, weights)
-    used = _parameters(encoding, feedback)
-    for slot, value in params.items():
-        # +0.0 is what the writer puts in a slot nothing reads; anything
-        # else would load, then save as a different file.
-        if slot not in used and (value != 0.0 or math.copysign(1.0, value) < 0):
-            raise CheckpointError(f"{path}: parameter slot {slot} holds {value!r}, but neither "
-                                  f"the {encoding.name} encoding nor the {feedback.name} "
-                                  "feedback reads it (must be 0.0)")
+    at = 0
+    for what, chunk in _pack(path, model, optimizers):
+        # a matrix's data are the file's own float64 bytes, copied or viewed
+        if isinstance(chunk, bytes) and not buf.startswith(chunk, at):
+            raise CheckpointError(f"{path}: {what} at offset {at} would save as other bytes")
+        at += memoryview(chunk).nbytes
+    if at != len(buf):
+        raise CheckpointError(f"{path}: {len(buf) - at} trailing bytes at offset {at}")
     return model, optimizers

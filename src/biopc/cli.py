@@ -28,7 +28,8 @@ from .config import (_CHOICES, _FIELD_TYPES, ConfigError, TrainConfig, _coerce, 
                      parse_config_file)
 from .linalg import ActivationKind, ShapeMismatchError
 from .network import FEEDBACK_SCHEMES
-from .training import NonFiniteError, evaluate, run_gradcheck, train
+from .training import (GRADCHECK_BATCH, GRADCHECK_DIMS, NonFiniteError, evaluate,
+                       run_gradcheck, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -119,7 +120,8 @@ def _cmd_gradcheck(args) -> int:
                            hidden_activation=ActivationKind(args.hidden_activation),
                            seed=args.seed)
     print(f"gradcheck  encoding={args.encoding} feedback={args.feedback} "
-          f"hidden={args.hidden_activation} dims=[5,4,3] batch=2")
+          f"hidden={args.hidden_activation} dims=[{','.join(map(str, GRADCHECK_DIMS))}] "
+          f"batch={GRADCHECK_BATCH}")
     for check in report.checks:
         print("  " + check.describe())
     if report.passed:
@@ -143,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)
     add_config_flags(p_eval, ("dataset", "data_dir"))
-    p_eval.add_argument("--split", choices=["train", "test"], default="test")
+    p_eval.add_argument("--split", choices=tuple(dataio._SPLIT_FILES), default="test")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_grad = sub.add_parser("gradcheck",

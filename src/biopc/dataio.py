@@ -3,8 +3,11 @@
 The IDX layout is big-endian: a u32 magic (0x00000803 for image files,
 0x00000801 for label files), u32 dimension sizes, then raw unsigned bytes.
 The magic's last byte is the dimension count. One reader (`_read_idx`) and
-one writer (`_write_idx`) serve both. Plain and gzip-compressed files are
-accepted; compression is detected from the leading bytes, not the name.
+one writer (`_write_idx`) serve both. The writer's byte rule: a uint8 array
+is written as it is, and any other must equal its own uint8 cast (NaN and
+inf never do), or it is an `IdxError` naming the path. Plain and
+gzip-compressed files are accepted; compression is detected from the
+leading bytes, not the name.
 
 Both loaders, `load_split` and `synthetic_split`, return images as a
 features x N matrix in Fortran order: each sample's column is contiguous,
@@ -147,26 +150,30 @@ def load_idx_labels(path) -> np.ndarray:
 
 
 def _write_idx(path, magic: int, array: np.ndarray) -> None:
-    """Write a uint8 array as an IDX file, one header size per dimension;
-    gzips iff the path ends in .gz."""
-    blob = struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes()
+    """Write an array as an IDX file, one header size per dimension, by the
+    byte rule (see the module docstring); gzips iff the path ends in .gz."""
+    with np.errstate(invalid="ignore"):  # casting NaN, inf or out-of-range floats
+        as_bytes = array.astype(np.uint8, copy=False)  # a uint8 array itself
+    if as_bytes is not array and not np.array_equal(as_bytes, array):
+        raise IdxError(f"{path}: {array.dtype} values must be whole numbers in 0..255")
+    blob = struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + as_bytes.tobytes()
     path = Path(path)
     path.write_bytes(gzip.compress(blob) if path.suffix == ".gz" else blob)
 
 
 def write_idx_images(path, pixels: np.ndarray, rows: int = 28, cols: int = 28) -> None:
-    """Write uint8 pixels (N x rows*cols) as an IDX image file (see `_write_idx`)."""
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    if pixels.shape[1] != rows * cols:
-        raise IdxError(f"pixels have {pixels.shape[1]} columns, expected {rows * cols}")
+    """Write pixels (N x rows*cols) as an IDX image file (see `_write_idx`)."""
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 2 or pixels.shape[1] != rows * cols:
+        raise IdxError(f"{path}: pixels have shape {pixels.shape}, expected N x {rows * cols}")
     _write_idx(path, IMAGES_MAGIC, pixels.reshape(pixels.shape[0], rows, cols))
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise IdxError("labels must be 1-D and fit in a byte")
-    _write_idx(path, LABELS_MAGIC, labels.astype(np.uint8))
+    if labels.ndim != 1:
+        raise IdxError(f"{path}: labels must be 1-D, got ndim={labels.ndim}")
+    _write_idx(path, LABELS_MAGIC, labels)
 
 
 def resolve_idx_path(data_dir, dataset: str, filename: str) -> Path:
@@ -188,7 +195,7 @@ def resolve_idx_path(data_dir, dataset: str, filename: str) -> Path:
 
 def load_split(data_dir, dataset: str, split: str) -> DatasetSplit:
     if split not in _SPLIT_FILES:
-        raise IdxError(f"unknown split '{split}', expected train or test")
+        raise IdxError(f"unknown split '{split}', expected {' or '.join(_SPLIT_FILES)}")
     image_file, label_file = _SPLIT_FILES[split]
     images = _idx_pixels(resolve_idx_path(data_dir, dataset, image_file))
     labels = load_idx_labels(resolve_idx_path(data_dir, dataset, label_file))

@@ -238,6 +238,10 @@ def write_metrics(path, metrics) -> None:
 
 # -- gradient checking --------------------------------------------------------
 
+# The layer sizes and batch that `run_gradcheck` checks by default.
+GRADCHECK_DIMS = (5, 4, 3)
+GRADCHECK_BATCH = 2
+
 
 @dataclass
 class LayerCheck:
@@ -292,7 +296,7 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
                   feedback=Transpose(), *, hidden_activation=ActivationKind.SIGMOID,
-                  dims=(5, 4, 3), batch: int = 2, seed: int = 0,
+                  dims=GRADCHECK_DIMS, batch: int = GRADCHECK_BATCH, seed: int = 0,
                   n_relax: int = 3, beta: float = 0.05, h: float = 1e-6,
                   threshold: float = 1e-4) -> GradcheckReport:
     """Compare analytic update directions against central finite differences

@@ -13,8 +13,8 @@ import pytest
 from biopc import checkpoint
 from biopc import encodings as enc
 from biopc.baseline import MLP, init_mlp
-from biopc.checkpoint import (_PARAM_SLOTS, MAGIC, CheckpointError, load_checkpoint,
-                              save_checkpoint)
+from biopc.checkpoint import (_HEADER, _PARAM_SLOTS, _PARAMS, _TAGS, MAGIC, CheckpointError,
+                              _dims, load_checkpoint, save_checkpoint)
 from biopc.linalg import ActivationKind
 from biopc.network import (FEEDBACK_SCHEMES, KolenPollack, PCNetwork, RandomFixed, Transpose,
                            init_network)
@@ -305,7 +305,7 @@ def test_removed_activation_tags_rejected(tmp_path, tag):
     path = tmp_path / "net.pcck"
     save_checkpoint(path, init_network([4, 3], seed=0))
     blob = bytearray(path.read_bytes())
-    hidden_at = 4 + 4 + 1 + 4 + 2 * 4  # magic, version, kind, level count, dims
+    hidden_at = _HEADER.size + _dims(2).size  # the first of the tags
     blob[hidden_at] = tag
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="activation tag"):
@@ -318,18 +318,25 @@ def test_output_tag_other_than_sigmoid_rejected(tmp_path, tag):
     path = tmp_path / "net.pcck"
     save_checkpoint(path, init_network([4, 3], seed=0))
     blob = bytearray(path.read_bytes())
-    output_at = 4 + 4 + 1 + 4 + 2 * 4 + 1  # after the hidden activation tag
+    tags_at = _HEADER.size + _dims(2).size
+    output_at = tags_at + 1  # after the hidden activation tag
     assert blob[output_at] == 0
     blob[output_at] = tag
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match=f"output activation tag {tag}"):
+    with pytest.raises(CheckpointError, match=f"{path}: tags at offset {tags_at} would save as "):
         load_checkpoint(path)
 
 
+def _params_at(n_dims: int) -> int:
+    return _HEADER.size + _dims(n_dims).size + _TAGS.size
+
+
 def _with_param(blob: bytes, slot: int, value: float, n_dims: int) -> bytes:
-    # the f64 slots after the three tag bytes: bias, e_min, e_max, epsilon, gamma
-    at = 4 + 4 + 1 + 4 + 4 * n_dims + 2 + 3 + 8 * slot
-    return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    # the f64 slots after the tags: bias, e_min, e_max, epsilon, gamma
+    at = _params_at(n_dims)
+    params = list(_PARAMS.unpack_from(blob, at))
+    params[slot] = value
+    return blob[:at] + _PARAMS.pack(*params) + blob[at + _PARAMS.size:]
 
 
 @pytest.mark.parametrize("net,slot,value", [
@@ -352,11 +359,11 @@ def test_unused_parameter_slots_must_be_zero(tmp_path, slot):
     save_checkpoint(path, init_mlp([3, 2, 2], seed=0))
     value = {1: 5.0, 2: 7.0, 3: 0.25, 4: 0.5}[slot]
     path.write_bytes(_with_param(path.read_bytes(), slot, value, 3))
-    name = ("e_min", "e_max", "epsilon", "gamma")[slot - 1]
-    with pytest.raises(CheckpointError, match=f"{path}: parameter slot {name} holds {value}"):
+    refused = f"{path}: parameters at offset {_params_at(3)} would save as other bytes$"
+    with pytest.raises(CheckpointError, match=refused):
         load_checkpoint(path)
     path.write_bytes(_with_param(path.read_bytes(), slot, -0.0, 3))
-    with pytest.raises(CheckpointError, match=f"slot {name} holds -0.0"):
+    with pytest.raises(CheckpointError, match=refused):
         load_checkpoint(path)
 
 
@@ -369,11 +376,11 @@ def test_used_parameter_slots_load(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert (loaded.encoding, loaded.feedback) == (net.encoding, net.feedback)
     path.write_bytes(_with_param(path.read_bytes(), 3, 1e-3, 3))
-    with pytest.raises(CheckpointError, match="slot epsilon"):
+    with pytest.raises(CheckpointError, match=f"parameters at offset {_params_at(3)} would save "):
         load_checkpoint(path)
 
 
-KIND_AT = 4 + 4  # magic, version
+KIND_AT = struct.calcsize(_HEADER.format[:-2])  # the header's magic and version
 
 
 @pytest.mark.parametrize("net", [
@@ -406,14 +413,16 @@ def test_mlp_record_is_the_subtractive_transpose_network(tmp_path):
 def _small_models():
     kp = init_network([3, 2, 2], feedback=KolenPollack(), seed=4)
     mlp = init_mlp([3, 2, 2], seed=4)
+    division = init_network([3, 2, 2], encoding=enc.Division(), positive_activities=True,
+                            bias=0.1, seed=4)
     return [(model, [AdamState.for_shape(w.shape) for w in model.weights])
-            for model in (kp, mlp)]
+            for model in (kp, mlp, division)]
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["kp", "mlp"])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["kp", "mlp", "division"])
 def test_corrupt_files_raise_only_checkpoint_error(tmp_path, which):
     # every single-bit flip and every truncation of a valid file either
-    # loads or raises CheckpointError
+    # raises CheckpointError or loads and saves back to the same bytes
     model, adams = _small_models()[which]
     good = tmp_path / "good.pcck"
     save_checkpoint(good, model, adams)
@@ -424,14 +433,17 @@ def test_corrupt_files_raise_only_checkpoint_error(tmp_path, which):
             flipped = bytearray(blob)
             flipped[i] ^= 1 << bit
             variants.append(bytes(flipped))
-    bad = tmp_path / "bad.pcck"
+    bad, again = tmp_path / "bad.pcck", tmp_path / "again.pcck"
     loaded_as = set()
     for data in variants:
         bad.write_bytes(data)
         try:
-            loaded_as.add(type(load_checkpoint(bad)[0]))
+            loaded, states = load_checkpoint(bad)
         except CheckpointError:
-            pass
+            continue
+        loaded_as.add(type(loaded))
+        save_checkpoint(again, loaded, states)
+        assert again.read_bytes() == data
     if which == 0:
         # no flip turns the Kolen-Pollack network into an MLP
         assert loaded_as == {PCNetwork}

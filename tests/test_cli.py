@@ -3,6 +3,7 @@ outputs. Runs against small synthetic IDX datasets on disk."""
 
 import argparse
 import dataclasses
+import inspect
 import shutil
 import string
 
@@ -28,7 +29,7 @@ from biopc.cli import (
 )
 from biopc.config import _CHOICES, TrainConfig, merge_config, parse_config_file
 from biopc.network import init_network
-from biopc.training import METRICS_HEADER
+from biopc.training import GRADCHECK_BATCH, GRADCHECK_DIMS, METRICS_HEADER, run_gradcheck
 
 
 def _train_args(fake_data_dir, out_dir, *extra):
@@ -154,6 +155,12 @@ class TestTrainCommand:
                 assert action.dest == field.name
                 assert action.default == (None if command == "train" else field.default)
                 assert action.choices == _CHOICES.get(field.name)
+
+    def test_eval_splits_are_the_loader_splits(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        split = next(a for a in sub.choices["eval"]._actions if a.dest == "split")
+        assert split.choices == tuple(dataio._SPLIT_FILES)
 
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", "two"), ("--lr", "fast"), ("--positive-activities", "maybe"),
@@ -343,6 +350,16 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--encoding", encoding, "--feedback", feedback,
                      "--hidden-activation", hidden]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    def test_header_names_the_checked_network(self, capsys):
+        # the printed sizes are the constants run_gradcheck checks by default
+        defaults = inspect.signature(run_gradcheck).parameters
+        assert defaults["dims"].default is GRADCHECK_DIMS
+        assert defaults["batch"].default is GRADCHECK_BATCH
+        assert main(["gradcheck"]) == EXIT_OK
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(f" dims=[{','.join(map(str, GRADCHECK_DIMS))}] "
+                               f"batch={GRADCHECK_BATCH}")
 
     def test_random_feedback_labeled_expected(self, capsys):
         assert main(["gradcheck", "--feedback", "random"]) == EXIT_OK

@@ -1,6 +1,7 @@
 """IDX containers, one-hot targets, batch plans and the synthetic dataset."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,31 @@ class TestImages:
         idx = np.random.default_rng(3).permutation(300)[:64]
         batch = loaded[:, idx]
         assert batch.tobytes() == reference[:, idx].tobytes()
+
+    @pytest.mark.parametrize("bad", [300, -1, 0.7, np.nan, np.inf, -np.inf, 256.0],
+                             ids=["above_255", "negative", "fraction", "nan", "inf",
+                                  "minus_inf", "float_256"])
+    def test_writer_refuses_values_no_byte_holds(self, tmp_path, bad):
+        pixels = np.zeros((2, 784), dtype=np.asarray(bad).dtype)
+        pixels[1, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dataio.IdxError,
+                               match=rf"imgs: {pixels.dtype} values must be whole numbers"):
+                _write_images(tmp_path, pixels, name="imgs")
+        assert not (tmp_path / "imgs").exists()
+
+    @pytest.mark.parametrize("shape", [(784,), (2, 28, 28), (2, 783)], ids=["1d", "3d", "width"])
+    def test_writer_refuses_pixels_not_n_by_rows_cols(self, tmp_path, shape):
+        with pytest.raises(dataio.IdxError,
+                           match=r"imgs: pixels have shape \(.*\), expected N x 784$"):
+            _write_images(tmp_path, np.zeros(shape, dtype=np.uint8), name="imgs")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32, np.uint16])
+    def test_whole_byte_values_of_any_dtype_write_the_uint8_bytes(self, tmp_path, dtype):
+        pixels = np.random.default_rng(5).integers(0, 256, size=(3, 784), dtype=np.uint8)
+        reference = _write_images(tmp_path, pixels, name="ref").read_bytes()
+        assert _write_images(tmp_path, pixels.astype(dtype), name="imgs").read_bytes() == reference
 
     @pytest.mark.parametrize("damage", [
         lambda gz: gz[:-100],  # truncated: EOFError
@@ -115,11 +141,15 @@ class TestLabels:
         with pytest.raises(dataio.IdxError, match="lab: .*" + message):
             dataio.load_idx_labels(path)
 
-    @pytest.mark.parametrize("labels", [np.zeros((3, 1)), np.zeros((2, 2)), np.array([1, 256])],
-                             ids=["column", "matrix", "out_of_range"])
-    def test_writer_refuses_what_no_label_file_holds(self, tmp_path, labels):
+    @pytest.mark.parametrize("labels,message", [
+        (np.zeros((3, 1)), "labels must be 1-D, got ndim=2"),
+        (np.zeros((2, 2)), "labels must be 1-D, got ndim=2"),
+        (np.array([1, 256]), "int64 values must be whole numbers in 0..255"),
+        (np.array([1.7]), "float64 values must be whole numbers in 0..255"),
+    ], ids=["column", "matrix", "out_of_range", "fraction"])
+    def test_writer_refuses_what_no_label_file_holds(self, tmp_path, labels, message):
         # a label file's header holds one size, and its payload one byte per label
-        with pytest.raises(dataio.IdxError, match="1-D and fit in a byte"):
+        with pytest.raises(dataio.IdxError, match="lab: " + message):
             dataio.write_idx_labels(tmp_path / "lab", labels)
         assert not (tmp_path / "lab").exists()
 
@@ -138,6 +168,10 @@ class TestLabels:
                                 np.array([1, 2, 3]))
         with pytest.raises(dataio.IdxError, match="columns"):
             dataio.load_split(tmp_path, "mnist", "train")
+
+    def test_unknown_split_names_the_splits(self, tmp_path):
+        with pytest.raises(dataio.IdxError, match="^unknown split 'val', expected train or test$"):
+            dataio.load_split(tmp_path, "mnist", "val")
 
     def test_missing_files_name_candidates(self, tmp_path):
         with pytest.raises(dataio.IdxError, match="tried"):
