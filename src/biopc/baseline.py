@@ -10,7 +10,9 @@ transpose feedback, no positivity): the shared constructor and `TrainConfig`
 reject anything else. `MODELS` lists both model classes. The loss is the
 mean over the batch of the summed squared output error (1/2)||y - a_L||^2,
 the subtractive output cost.
-`MLP.descent` gives the loss and negative gradients from one forward sweep.
+`MLP.descent` is backprop's batch entry: it checks the input and target
+once and gives the loss and negative gradients from one forward sweep,
+which `loss` and `backward` take.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encodings as enc
-from .linalg import ActivationKind, ShapeMismatchError, as_matrix
+from .linalg import ActivationKind
 from .network import LayeredModel, PCNetwork, Transpose, init_network
 
 
@@ -30,28 +32,16 @@ class MLP(LayeredModel):
     fixed_structure = {"encoding": enc.Subtractive(), "feedback": Transpose(),
                        "positive_activities": False}
 
-    def loss(self, x, y, outputs=None) -> float:
-        """Mean squared-error loss of the batch. `outputs` are the model's
-        forward-sweep outputs for `x` (see `predict`); they are computed
-        when not given."""
-        y = as_matrix(y)
-        out = self.predict(x) if outputs is None else as_matrix(outputs)
-        if out.shape != y.shape:
-            raise ShapeMismatchError(f"target shape {y.shape} does not match output {out.shape}")
-        return self.encoding.output_cost(y, out)
+    def loss(self, y, outputs) -> float:
+        """Mean squared-error loss of forward-sweep `outputs` against the
+        targets `y`."""
+        return self.encoding.output_cost(y, outputs)
 
-    def backward(self, x, y, *, sweep=None):
-        """Exact gradients of the mean squared-error loss w.r.t. each W.
-
-        `sweep` is `_sweep(x)` when the caller has already run it (its
-        output level then also gives the loss without a second sweep)."""
-        if sweep is None:
-            sweep = self._sweep(self._check_input(x))
+    def backward(self, y, sweep):
+        """Exact gradients of the mean squared-error loss w.r.t. each W, from
+        `sweep`, the batch's `_sweep`."""
         a, fp, _ = sweep
-        y = as_matrix(y)
         L = self.n_levels
-        if a[L].shape != y.shape:
-            raise ShapeMismatchError(f"target shape {y.shape} does not match output {a[L].shape}")
         batch = y.shape[1]
         grads = [None] * L
         g = (a[L] - y) * self._act_deriv(fp, L)
@@ -64,9 +54,11 @@ class MLP(LayeredModel):
     def descent(self, x, y, n_updates: int, beta: float):
         """(loss, negative gradients) of the batch, from one forward sweep.
         Backprop does not relax: `n_updates` and `beta` are ignored."""
-        sweep = self._sweep(self._check_input(x))
-        objective = self.loss(x, y, outputs=sweep[0][-1])
-        return objective, [np.negative(g, out=g) for g in self.backward(x, y, sweep=sweep)]
+        x = self._check_input(x)
+        y = self._check_target(y, x.shape[1])
+        sweep = self._sweep(x)
+        objective = self.loss(y, sweep[0][-1])
+        return objective, [np.negative(g, out=g) for g in self.backward(y, sweep)]
 
 
 MODELS = (PCNetwork, MLP)

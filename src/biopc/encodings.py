@@ -23,13 +23,13 @@ outputs against targets. Its dataclass fields are its parameters, named as
 in the run config and the checkpoint. `ENCODINGS` lists the classes;
 `find` looks one up by name or tag in it or in another such registry.
 
-`error` writes into a level's `LevelTerms`, which also keep what the update
-terms reuse (for division, 0.5 log e, a + eps and phat + eps), so those are
-computed once per level and step; `rising` and `top_down` then write into
-arrays they are given. The methods take 2-D float64 arrays: shapes are
-checked where a batch enters the network, and only an encoding's domain is
-checked on every call, raising `EncodingDomainError` with the encoding's
-name.
+`error` writes into the `LevelTerms` it is given (made by `terms`), which
+also keep what the update terms reuse (for division, 0.5 log e, a + eps and
+phat + eps), so those are computed once per level and step; `rising` and
+`top_down` then write into arrays they are given. The methods take 2-D
+float64 arrays: shapes are checked where a batch enters the network, and
+only an encoding's domain is checked on every call, raising
+`EncodingDomainError` with the encoding's name.
 """
 
 from __future__ import annotations
@@ -92,11 +92,10 @@ class Subtractive(_SubtractiveFamily):
         """The arrays one level of this shape needs."""
         return LevelTerms(e=np.empty(shape))
 
-    def error(self, a, phat, terms: Optional[LevelTerms] = None):
+    def error(self, a, phat, terms: LevelTerms):
         """(e, e_star): the error the update rules consume and, for encodings
         whose neurons fire something else, the encoded rates (else None).
-        Both are written into `terms`, made when not given."""
-        terms = self.terms(a.shape) if terms is None else terms
+        Both are written into `terms`, from `terms(a.shape)`."""
         return np.subtract(a, phat, out=terms.e), None
 
 
@@ -117,8 +116,7 @@ class SubtractiveThreshold(_SubtractiveFamily):
     def terms(self, shape) -> LevelTerms:
         return LevelTerms(e=np.empty(shape), e_star=np.empty(shape))
 
-    def error(self, a, phat, terms: Optional[LevelTerms] = None):
-        terms = self.terms(a.shape) if terms is None else terms
+    def error(self, a, phat, terms: LevelTerms):
         estar = np.subtract(a, phat, out=terms.e_star)
         lowest = estar.min() if estar.size else 0.0
         if lowest < self.e_min:
@@ -164,8 +162,7 @@ class Division:
                         np.add(phat, self.epsilon, out=phat_eps), out=out)
         return np.sqrt(out, out=out)
 
-    def error(self, a, phat, terms: Optional[LevelTerms] = None):
-        terms = self.terms(a.shape) if terms is None else terms
+    def error(self, a, phat, terms: LevelTerms):
         e = self._ratio(a, phat, terms.e, terms.a_eps, terms.phat_eps)
         np.log(e, out=terms.half_log_e)
         terms.half_log_e *= 0.5

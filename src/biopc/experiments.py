@@ -62,11 +62,11 @@ def last3_mean_test_error(result: TrainResult) -> float:
     return sum(errors[-3:]) / len(errors[-3:])
 
 
-def run_experiment(name: str, configs, log=print) -> float:
+def run_experiment(name: str, configs) -> float:
     """Train row `name` once per config, each run loading its data and writing
     its outputs; returns the mean over runs of the last-3 mean test error."""
     errors = []
     for cfg in configs:
-        errors.append(last3_mean_test_error(train(cfg, log=log)))
-        log(f"[{name} seed={cfg.seed}] last-3-epoch mean test error {errors[-1]:.4f}")
+        errors.append(last3_mean_test_error(train(cfg, log=print)))
+        print(f"[{name} seed={cfg.seed}] last-3-epoch mean test error {errors[-1]:.4f}")
     return sum(errors) / len(errors)

@@ -27,7 +27,8 @@ fields, and that an encoding which `needs_positive` rates (division) takes
 `name`, its checkpoint `tag`, the `fixed_structure` the constructor holds
 it to (none for `PCNetwork`, backprop's for `MLP`, see `baseline`) and
 `descent`, which gives a batch's objective and weight directions. Every
-entry that takes an input batch checks it in `_check_input`.
+entry that takes an input batch checks it in `_check_input`, and a target
+batch in `_check_target`.
 
 A `NetworkState` owns every array its batch's relaxation and learning
 steps write: `init_forward` makes them, shaped for the batch, and each step
@@ -38,9 +39,9 @@ next `activity_step` overwrites, and `weight_update_direction` returns
 arrays that its next call on the same state overwrites. Copy what has to
 outlive that.
 
-`predict` makes one activation, scratch and mask array per level once
-per call, sized for one column block, and runs every block of the batch
-through them; only the output array it returns is batch-sized.
+`predict` makes its arrays (an activation array per level, one sigmoid
+scratch and mask for all) once per call, sized for one column block, and
+runs every block of the batch through them; only its output is batch-sized.
 """
 
 from __future__ import annotations
@@ -250,14 +251,22 @@ class LayeredModel:
             raise ShapeMismatchError("input batch is empty")
         return x
 
+    def _check_target(self, y, batch: int) -> np.ndarray:
+        """A target batch as a float64 matrix of the output level's width
+        with one column per sample of a `batch`-sample input."""
+        y = self._check_level_shape(y, self.n_levels, "target batch")
+        if y.shape[1] != batch:
+            raise ShapeMismatchError(f"target batch has {y.shape[1]} columns, input has {batch}")
+        return y
+
     def _level(self, l: int, below: np.ndarray, fp=None, phat=None, scratch=None, mask=None):
         """Level l's activation f(W_{l-1} below) of the activities below it,
         and its effective prediction, the activation plus the level's shift.
 
         Given arrays are written in place (`scratch` and `mask` serve the
-        sigmoid, see `activate`, and `phat` may be `scratch`); missing ones
-        are made. Where `_phat_is_fp` holds, the prediction is the `fp`
-        array itself and `phat` is not written."""
+        sigmoid, see `activate`, and `phat` may be `fp`); missing ones are
+        made. Where `_phat_is_fp` holds, the prediction is the `fp` array
+        itself and `phat` is not written."""
         fp = activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
                       out=fp, scratch=scratch, mask=mask)
         if self._phat_is_fp(l):
@@ -307,24 +316,26 @@ class LayeredModel:
         bits as one product over the whole batch (the tests compare the
         two).
 
-        Each level has an activation, a scratch and a mask array, made once
-        per call, C-ordered (a Fortran-ordered hidden operand would move
-        bits) and as wide as the widest block (the last); every block runs
-        `_level` into their leading columns, and a shifted level writes its
-        effective prediction into its own scratch."""
+        Each level has an activation array, and one scratch and one mask
+        array as tall as the tallest level serve every level's sigmoid; all
+        are C-ordered (a Fortran-ordered hidden operand would move bits) and
+        as wide as the widest block (the last). Every block runs `_level`
+        into their leading rows and columns, shifting a level's activations
+        in place."""
         x = self._check_input(x)
         n = x.shape[1]
         k = max(1, n // PREDICT_BLOCK)
         width = n - (k - 1) * PREDICT_BLOCK
-        levels = [(np.empty((d, width)), np.empty((d, width)), np.empty((d, width), dtype=bool))
-                  for d in self.dims[1:]]
+        acts = [np.empty((d, width)) for d in self.dims[1:]]
+        tallest = max(self.dims[1:])
+        scratch, mask = np.empty((tallest, width)), np.empty((tallest, width), dtype=bool)
         out = np.empty((self.dims[-1], n))
         for i in range(k):
             lo, hi = i * PREDICT_BLOCK, n if i == k - 1 else (i + 1) * PREDICT_BLOCK
-            a = x[:, lo:hi]
-            for l, arrays in enumerate(levels, start=1):
-                fp, scratch, mask = (m[:, :hi - lo] for m in arrays)
-                _, a = self._level(l, a, fp, scratch, scratch, mask)
+            a, cols = x[:, lo:hi], hi - lo
+            for l, (d, act) in enumerate(zip(self.dims[1:], acts), start=1):
+                fp = act[:, :cols]
+                _, a = self._level(l, a, fp, fp, scratch[:d, :cols], mask[:d, :cols])
                 if self.positive_activities:
                     np.maximum(a, 0.0, out=a)
             out[:, lo:hi] = a
@@ -354,12 +365,7 @@ class PCNetwork(LayeredModel):
                             weight_dirs=[np.empty(w.shape) for w in self.weights])
 
     def clamp_output(self, state: NetworkState, y) -> NetworkState:
-        y = self._check_level_shape(y, self.n_levels, "target batch")
-        if y.shape[1] != state.batch_size:
-            raise ShapeMismatchError(
-                f"target batch has {y.shape[1]} columns, state carries {state.batch_size}"
-            )
-        state.a[self.n_levels] = y.copy()
+        state.a[self.n_levels] = self._check_target(y, state.batch_size).copy()
         return state
 
     def compute_errors(self, state: NetworkState) -> NetworkState:

@@ -11,8 +11,9 @@ matrices, are updated in place. Evaluation uses the pure forward sweep; a
 split's classification error and output objective are both read from the
 same outputs.
 
-The metrics CSV has the schema `epoch,split,error,objective,seconds` with
-one train row and one test row per epoch. The train row's objective is the
+Every run writes its metrics CSV and final checkpoint into `cfg.out_dir`.
+The CSV has the schema `epoch,split,error,objective,seconds` with one
+train row and one test row per epoch. The train row's objective is the
 epoch mean of the relaxed energy/cost at weight-update time; the test row's
 objective is the model encoding's `output_cost` (subtractive for backprop)
 of the forward-sweep outputs. `seconds` is wall time and is the only column that
@@ -22,7 +23,8 @@ Training stops with `NonFiniteError` at the first batch whose objective is
 NaN or infinite.
 
 `run_gradcheck` compares the activity and weight directions with central
-differences of the objective, one loop for both kinds of matrix.
+differences of the objective, one loop for both kinds of matrix, at the
+fixed `GRADCHECK_*` settings.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class EpochMetrics:
 @dataclass
 class TrainResult:
     metrics: list
-    metrics_path: Optional[Path]
-    checkpoint_path: Optional[Path]
+    metrics_path: Path
+    checkpoint_path: Path
     model: object
 
 
@@ -155,13 +157,13 @@ def _train_batch(model, x, y, cfg: TrainConfig, adams) -> float:
 
 def train(cfg: TrainConfig, train_split: Optional[dataio.DatasetSplit] = None,
           test_split: Optional[dataio.DatasetSplit] = None,
-          write_outputs: bool = True, log=None) -> TrainResult:
+          log=None) -> TrainResult:
     """Run the full training schedule; deterministic for a fixed config.
 
     Dataset splits may be passed in directly (synthetic data, tests); when
-    omitted they are loaded from cfg.data_dir. With write_outputs the metrics
-    CSV and final checkpoint land in cfg.out_dir, made before the first batch
-    and removed again (with any parents it needed) if training stops early.
+    omitted they are loaded from cfg.data_dir. The metrics CSV and final
+    checkpoint land in cfg.out_dir, made before the first batch and removed
+    again (with any parents it needed) if training stops early.
     """
     cfg = cfg.finalize()
     if train_split is None:
@@ -175,11 +177,9 @@ def train(cfg: TrainConfig, train_split: Optional[dataio.DatasetSplit] = None,
 
     model = build_model(cfg)
     adams = [AdamState.for_shape(w.shape, lr=cfg.lr) for w in model.weights]
-    made = []
-    if write_outputs:
-        out_dir = Path(cfg.out_dir)
-        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(cfg.out_dir)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         metrics = _fit(cfg, model, adams, train_split, test_split, log)
     except BaseException:
@@ -187,12 +187,10 @@ def train(cfg: TrainConfig, train_split: Optional[dataio.DatasetSplit] = None,
             d.rmdir()
         raise
 
-    metrics_path = checkpoint_path = None
-    if write_outputs:
-        metrics_path = out_dir / "metrics.csv"
-        write_metrics(metrics_path, metrics)
-        checkpoint_path = out_dir / "model.pcck"
-        save_checkpoint(checkpoint_path, model, adams)
+    metrics_path = out_dir / "metrics.csv"
+    write_metrics(metrics_path, metrics)
+    checkpoint_path = out_dir / "model.pcck"
+    save_checkpoint(checkpoint_path, model, adams)
     return TrainResult(metrics=metrics, metrics_path=metrics_path,
                        checkpoint_path=checkpoint_path, model=model)
 
@@ -238,9 +236,14 @@ def write_metrics(path, metrics) -> None:
 
 # -- gradient checking --------------------------------------------------------
 
-# The layer sizes and batch that `run_gradcheck` checks by default.
+# The layer sizes and batch that `run_gradcheck` checks by default, and its
+# fixed relaxation (steps, size), central-difference step and pass threshold.
 GRADCHECK_DIMS = (5, 4, 3)
 GRADCHECK_BATCH = 2
+GRADCHECK_RELAX = 3
+GRADCHECK_BETA = 0.05
+GRADCHECK_H = 1e-6
+GRADCHECK_THRESHOLD = 1e-4
 
 
 @dataclass
@@ -296,9 +299,8 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
                   feedback=Transpose(), *, hidden_activation=ActivationKind.SIGMOID,
-                  dims=GRADCHECK_DIMS, batch: int = GRADCHECK_BATCH, seed: int = 0,
-                  n_relax: int = 3, beta: float = 0.05, h: float = 1e-6,
-                  threshold: float = 1e-4) -> GradcheckReport:
+                  dims=GRADCHECK_DIMS, batch: int = GRADCHECK_BATCH,
+                  seed: int = 0) -> GradcheckReport:
     """Compare analytic update directions against central finite differences
     of the configured objective on a small network.
 
@@ -322,7 +324,7 @@ def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
 
     state = net.init_forward(x)
     net.clamp_output(state, y)
-    net.relax(state, n_relax, beta)
+    net.relax(state, GRADCHECK_RELAX, GRADCHECK_BETA)
     net.compute_errors(state)
 
     weight_dirs = net.weight_update_direction(state)
@@ -330,11 +332,11 @@ def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
 
     checks = []
     for l in range(1, net.n_levels):
-        numeric = _central_differences(net, state, state.a[l], batch, h)
+        numeric = _central_differences(net, state, state.a[l], batch, GRADCHECK_H)
         checks.append(LayerCheck("activities", l, _relative_error(activity_dirs[l], numeric),
                                  gated=not feedback.has_matrices))
     for l in range(net.n_levels):
-        numeric = _central_differences(net, state, net.weights[l], 1, h)
+        numeric = _central_differences(net, state, net.weights[l], 1, GRADCHECK_H)
         checks.append(LayerCheck("weights", l, _relative_error(weight_dirs[l], numeric),
                                  gated=True))
-    return GradcheckReport(checks=checks, threshold=threshold)
+    return GradcheckReport(checks=checks, threshold=GRADCHECK_THRESHOLD)

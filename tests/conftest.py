@@ -1,4 +1,5 @@
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,22 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_runs_dir_created():
+    """Fails the run if the suite made `runs/`, TrainConfig's default
+    out_dir, in the working directory: every run a test trains writes, so
+    each must be given an out_dir under a tmp dir. What was made is removed,
+    so the next run fails too until the test is mended."""
+    runs = Path("runs")
+    existed = runs.exists()
+    yield
+    if not existed and runs.exists():
+        made = sorted(str(p) for p in runs.rglob("*"))
+        shutil.rmtree(runs)
+        pytest.fail(f"the suite created {runs.resolve()} (holding {made}); give every "
+                    "training run an out_dir under a tmp dir")
 
 
 def _has_dataset(data_dir, dataset):

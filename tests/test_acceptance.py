@@ -40,15 +40,16 @@ def _report(num, name, passed, detail=""):
 
 
 @pytest.fixture(scope="session")
-def mnist_run(mnist_splits):
+def mnist_run(mnist_splits, tmp_path_factory):
     """Memoized single-run trainer keyed by the finalized config."""
     cache = {}
+    out_dir = str(tmp_path_factory.mktemp("mnist_runs"))
 
     def run(overrides, seed, epochs=25, return_model=False):
-        cfg = make_config("mnist", seed, overrides, epochs=epochs).finalize()
+        cfg = make_config("mnist", seed, overrides, epochs=epochs, out_dir=out_dir).finalize()
         if cfg not in cache:
             t0 = time.perf_counter()
-            result = train(cfg, mnist_splits[0], mnist_splits[1], write_outputs=False)
+            result = train(cfg, mnist_splits[0], mnist_splits[1])
             cache[cfg] = (last3_mean_test_error(result), result.model)
             print(f"  [mnist seed={seed} epochs={epochs} {overrides}] "
                   f"last3 {cache[cfg][0]:.4f} in {time.perf_counter() - t0:.0f}s")
@@ -79,7 +80,7 @@ def test_criterion_1_mnist_table(mnist_run):
 
 @pytest.mark.dataset
 @pytest.mark.slow
-def test_criterion_2_fashion_table(fashion_dir):
+def test_criterion_2_fashion_table(fashion_dir, tmp_path):
     train_split = dataio.load_split(fashion_dir, "fashion", "train")
     test_split = dataio.load_split(fashion_dir, "fashion", "test")
     tolerance = 0.012
@@ -87,8 +88,9 @@ def test_criterion_2_fashion_table(fashion_dir):
     for name, (overrides, _, expected_fashion) in TABLE_ROWS.items():
         per_seed = []
         for seed in TABLE_SEEDS:
-            cfg = make_config("fashion", seed, overrides)
-            result = train(cfg, train_split, test_split, write_outputs=False)
+            cfg = make_config("fashion", seed, overrides,
+                              out_dir=str(tmp_path / f"{name}_seed{seed}"))
+            result = train(cfg, train_split, test_split)
             per_seed.append(last3_mean_test_error(result))
             print(f"  [fashion {name} seed={seed}] last3 {per_seed[-1]:.4f}")
         results[name] = (sum(per_seed) / len(per_seed), expected_fashion)
@@ -148,7 +150,7 @@ def test_criterion_5_first_update_equivalence():
     pc_inc = adam_step(AdamState.for_shape(net.weights[-1].shape),
                        net.weight_update_direction(state)[-1])
     bp_inc = adam_step(AdamState.for_shape(mlp.weights[-1].shape),
-                       -mlp.backward(x, y)[-1])
+                       mlp.descent(x, y, 0, 0.0)[1][-1])
     gap = float(np.max(np.abs(pc_inc - bp_inc)))
     _report(5, "first-update equivalence", gap <= 1e-10,
             f"max |pc - bp| output-layer increment = {gap:.2e}")
@@ -157,16 +159,16 @@ def test_criterion_5_first_update_equivalence():
 # -- criterion 6: threshold-encoding equivalence ---------------------------------
 
 
-def _one_epoch_weights(encoding_name, train_split, seed=5):
+def _one_epoch_weights(encoding_name, train_split, out_dir, seed=5):
     cfg = TrainConfig(encoding=encoding_name, positive_activities=True,
-                      epochs=1, seed=seed)
-    result = train(cfg, train_split, SYN_TEST, write_outputs=False)
+                      epochs=1, seed=seed, out_dir=str(out_dir))
+    result = train(cfg, train_split, SYN_TEST)
     return result.model.weights
 
 
-def test_criterion_6_threshold_equivalence():
-    sub = _one_epoch_weights("subtractive", SYN_TRAIN)
-    thr = _one_epoch_weights("threshold", SYN_TRAIN)
+def test_criterion_6_threshold_equivalence(tmp_path):
+    sub = _one_epoch_weights("subtractive", SYN_TRAIN, tmp_path / "subtractive")
+    thr = _one_epoch_weights("threshold", SYN_TRAIN, tmp_path / "threshold")
     gap = max(float(np.max(np.abs(a - b))) for a, b in zip(sub, thr))
     _report(6, "threshold-encoding equivalence", gap <= 1e-10,
             f"max weight gap after 1 epoch = {gap:.2e}")

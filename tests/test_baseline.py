@@ -73,14 +73,20 @@ class TestForward:
 
     @pytest.mark.parametrize("call", [
         lambda mlp, x, y: mlp.descent(x, y, 0, 0.0),
-        lambda mlp, x, y: mlp.backward(x, y),
         lambda mlp, x, y: mlp.predict(x),
-    ], ids=["descent", "backward", "predict"])
+    ], ids=["descent", "predict"])
     def test_empty_batch_refused(self, call):
         # a 0-column mean would be a NaN loss and NaN gradients
         mlp = init_mlp([6, 4, 3], seed=0)
         with pytest.raises(ShapeMismatchError, match="input batch is empty"):
             call(mlp, np.zeros((6, 0)), np.zeros((3, 0)))
+
+
+def _gradients(mlp, x, y):
+    """(loss, gradients) of a batch: `descent`'s objective and its negated
+    directions, which negation gives back with `backward`'s bits."""
+    loss, directions = mlp.descent(x, y, 0, 0.0)
+    return loss, [-d for d in directions]
 
 
 class TestBackward:
@@ -90,8 +96,8 @@ class TestBackward:
         mlp = init_mlp(dims, seed=14, bias=0.1, hidden_activation=ActivationKind.TANH)
         x, y = _data(dims, 9, 15)
         objective, directions = mlp.descent(x, y, n_updates, beta)
-        assert objective == mlp.loss(x, y)
-        grads = mlp.backward(x, y)
+        assert objective == mlp.loss(y, mlp.predict(x))
+        grads = mlp.backward(y, mlp._sweep(x))
         assert len(directions) == len(grads)
         for d, g in zip(directions, grads):
             assert d.tobytes() == (-g).tobytes()
@@ -100,13 +106,13 @@ class TestBackward:
         mlp = init_mlp([5, 4, 3], seed=4)
         x, _ = _data([5, 4, 3], 3, 5)
         y = mlp.predict(x)  # loss is exactly zero at its own output
-        for g in mlp.backward(x, y):
+        for g in _gradients(mlp, x, y)[1]:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_scalar_chain_rule(self):
         # x = 1, W = 0, y = 1, sigmoid: dL/dW = -(y - out) f'(0) x = -0.125
         mlp = MLP([1, 1], [np.zeros((1, 1))])
-        g = mlp.backward(np.array([[1.0]]), np.array([[1.0]]))
+        _, g = _gradients(mlp, np.array([[1.0]]), np.array([[1.0]]))
         assert g[0][0, 0] == -0.125
 
     @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.TANH])
@@ -115,7 +121,7 @@ class TestBackward:
         dims = [5, 4, 3]
         mlp = init_mlp(dims, seed=8, bias=bias, hidden_activation=hidden)
         x, y = _data(dims, 2, 9)
-        grads = mlp.backward(x, y)
+        _, grads = _gradients(mlp, x, y)
         h = 1e-6
         for l, w in enumerate(mlp.weights):
             numeric = np.empty_like(w)
@@ -123,9 +129,9 @@ class TestBackward:
                 for j in range(w.shape[1]):
                     orig = w[i, j]
                     w[i, j] = orig + h
-                    up = mlp.loss(x, y)
+                    up = _gradients(mlp, x, y)[0]
                     w[i, j] = orig - h
-                    down = mlp.loss(x, y)
+                    down = _gradients(mlp, x, y)[0]
                     w[i, j] = orig
                     numeric[i, j] = (up - down) / (2 * h)
             scale = max(np.max(np.abs(grads[l])), np.max(np.abs(numeric)), 1e-12)
@@ -147,7 +153,7 @@ class TestBackward:
             want[l - 1] = (g @ a[l - 1].T) / 9
             if l > 1:
                 g = (mlp.weights[l - 1].T @ g) * activate_deriv(mlp.activation_at(l - 1), p[l - 1])
-        for got, ref in zip(mlp.backward(x, y), want):
+        for got, ref in zip(_gradients(mlp, x, y)[1], want):
             np.testing.assert_array_equal(got, ref)
 
     def test_finite_difference_many_trials(self):
@@ -156,7 +162,7 @@ class TestBackward:
         for trial in range(100):
             mlp = init_mlp(dims, seed=trial)
             x, y = _data(dims, 2, trial + 500)
-            grads = mlp.backward(x, y)
+            _, grads = _gradients(mlp, x, y)
             # spot-check one random entry per layer each trial to stay fast
             rng = np.random.default_rng(trial)
             for l, w in enumerate(mlp.weights):
@@ -164,9 +170,9 @@ class TestBackward:
                 j = rng.integers(0, w.shape[1])
                 orig = w[i, j]
                 w[i, j] = orig + h
-                up = mlp.loss(x, y)
+                up = _gradients(mlp, x, y)[0]
                 w[i, j] = orig - h
-                down = mlp.loss(x, y)
+                down = _gradients(mlp, x, y)[0]
                 w[i, j] = orig
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(grads[l][i, j]), abs(numeric), 1e-8)
@@ -176,25 +182,7 @@ class TestBackward:
         mlp = MLP([2, 2], [np.zeros((2, 2))])
         x = np.zeros((2, 3))
         y = np.ones((2, 3))  # out = 0.5, per-sample loss = 2 * 0.5 * 0.25
-        assert mlp.loss(x, y) == pytest.approx(0.25, abs=1e-15)
-
-    def test_loss_from_given_outputs(self):
-        mlp = init_mlp([5, 4, 3], seed=1)
-        rng = np.random.default_rng(0)
-        x = rng.uniform(size=(5, 6))
-        y = rng.uniform(size=(3, 6))
-        out = mlp.predict(x)
-        assert mlp.loss(x, y, outputs=out) == mlp.loss(x, y)
-        with pytest.raises(ShapeMismatchError):
-            mlp.loss(x, y, outputs=out[:, :-1])
-
-    def test_backward_from_given_sweep(self):
-        mlp = init_mlp([5, 4, 3], seed=1)
-        rng = np.random.default_rng(0)
-        x = rng.uniform(size=(5, 6))
-        y = rng.uniform(size=(3, 6))
-        for ga, gb in zip(mlp.backward(x, y, sweep=mlp._sweep(x)), mlp.backward(x, y)):
-            np.testing.assert_array_equal(ga, gb)
+        assert _gradients(mlp, x, y)[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def _pc_backprop(net, x, y) -> list:

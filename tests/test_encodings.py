@@ -16,10 +16,16 @@ from biopc.network import PCNetwork
 M = lambda *rows: np.array(rows, dtype=np.float64)
 
 
+def _error(encoding, a, phat):
+    """`encoding.error` of activities `a` against predictions `phat`, into
+    fresh level terms."""
+    return encoding.error(a, phat, encoding.terms(a.shape))
+
+
 def _threshold(e, e_min=-1.0, e_max=2.1):
     """(decoded, encoded) threshold errors for raw errors `e`: activities `e`
     against a zero prediction."""
-    return enc.SubtractiveThreshold(e_min, e_max).error(e, np.zeros_like(e))
+    return _error(enc.SubtractiveThreshold(e_min, e_max), e, np.zeros_like(e))
 
 
 class TestVariants:
@@ -64,16 +70,16 @@ class TestPredictedRate:
 class TestSubtractive:
     def test_zero_when_matched(self):
         a = M([0.3, 0.7])
-        e, e_star = enc.Subtractive().error(a, a)
+        e, e_star = _error(enc.Subtractive(), a, a)
         assert np.all(e == 0.0) and e_star is None
 
     def test_simple_difference(self):
-        assert enc.Subtractive().error(M([1.0]), M([0.5]))[0][0, 0] == 0.5
+        assert _error(enc.Subtractive(), M([1.0]), M([0.5]))[0][0, 0] == 0.5
 
     def test_bias_enters_through_prediction(self):
         # a = 1 against f(p) = 0.5 shifted by b = 0.1
         phat = _effective_prediction(ActivationKind.SIGMOID, 0.1)
-        got, _ = enc.Subtractive().error(M([1.0]), phat)
+        got, _ = _error(enc.Subtractive(), M([1.0]), phat)
         assert got[0, 0] == pytest.approx(0.4, abs=1e-15)
 
 
@@ -121,22 +127,22 @@ class TestThreshold:
 class TestDivision:
     def test_one_when_matched(self):
         a = M([0.2, 0.9])
-        got, _ = enc.Division(1e-3).error(a, a)
+        got, _ = _error(enc.Division(1e-3), a, a)
         np.testing.assert_allclose(got, 1.0, atol=1e-15)
 
     def test_ratio_of_four_gives_two(self):
-        got, _ = enc.Division(1e-12).error(M([1.0]), M([0.25]))
+        got, _ = _error(enc.Division(1e-12), M([1.0]), M([0.25]))
         assert got[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_over_zero_is_one(self):
-        got, _ = enc.Division(1e-3).error(M([0.0]), M([0.0]))
+        got, _ = _error(enc.Division(1e-3), M([0.0]), M([0.0]))
         assert got[0, 0] == 1.0
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(enc.EncodingDomainError, match="negative"):
-            enc.Division(1e-3).error(M([-0.1]), M([0.5]))
+            _error(enc.Division(1e-3), M([-0.1]), M([0.5]))
         with pytest.raises(enc.EncodingDomainError, match="negative"):
-            enc.Division(1e-3).error(M([0.1]), M([-0.5]))
+            _error(enc.Division(1e-3), M([0.1]), M([-0.5]))
 
     @given(
         hnp.arrays(np.float64, (4, 3), elements=st.floats(0.0, 5.0)),
@@ -145,7 +151,7 @@ class TestDivision:
     )
     @example(a=np.zeros((4, 3)), phat=np.full((4, 3), 1.72e-18), epsilon=1e-6)
     def test_strictly_positive_and_one_iff_matched(self, a, phat, epsilon):
-        got, _ = enc.Division(epsilon).error(a, phat)
+        got, _ = _error(enc.Division(epsilon), a, phat)
         assert np.all(got > 0.0)
         assert np.all(got[a == phat] == 1.0)
         # e = sqrt(1 + d) with d = (a - phat) / (phat + eps), so |e - 1| is

@@ -337,8 +337,8 @@ class TestWeightUpdateDirection:
         net.clamp_output(state, y)
         net.compute_errors(state)
         pc_top = net.weight_update_direction(state)[-1]
-        bp_top = mlp.backward(x, y)[-1]
-        np.testing.assert_allclose(pc_top, -bp_top, atol=1e-10)
+        bp_top = mlp.descent(x, y, 0, 0.0)[1][-1]
+        np.testing.assert_allclose(pc_top, bp_top, atol=1e-10)
 
     def test_threshold_equivalent_to_subtractive_within_1e12(self):
         sub = init_network([6, 5, 4], seed=8)
@@ -458,14 +458,22 @@ def test_integer_input_is_refused(model, dtype):
     calls = [lambda: net.predict(x), lambda: net.descent(x, y, 2, 0.1)]
     if model == "pc":
         calls.append(lambda: net.init_forward(x))
-    else:
-        calls += [lambda: net.loss(x, y), lambda: net.backward(x, y)]
     for call in calls:
         with pytest.raises(TypeError, match="DatasetSplit.columns"):
             call()
     # integer-valued floats are rates like any others
     np.testing.assert_array_equal(net.predict(x.astype(np.float64) / 255.0),
                                   net.predict(np.ones((4, 5))))
+
+
+@pytest.mark.parametrize("y", [np.zeros((3, 5)), np.zeros((2, 4)), np.zeros(5)],
+                         ids=["wrong-rows", "wrong-columns", "1-D"])
+@pytest.mark.parametrize("model", ["pc", "bp"])
+def test_descent_refuses_mismatched_target(model, y):
+    # one target column per input sample, as tall as the output level
+    net = (init_mlp if model == "bp" else init_network)([4, 3, 2], seed=1)
+    with pytest.raises(ShapeMismatchError):
+        net.descent(np.zeros((4, 5)), y, 2, 0.1)
 
 
 class TestFeedbackSchemes:

@@ -25,46 +25,53 @@ TRAIN = synthetic_split(512, seed=1)
 TEST = synthetic_split(128, seed=2, name="test")
 
 
+_CFG_BASE = dict(epochs=1, n_updates=3, seed=0)
+
+
+@pytest.fixture(autouse=True)
+def _out_dir(tmp_path, monkeypatch):
+    # every run a test trains writes under that test's own tmp dir
+    monkeypatch.setitem(_CFG_BASE, "out_dir", str(tmp_path / "run"))
+
+
 def _cfg(**kwargs):
-    base = dict(epochs=1, n_updates=3, seed=0)
-    base.update(kwargs)
-    return TrainConfig(**base)
+    return TrainConfig(**{**_CFG_BASE, **kwargs})
 
 
 class TestTrainLoop:
     def test_learns_the_synthetic_task(self):
-        result = train(_cfg(epochs=10, n_updates=10), TRAIN, TEST, write_outputs=False)
+        result = train(_cfg(epochs=10, n_updates=10), TRAIN, TEST)
         final = result.metrics[-1]
         assert final.split == "test"
         assert final.error <= 0.05
 
     def test_metrics_deterministic_across_runs(self):
-        runs = [train(_cfg(seed=3), TRAIN, TEST, write_outputs=False) for _ in range(2)]
+        runs = [train(_cfg(seed=3), TRAIN, TEST) for _ in range(2)]
         for m1, m2 in zip(*[r.metrics for r in runs]):
             assert (m1.epoch, m1.split, m1.error, m1.objective) == \
                    (m2.epoch, m2.split, m2.error, m2.objective)
 
     def test_different_seeds_differ(self):
-        a = train(_cfg(seed=1), TRAIN, TEST, write_outputs=False)
-        b = train(_cfg(seed=2), TRAIN, TEST, write_outputs=False)
+        a = train(_cfg(seed=1), TRAIN, TEST)
+        b = train(_cfg(seed=2), TRAIN, TEST)
         assert not np.array_equal(a.model.weights[0], b.model.weights[0])
 
     def test_objective_decreases_over_epochs(self):
-        result = train(_cfg(epochs=3), TRAIN, TEST, write_outputs=False)
+        result = train(_cfg(epochs=3), TRAIN, TEST)
         train_objectives = [m.objective for m in result.metrics if m.split == "train"]
         assert train_objectives[-1] < train_objectives[0]
 
     def test_rejects_wrong_feature_count(self):
         small = synthetic_split(32, seed=1, n_features=100)
         with pytest.raises(IdxError, match="features"):
-            train(_cfg(), small, small, write_outputs=False)
+            train(_cfg(), small, small)
 
     def test_rejects_wrong_test_feature_count(self, monkeypatch):
         # checked before the first batch, not at the first evaluation
         monkeypatch.setattr(training, "_train_batch", None)
         short = synthetic_split(32, seed=2, name="test", n_features=783)
         with pytest.raises(IdxError, match="test images have 783 features"):
-            train(_cfg(), TRAIN, short, write_outputs=False)
+            train(_cfg(), TRAIN, short)
 
     def test_perfectly_predicted_split_scores_zero(self):
         from biopc.network import init_network
@@ -83,8 +90,8 @@ class TestTrainLoop:
         floats = [DatasetSplit(load_idx_images(mnist / f"{stem}-images-idx3-ubyte{gz}"),
                                load_idx_labels(mnist / f"{stem}-labels-idx1-ubyte{gz}"), name)
                   for stem, gz, name in (("train", "", "train"), ("t10k", ".gz", "test"))]
-        from_bytes = train(cfg, write_outputs=False)
-        from_floats = train(cfg, *floats, write_outputs=False)
+        from_bytes = train(cfg)
+        from_floats = train(cfg, *floats)
         assert [(m.error, m.objective) for m in from_bytes.metrics] == \
                [(m.error, m.objective) for m in from_floats.metrics]
         for wa, wb in zip(from_bytes.model.weights, from_floats.model.weights):
@@ -100,16 +107,16 @@ class TestTrainLoop:
 
     def test_division_training_runs_and_stays_positive(self):
         cfg = _cfg(encoding="division", positive_activities=True, bias=0.1)
-        result = train(cfg, TRAIN, TEST, write_outputs=False)
+        result = train(cfg, TRAIN, TEST)
         assert all(np.isfinite(m.objective) for m in result.metrics)
         assert all(w.dtype == np.float64 and np.all(np.isfinite(w))
                    for w in result.model.weights)
 
     def test_threshold_training_matches_subtractive(self):
         sub = train(_cfg(encoding="subtractive", positive_activities=True, seed=4),
-                    TRAIN, TEST, write_outputs=False)
+                    TRAIN, TEST)
         thr = train(_cfg(encoding="threshold", positive_activities=True, seed=4),
-                    TRAIN, TEST, write_outputs=False)
+                    TRAIN, TEST)
         for wa, wb in zip(sub.model.weights, thr.model.weights):
             np.testing.assert_allclose(wa, wb, atol=1e-10)
 
@@ -151,7 +158,7 @@ class TestInPlaceTraining:
             return model
 
         monkeypatch.setattr(training, "build_model", record)
-        result = train(_cfg(epochs=2, **overrides), TRAIN, TEST, write_outputs=False)
+        result = train(_cfg(epochs=2, **overrides), TRAIN, TEST)
         for w, (w0, before) in zip(trained(result.model), initial):
             assert w is w0
             assert not np.array_equal(w, before)
@@ -160,7 +167,7 @@ class TestInPlaceTraining:
         mlp = init_mlp([784, 300, 300, 10], seed=4)
         x = TRAIN.images[:, :64]
         y = one_hot(TRAIN.labels[:64])
-        expected = mlp.loss(x, y)
+        expected = mlp.loss(y, mlp.predict(x))
         calls = {"_sweep": 0, "predict": 0}
         for name in calls:
             method = getattr(MLP, name)
@@ -187,8 +194,8 @@ class TestDescent:
         x, y = TRAIN.images[:, :64], one_hot(TRAIN.labels[:64])
         if row == "backprop":
             sweep = model._sweep(x)
-            objective = model.loss(x, y, outputs=sweep[0][-1])
-            directions = [np.negative(g) for g in model.backward(x, y, sweep=sweep)]
+            objective = model.loss(y, sweep[0][-1])
+            directions = [np.negative(g) for g in model.backward(y, sweep)]
         else:
             state = model.init_forward(x)
             model.clamp_output(state, y)
@@ -298,7 +305,7 @@ class TestKolenPollackTraining:
         # batches); the same run must also actually train, which is what a
         # too-aggressive decay silently breaks
         cfg = _cfg(feedback="kp", batch_size=8, epochs=8, n_updates=2)
-        result = train(cfg, TRAIN, TEST, write_outputs=False)
+        result = train(cfg, TRAIN, TEST)
         net = result.model
         assert isinstance(net.feedback, KolenPollack)
         for l in range(net.n_levels):
@@ -310,7 +317,7 @@ class TestKolenPollackTraining:
 
     def test_random_feedback_stays_fixed(self):
         cfg = _cfg(feedback="random")
-        result = train(cfg, TRAIN, TEST, write_outputs=False)
+        result = train(cfg, TRAIN, TEST)
         net = result.model
         assert isinstance(net.feedback, RandomFixed)
         from biopc.network import init_network
