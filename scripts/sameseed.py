@@ -16,7 +16,9 @@ synthetic MNIST-shaped samples:
   the image layout it returns,
 * the class name of the model that `load_checkpoint` makes from the
   `.pcck` file, and `evaluate` of that reloaded model on the 9001-sample
-  split: this covers the checkpoint loader,
+  split, and per reloaded Adam state the SHA-256 of its `m` and `v` bytes
+  and the reprs of its `step_count`, `lr`, `beta1`, `beta2` and `eps`:
+  this covers the checkpoint loader,
 * the SHA-256 of the `predict` output bytes on the first 1, 511, 512,
   513, 1023, 1024, 1535 and 4500 samples of that split, each as a C- and
   a Fortran-ordered matrix: these widths sit on both sides of the edges
@@ -145,6 +147,13 @@ def _config_record(cfg, work_dir: Path) -> dict:
             for field, value in dataclasses.asdict(cfg.finalize()).items()}
 
 
+def _adam_record(state) -> dict:
+    """SHA-256 of an Adam state's m and v bytes and reprs of its scalars."""
+    return {"m_sha256": _sha256(state.m.tobytes()), "v_sha256": _sha256(state.v.tobytes()),
+            **{name: repr(getattr(state, name))
+               for name in ("step_count", "lr", "beta1", "beta2", "eps")}}
+
+
 def _predict_digests(model, images: np.ndarray) -> dict:
     """SHA-256 of `predict`'s output bytes on the first columns of
     `images`, per width and memory order."""
@@ -177,7 +186,7 @@ def digests(work_dir: Path) -> dict:
         result = train(cfg) if from_idx else train(cfg, train_split, test_split)
         metrics = "".join(line.rsplit(",", 1)[0] + "\n"
                           for line in result.metrics_path.read_text().splitlines())
-        reloaded, _ = load_checkpoint(result.checkpoint_path)
+        reloaded, adams = load_checkpoint(result.checkpoint_path)
         out["rows"][name] = {
             "config": _config_record(cfg, work_dir),
             "pcck_sha256": _sha256(result.checkpoint_path.read_bytes()),
@@ -185,6 +194,7 @@ def digests(work_dir: Path) -> dict:
             "evaluate": [repr(v) for v in evaluate(result.model, eval_split)],
             "reloaded_class": type(reloaded).__name__,
             "reloaded_evaluate": [repr(v) for v in evaluate(reloaded, eval_split)],
+            "reloaded_adam": [_adam_record(state) for state in adams],
             "predict_sha256": _predict_digests(result.model, eval_split.images),
             "evaluate_idx": {
                 key: [repr(v) for v in evaluate(result.model,

@@ -8,7 +8,7 @@ non-negative activity neurons, and non-negative error-neuron encodings
 backpropagation MLP is included as the comparison baseline.
 """
 
-from .baseline import MLP, init_mlp
+from .baseline import MLP
 from .config import TrainConfig
 from .dataio import BatchPlan, DatasetSplit, load_split, one_hot, synthetic_split
 from .encodings import Division, Subtractive, SubtractiveThreshold
@@ -41,7 +41,6 @@ __all__ = [
     "TrainConfig",
     "Transpose",
     "adam_step",
-    "init_mlp",
     "init_network",
     "kp_step",
     "load_split",

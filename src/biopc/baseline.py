@@ -13,6 +13,9 @@ the subtractive output cost.
 `MLP.descent` is backprop's batch entry: it checks the input and target
 once and gives the loss and negative gradients from one forward sweep,
 which `loss` and `backward` take.
+An MLP is built as a network is, by `network.init_network(dims, ...,
+model_class=MLP)`: the same seed yields the same forward weights for
+either class, which equal-footing comparisons rely on.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encodings as enc
-from .linalg import ActivationKind
-from .network import LayeredModel, PCNetwork, Transpose, init_network
+from .network import LayeredModel, PCNetwork, Transpose
 
 
 class MLP(LayeredModel):
@@ -62,12 +64,3 @@ class MLP(LayeredModel):
 
 
 MODELS = (PCNetwork, MLP)
-
-
-def init_mlp(dims, *, bias: float = 0.0,
-             hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-             seed: int = 0) -> MLP:
-    """`init_network` for an MLP: the same seed yields the same forward
-    weights as for a network, which equal-footing comparisons rely on."""
-    return init_network(dims, bias=bias, hidden_activation=hidden_activation, seed=seed,
-                        model_class=MLP)

@@ -15,7 +15,7 @@ Layout, all little-endian. Each bracketed name is the module-level
     [_COUNT]   weight count u32, then per matrix a block: [_SHAPE] rows u32,
                cols u32, then rows*cols f64 row-major
     [_FLAG]    feedback presence u8; if 1: [_COUNT] and blocks as above
-    [_FLAG]    optimizer presence u8; if 1: [_COUNT], then per state
+    [_FLAG]    optimizer presence u8, always 1; [_COUNT], then per state
                [_ADAM] step u64, lr, beta1, beta2, eps f64, and m, v blocks
 
 Round trips are bit-exact: matrices are written as raw float64 bytes,
@@ -49,7 +49,6 @@ import dataclasses
 import os
 import struct
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -128,10 +127,8 @@ class _Reader:
                              offset=start).reshape(rows, cols)
 
 
-def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
+def _check_optimizers(path, optimizers: list, weights: list) -> None:
     """One state per weight matrix, `m` and `v` shaped as it, within Adam's bounds."""
-    if optimizers is None:
-        return
     if len(optimizers) != len(weights):
         raise CheckpointError(f"{path}: optimizer block holds {len(optimizers)} states "
                               f"for {len(weights)} weight matrices")
@@ -147,7 +144,7 @@ def _check_optimizers(path, optimizers: Optional[list], weights: list) -> None:
             raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 
 
-def _pack(path, model: LayeredModel, optimizer_states: Optional[list]) -> list:
+def _pack(path, model: LayeredModel, optimizer_states: list) -> list:
     """The records of the file that holds `model` and `optimizer_states`
     (see `_Writer`), after the optimizer states are checked."""
     _check_optimizers(path, optimizer_states, model.weights)
@@ -173,21 +170,19 @@ def _pack(path, model: LayeredModel, optimizer_states: Optional[list]) -> list:
         for l, b in enumerate(fb):
             w.matrix(f"B[{l}]", b)
 
-    w.write(_FLAG, "optimizer presence", 0 if optimizer_states is None else 1)
-    if optimizer_states is not None:
-        w.write(_COUNT, "optimizer count", len(optimizer_states))
-        for i, s in enumerate(optimizer_states):
-            w.write(_ADAM, f"opt[{i}] header", s.step_count, s.lr, s.beta1, s.beta2, s.eps)
-            w.matrix(f"opt[{i}] m", s.m)
-            w.matrix(f"opt[{i}] v", s.v)
+    w.write(_FLAG, "optimizer presence", 1)
+    w.write(_COUNT, "optimizer count", len(optimizer_states))
+    for i, s in enumerate(optimizer_states):
+        w.write(_ADAM, f"opt[{i}] header", s.step_count, s.lr, s.beta1, s.beta2, s.eps)
+        w.matrix(f"opt[{i}] m", s.m)
+        w.matrix(f"opt[{i}] v", s.v)
     return w.records
 
 
-def save_checkpoint(path, model: LayeredModel,
-                    optimizer_states: Optional[list] = None) -> None:
-    """Writes `model` and, when given, one optimizer state per weight
-    matrix; a mismatched state is refused before the file is opened, and
-    the target keeps its old bytes unless the whole new file is written."""
+def save_checkpoint(path, model: LayeredModel, optimizer_states: list) -> None:
+    """Writes `model` and its optimizer states, one per weight matrix; a
+    mismatched state is refused before the file is opened, and the target
+    keeps its old bytes unless the whole new file is written."""
     records = _pack(path, model, optimizer_states)
     # `open`, not `mkstemp` (0600), so the file gets a new file's usual permissions.
     path = Path(path)
@@ -203,7 +198,7 @@ def save_checkpoint(path, model: LayeredModel,
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer_states or None)."""
+    """Returns (model, optimizer_states)."""
     buf = Path(path).read_bytes()
     r = _Reader(buf, path)
     magic, version, model_kind, n_levels = r.read(_HEADER, "header")
@@ -225,18 +220,17 @@ def load_checkpoint(path):
         (n_b,) = r.read(_COUNT, "feedback count")
         feedback_weights = [r.matrix(f"B[{l}]") for l in range(n_b)]
 
-    optimizers = None
-    if r.read(_FLAG, "optimizer presence")[0]:
-        (n_opt,) = r.read(_COUNT, "optimizer count")
-        optimizers = []
-        for i in range(n_opt):
-            step, lr, beta1, beta2, eps = r.read(_ADAM, f"opt[{i}] header")
-            m, v = r.matrix(f"opt[{i}] m"), r.matrix(f"opt[{i}] v")
-            try:
-                optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr,
-                                            beta1=beta1, beta2=beta2, eps=eps))
-            except ValueError as err:
-                raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
+    r.read(_FLAG, "optimizer presence")  # any byte but 1 fails the save-back below
+    (n_opt,) = r.read(_COUNT, "optimizer count")
+    optimizers = []
+    for i in range(n_opt):
+        step, lr, beta1, beta2, eps = r.read(_ADAM, f"opt[{i}] header")
+        m, v = r.matrix(f"opt[{i}] m"), r.matrix(f"opt[{i}] v")
+        try:
+            optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr,
+                                        beta1=beta1, beta2=beta2, eps=eps))
+        except ValueError as err:
+            raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 
     try:
         model_class = enc.find(MODELS, "tag", model_kind)

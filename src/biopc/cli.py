@@ -28,8 +28,8 @@ from .config import (_CHOICES, _FIELD_TYPES, ConfigError, TrainConfig, _coerce, 
                      parse_config_file)
 from .linalg import ActivationKind, ShapeMismatchError
 from .network import FEEDBACK_SCHEMES
-from .training import (GRADCHECK_BATCH, GRADCHECK_DIMS, NonFiniteError, evaluate,
-                       run_gradcheck, train)
+from .training import (GRADCHECK_BATCH, GRADCHECK_DIMS, GRADCHECK_THRESHOLD, NonFiniteError,
+                       evaluate, run_gradcheck, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -125,9 +125,9 @@ def _cmd_gradcheck(args) -> int:
     for check in report.checks:
         print("  " + check.describe())
     if report.passed:
-        print(f"PASS  max gated rel err {report.max_gated_error():.3e} <= {report.threshold:g}")
+        print(f"PASS  max gated rel err {report.max_gated_error():.3e} <= {GRADCHECK_THRESHOLD:g}")
         return EXIT_OK
-    print(f"FAIL  max gated rel err {report.max_gated_error():.3e} > {report.threshold:g}")
+    print(f"FAIL  max gated rel err {report.max_gated_error():.3e} > {GRADCHECK_THRESHOLD:g}")
     return EXIT_GRADCHECK
 
 

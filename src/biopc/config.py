@@ -25,12 +25,12 @@ from typing import Optional
 
 from . import encodings as enc
 from .baseline import MODELS
-from .dataio import N_CLASSES, BatchPlan
+from .dataio import N_CLASSES, N_FEATURES, BatchPlan
 from .linalg import ActivationKind
 from .network import FEEDBACK_SCHEMES, KolenPollack, PCNetwork, Transpose
 from .optim import AdamState
 
-NETWORK_DIMS = [784, 300, 300, N_CLASSES]
+NETWORK_DIMS = [N_FEATURES, 300, 300, N_CLASSES]
 
 DATASET_DEFAULTS = {
     "mnist": {"beta": 0.1, "n_updates": 20},

@@ -18,6 +18,10 @@ of the float64 matrix's size (47 vs 376 MB for MNIST's training split).
 `DatasetSplit.columns` is where columns become float64, one batch or
 evaluation chunk (`column_chunks`) at a time, by the rule of
 `load_idx_images`, which still returns the whole float64 matrix.
+
+Both datasets' images are IMAGE_ROWS x IMAGE_COLS pixels, N_FEATURES
+input features (`config.NETWORK_DIMS[0]`); `write_idx_images` and
+`synthetic_split` take no other geometry.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ LABELS_MAGIC = 0x00000801
 # Label classes of both datasets (digits and clothing types 0..9): the
 # width of a one-hot target, and so of a model's output level.
 N_CLASSES = 10
+# Image rows and columns of both datasets: a model's input level is N_FEATURES wide.
+IMAGE_ROWS = IMAGE_COLS = 28
+N_FEATURES = IMAGE_ROWS * IMAGE_COLS
 
 _SPLIT_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -161,12 +168,12 @@ def _write_idx(path, magic: int, array: np.ndarray) -> None:
     path.write_bytes(gzip.compress(blob) if path.suffix == ".gz" else blob)
 
 
-def write_idx_images(path, pixels: np.ndarray, rows: int = 28, cols: int = 28) -> None:
-    """Write pixels (N x rows*cols) as an IDX image file (see `_write_idx`)."""
+def write_idx_images(path, pixels: np.ndarray) -> None:
+    """Write pixels (N x N_FEATURES) as an IDX image file (see `_write_idx`)."""
     pixels = np.asarray(pixels)
-    if pixels.ndim != 2 or pixels.shape[1] != rows * cols:
-        raise IdxError(f"{path}: pixels have shape {pixels.shape}, expected N x {rows * cols}")
-    _write_idx(path, IMAGES_MAGIC, pixels.reshape(pixels.shape[0], rows, cols))
+    if pixels.ndim != 2 or pixels.shape[1] != N_FEATURES:
+        raise IdxError(f"{path}: pixels have shape {pixels.shape}, expected N x {N_FEATURES}")
+    _write_idx(path, IMAGES_MAGIC, pixels.reshape(pixels.shape[0], IMAGE_ROWS, IMAGE_COLS))
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
@@ -244,17 +251,17 @@ SYNTHETIC_ROWS = 16
 
 
 def synthetic_split(n_samples: int, seed: int, name: str = "train", *,
-                    n_features: int = 784, task_seed: int = 0) -> DatasetSplit:
+                    task_seed: int = 0) -> DatasetSplit:
     """MNIST-shaped synthetic classification data for dataset-free tests.
 
-    Each class is a fixed random prototype in [0, 1]^features determined by
+    Each class is a fixed random prototype in [0, 1]^N_FEATURES determined by
     `task_seed`; samples are noisy convex blends of their prototype, clipped
     to [0, 1]. Splits drawn with different `seed` but one task_seed share the
     prototypes, so train/test generalization is meaningful. Prototypes in
     high dimension are nearly orthogonal, so the task is easily learnable.
     """
     proto_rng = np.random.default_rng([task_seed, 0xDA7A])
-    protos = proto_rng.uniform(0.0, 1.0, size=(n_features, N_CLASSES))
+    protos = proto_rng.uniform(0.0, 1.0, size=(N_FEATURES, N_CLASSES))
     rng = np.random.default_rng([seed, 0x5A11])
     labels = rng.integers(0, N_CLASSES, size=n_samples)
     # clip(0.75 proto + 0.25 noise) a few feature rows at a time, with no
@@ -264,10 +271,10 @@ def synthetic_split(n_samples: int, seed: int, name: str = "train", *,
     # form gave for all but the narrowest splits, so that gathering a
     # batch's columns stays cheap; a chunk is computed in a C-ordered
     # buffer and then copied in.
-    images = np.empty((n_features, n_samples), order="F")
+    images = np.empty((N_FEATURES, n_samples), order="F")
     chunk = np.empty((SYNTHETIC_ROWS, n_samples))
-    for lo in range(0, n_features, SYNTHETIC_ROWS):
-        hi = min(lo + SYNTHETIC_ROWS, n_features)
+    for lo in range(0, N_FEATURES, SYNTHETIC_ROWS):
+        hi = min(lo + SYNTHETIC_ROWS, N_FEATURES)
         # labels are in range, so mode="clip" only spares take() its buffer
         rows = np.take(protos[lo:hi], labels, axis=1, out=chunk[:hi - lo], mode="clip")
         rows *= 0.75

@@ -122,10 +122,11 @@ class SubtractiveThreshold(_SubtractiveFamily):
         if lowest < self.e_min:
             raise EncodingDomainError(f"{self.name} encoding: entry {lowest} is below the "
                                       f"representable minimum e_min={self.e_min}")
-        # Encode onto non-negative rates, e* = 2 (e - e_min) / e_max.
+        # Encode onto non-negative rates, e* = 2 (e - e_min) / e_max, in one
+        # division by e_max / 2: scaling by 2 is exact on either side, so
+        # this rounds the same real number as doubling first.
         estar -= self.e_min
-        estar *= 2.0
-        estar /= self.e_max
+        estar /= self.e_max / 2.0
         # Update rules see the decoded value, e = (e_max / 2) e* + e_min; the
         # round trip is exact up to float rounding, which is what makes this
         # scheme track the plain subtractive one.

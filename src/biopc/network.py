@@ -150,9 +150,9 @@ class LevelWork:
 PREDICT_BLOCK = 512
 
 
-def _xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def _xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_out + fan_in))
+    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
 def _matrices(name: str, given, shapes) -> list:

@@ -261,11 +261,10 @@ class LayerCheck:
 @dataclass
 class GradcheckReport:
     checks: list
-    threshold: float
 
     @property
     def passed(self) -> bool:
-        return all(c.max_rel_err <= self.threshold for c in self.checks if c.gated)
+        return all(c.max_rel_err <= GRADCHECK_THRESHOLD for c in self.checks if c.gated)
 
     def max_gated_error(self) -> float:
         return max((c.max_rel_err for c in self.checks if c.gated), default=0.0)
@@ -339,4 +338,4 @@ def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
         numeric = _central_differences(net, state, net.weights[l], 1, GRADCHECK_H)
         checks.append(LayerCheck("weights", l, _relative_error(weight_dirs[l], numeric),
                                  gated=True))
-    return GradcheckReport(checks=checks, threshold=GRADCHECK_THRESHOLD)
+    return GradcheckReport(checks=checks)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from biopc import dataio
+from biopc.checkpoint import save_checkpoint
 from biopc.linalg import ActivationKind, activate
+from biopc.optim import AdamState
 
 
 def activate_deriv(kind: ActivationKind, x) -> np.ndarray:
@@ -16,6 +18,14 @@ def activate_deriv(kind: ActivationKind, x) -> np.ndarray:
     if kind is ActivationKind.SIGMOID:
         return f * (1.0 - f)
     return 1.0 - f * f
+
+
+def save_with_fresh_adam(path, model) -> list:
+    """Save `model` with one fresh `AdamState` per weight matrix, as `train`
+    would before its first batch; returns the states."""
+    states = [AdamState.for_shape(w.shape) for w in model.weights]
+    save_checkpoint(path, model, states)
+    return states
 
 
 def write_fake_idx_dataset(root, dataset="mnist", n_train=512, n_test=128, task_seed=0):

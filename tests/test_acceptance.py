@@ -14,7 +14,7 @@ import pytest
 
 from biopc import dataio
 from biopc import encodings as enc
-from biopc.baseline import init_mlp
+from biopc.baseline import MLP
 from biopc.checkpoint import load_checkpoint, save_checkpoint
 from biopc.config import TrainConfig
 from biopc.experiments import (
@@ -140,7 +140,7 @@ def test_criterion_4_gradient_oracle():
 def test_criterion_5_first_update_equivalence():
     dims = [784, 300, 300, 10]
     net = init_network(dims, seed=11)
-    mlp = init_mlp(dims, seed=11)
+    mlp = init_network(dims, seed=11, model_class=MLP)
     x = SYN_TRAIN.images[:, :64]
     y = dataio.one_hot(SYN_TRAIN.labels[:64])
 

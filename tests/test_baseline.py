@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import activate_deriv
 
 from biopc import encodings as enc
-from biopc.baseline import MLP, init_mlp
+from biopc.baseline import MLP
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import KolenPollack, RandomFixed, Transpose, init_network
 
@@ -28,7 +28,7 @@ class TestForward:
     def test_matches_network_predict_bit_identical(self):
         dims = [7, 5, 4, 3]
         net = init_network(dims, seed=55, bias=0.05)
-        mlp = init_mlp(dims, seed=55, bias=0.05)
+        mlp = init_network(dims, seed=55, bias=0.05, model_class=MLP)
         for wa, wb in zip(net.weights, mlp.weights):
             np.testing.assert_array_equal(wa, wb)
         x, _ = _data(dims, 6, 1)
@@ -40,12 +40,12 @@ class TestForward:
                                       np.full((2, 4), 0.5))
 
     def test_deterministic_replay(self):
-        mlp = init_mlp([6, 4, 3], seed=2)
+        mlp = init_network([6, 4, 3], seed=2, model_class=MLP)
         x, _ = _data([6, 4, 3], 5, 3)
         np.testing.assert_array_equal(mlp.predict(x), mlp.predict(x))
 
     def test_wide_batch_matches_forward(self):
-        mlp = init_mlp([784, 300, 300, 10], seed=3)
+        mlp = init_network([784, 300, 300, 10], seed=3, model_class=MLP)
         x = np.random.default_rng(0).uniform(0.0, 1.0, size=(784, 1204))
         np.testing.assert_array_equal(mlp.predict(x), mlp._sweep(x)[0][3])
 
@@ -67,7 +67,7 @@ class TestForward:
         assert mlp.feedback_weights is None and not mlp.positive_activities
 
     def test_input_shape_checked(self):
-        mlp = init_mlp([6, 3], seed=0)
+        mlp = init_network([6, 3], seed=0, model_class=MLP)
         with pytest.raises(ShapeMismatchError):
             mlp.predict(np.zeros((5, 1)))
 
@@ -77,7 +77,7 @@ class TestForward:
     ], ids=["descent", "predict"])
     def test_empty_batch_refused(self, call):
         # a 0-column mean would be a NaN loss and NaN gradients
-        mlp = init_mlp([6, 4, 3], seed=0)
+        mlp = init_network([6, 4, 3], seed=0, model_class=MLP)
         with pytest.raises(ShapeMismatchError, match="input batch is empty"):
             call(mlp, np.zeros((6, 0)), np.zeros((3, 0)))
 
@@ -93,7 +93,8 @@ class TestBackward:
     @pytest.mark.parametrize("n_updates, beta", [(20, 0.1), (0, 0.0)])
     def test_descent_is_loss_and_negative_backward(self, n_updates, beta):
         dims = [7, 6, 5, 4]
-        mlp = init_mlp(dims, seed=14, bias=0.1, hidden_activation=ActivationKind.TANH)
+        mlp = init_network(dims, seed=14, bias=0.1, hidden_activation=ActivationKind.TANH,
+                           model_class=MLP)
         x, y = _data(dims, 9, 15)
         objective, directions = mlp.descent(x, y, n_updates, beta)
         assert objective == mlp.loss(y, mlp.predict(x))
@@ -103,7 +104,7 @@ class TestBackward:
             assert d.tobytes() == (-g).tobytes()
 
     def test_zero_gradients_at_perfect_output(self):
-        mlp = init_mlp([5, 4, 3], seed=4)
+        mlp = init_network([5, 4, 3], seed=4, model_class=MLP)
         x, _ = _data([5, 4, 3], 3, 5)
         y = mlp.predict(x)  # loss is exactly zero at its own output
         for g in _gradients(mlp, x, y)[1]:
@@ -119,7 +120,7 @@ class TestBackward:
     @pytest.mark.parametrize("bias", [0.0, 0.1])
     def test_finite_difference_agreement(self, hidden, bias):
         dims = [5, 4, 3]
-        mlp = init_mlp(dims, seed=8, bias=bias, hidden_activation=hidden)
+        mlp = init_network(dims, seed=8, bias=bias, hidden_activation=hidden, model_class=MLP)
         x, y = _data(dims, 2, 9)
         _, grads = _gradients(mlp, x, y)
         h = 1e-6
@@ -142,7 +143,7 @@ class TestBackward:
         # backward takes f' from the stored activation value; that must give
         # the bits of f' evaluated at the pre-activation
         dims = [7, 6, 5, 4]
-        mlp = init_mlp(dims, seed=12, bias=0.1, hidden_activation=hidden)
+        mlp = init_network(dims, seed=12, bias=0.1, hidden_activation=hidden, model_class=MLP)
         x, y = _data(dims, 9, 13)
         a = mlp._sweep(x)[0]
         L = mlp.n_levels
@@ -160,7 +161,7 @@ class TestBackward:
         dims = [5, 4, 3]
         h = 1e-6
         for trial in range(100):
-            mlp = init_mlp(dims, seed=trial)
+            mlp = init_network(dims, seed=trial, model_class=MLP)
             x, y = _data(dims, 2, trial + 500)
             _, grads = _gradients(mlp, x, y)
             # spot-check one random entry per layer each trial to stay fast

@@ -10,11 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import save_with_fresh_adam
+
 from biopc import checkpoint
 from biopc import encodings as enc
-from biopc.baseline import MLP, init_mlp
-from biopc.checkpoint import (_HEADER, _PARAM_SLOTS, _PARAMS, _TAGS, MAGIC, CheckpointError,
-                              _dims, load_checkpoint, save_checkpoint)
+from biopc.baseline import MLP
+from biopc.checkpoint import (_ADAM, _COUNT, _FLAG, _HEADER, _PARAM_SLOTS, _PARAMS, _SHAPE, _TAGS,
+                              MAGIC, CheckpointError, _dims, load_checkpoint, save_checkpoint)
+from biopc.cli import EXIT_DATA, main
 from biopc.linalg import ActivationKind
 from biopc.network import (FEEDBACK_SCHEMES, KolenPollack, PCNetwork, RandomFixed, Transpose,
                            init_network)
@@ -44,9 +47,9 @@ def test_network_round_trip_bit_exact(tmp_path, variant):
                        or isinstance(variant["encoding"], enc.Division),
                        **variant)
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, net)
+    adams = save_with_fresh_adam(path, net)
     loaded, opt = load_checkpoint(path)
-    assert opt is None
+    _assert_same_states(opt, adams)
     assert loaded.dims == net.dims
     assert loaded.encoding == net.encoding
     assert loaded.feedback == net.feedback
@@ -62,19 +65,29 @@ def test_network_round_trip_bit_exact(tmp_path, variant):
 
     # a second save of the reloaded model reproduces the same bytes
     path2 = tmp_path / "net2.pcck"
-    save_checkpoint(path2, loaded)
+    save_checkpoint(path2, loaded, opt)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_mlp_round_trip(tmp_path):
-    mlp = init_mlp([5, 4, 3], bias=0.2, seed=3)
+    mlp = init_network([5, 4, 3], bias=0.2, seed=3, model_class=MLP)
     path = tmp_path / "mlp.pcck"
-    save_checkpoint(path, mlp)
-    loaded, _ = load_checkpoint(path)
+    adams = save_with_fresh_adam(path, mlp)
+    loaded, opt = load_checkpoint(path)
+    _assert_same_states(opt, adams)
     assert type(loaded).__name__ == "MLP"
     assert loaded.bias == mlp.bias
     for wa, wb in zip(mlp.weights, loaded.weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+def _assert_same_states(loaded, saved):
+    assert len(loaded) == len(saved)
+    for sa, sb in zip(saved, loaded):
+        assert sb.step_count == sa.step_count
+        assert (sb.lr, sb.beta1, sb.beta2, sb.eps) == (sa.lr, sa.beta1, sa.beta2, sa.eps)
+        np.testing.assert_array_equal(sa.m, sb.m)
+        np.testing.assert_array_equal(sa.v, sb.v)
 
 
 def test_optimizer_state_round_trip(tmp_path):
@@ -87,12 +100,7 @@ def test_optimizer_state_round_trip(tmp_path):
     path = tmp_path / "with_opt.pcck"
     save_checkpoint(path, net, adams)
     _, loaded = load_checkpoint(path)
-    assert len(loaded) == len(adams)
-    for sa, sb in zip(adams, loaded):
-        assert sb.step_count == sa.step_count
-        assert (sb.lr, sb.beta1, sb.beta2, sb.eps) == (sa.lr, sa.beta1, sa.beta2, sa.eps)
-        np.testing.assert_array_equal(sa.m, sb.m)
-        np.testing.assert_array_equal(sa.v, sb.v)
+    _assert_same_states(loaded, adams)
     # resumed optimizers produce identical increments
     g = rng.normal(size=net.weights[0].shape)
     np.testing.assert_array_equal(adam_step(adams[0], g), adam_step(loaded[0], g))
@@ -132,7 +140,7 @@ def test_optimizer_state_shaped_unlike_its_weight_is_rejected(tmp_path):
     # so the file parses, but its first adam_step could not broadcast
     net = init_network([3, 2, 4], seed=5)
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, net, [AdamState.for_shape(w.shape) for w in net.weights])
+    save_with_fresh_adam(path, net)
     blob = bytearray(path.read_bytes())
     opt_1 = struct.calcsize("<Q4d") + 2 * (8 + 8 * 4 * 2)  # step record, m and v of W[1]
     at = len(blob) - opt_1 - (8 + 8 * 2 * 3)
@@ -148,7 +156,7 @@ def test_optimizer_state_count_must_match_weights(tmp_path):
     # one with its optimizer count rewritten to 1 and opt[1] cut off
     net = init_network([3, 2, 4], seed=5)
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, net, [AdamState.for_shape(w.shape) for w in net.weights])
+    save_with_fresh_adam(path, net)
     blob = bytearray(path.read_bytes())
     opt_1 = struct.calcsize("<Q4d") + 2 * (8 + 8 * 4 * 2)  # step record, m and v of W[1]
     at = len(blob) - opt_1 - (struct.calcsize("<Q4d") + 2 * (8 + 8 * 2 * 3)) - 4
@@ -177,9 +185,8 @@ def test_writer_refuses_optimizer_states_its_loader_refuses(tmp_path, states, me
 def _good_file_with_adam(tmp_path):
     """A 3-2-4 network saved with two Adam states: (path, net, states, bytes)."""
     net = init_network([3, 2, 4], seed=5)
-    states = [AdamState.for_shape(w.shape) for w in net.weights]
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, net, states)
+    states = save_with_fresh_adam(path, net)
     blob = path.read_bytes()
     assert len(blob) == 544
     return path, net, states, blob
@@ -243,7 +250,7 @@ def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
 def test_new_file_gets_plain_open_permissions(tmp_path):
     old = os.umask(0o022)
     try:
-        save_checkpoint(tmp_path / "net.pcck", init_network([3, 2], seed=0))
+        save_with_fresh_adam(tmp_path / "net.pcck", init_network([3, 2], seed=0))
     finally:
         os.umask(old)
     assert (tmp_path / "net.pcck").stat().st_mode & 0o777 == 0o644
@@ -277,7 +284,7 @@ def test_magic_and_truncation_errors(tmp_path):
 
     net = init_network([4, 3], seed=0)
     good = tmp_path / "good.pcck"
-    save_checkpoint(good, net)
+    save_with_fresh_adam(good, net)
     blob = good.read_bytes()
     assert blob[:4] == MAGIC
     trunc = tmp_path / "trunc.pcck"
@@ -290,11 +297,34 @@ def test_magic_and_truncation_errors(tmp_path):
         load_checkpoint(trailing)
 
 
+@pytest.mark.parametrize("model", [
+    init_network([4, 3], seed=0),
+    init_network([3, 2, 2], feedback=KolenPollack(), seed=4),
+    init_network([4, 3, 2], seed=1, model_class=MLP),
+], ids=["net", "kp", "mlp"])
+def test_model_only_file_of_the_old_layout_is_refused(tmp_path, fake_data_dir, model, capsys):
+    # the layout once let the optimizer byte be 0 with nothing after it;
+    # every checkpoint now carries its Adam state
+    path = tmp_path / "net.pcck"
+    save_with_fresh_adam(path, model)
+    opt_block = _COUNT.size + sum(_ADAM.size + 2 * (_SHAPE.size + w.nbytes)
+                                  for w in model.weights)
+    flag_at = path.stat().st_size - opt_block - _FLAG.size
+    blob = path.read_bytes()
+    assert blob[flag_at] == 1
+    path.write_bytes(blob[:flag_at] + b"\x00")
+    with pytest.raises(CheckpointError, match=f"^{path}: truncated while reading optimizer "
+                                              f"count at offset {flag_at + 1}$"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--data-dir", str(fake_data_dir)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {path}: truncated ")
+
+
 def test_reloaded_model_predicts_bit_identically(tmp_path):
     net = init_network([8, 6, 4], encoding=enc.Division(), positive_activities=True,
                        bias=0.1, feedback=RandomFixed(), seed=77)
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, net)
+    save_with_fresh_adam(path, net)
     loaded, _ = load_checkpoint(path)
     x = np.random.default_rng(5).uniform(0, 1, size=(8, 10))
     np.testing.assert_array_equal(net.predict(x), loaded.predict(x))
@@ -303,7 +333,7 @@ def test_reloaded_model_predicts_bit_identically(tmp_path):
 @pytest.mark.parametrize("tag", [2, 3])
 def test_removed_activation_tags_rejected(tmp_path, tag):
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, init_network([4, 3], seed=0))
+    save_with_fresh_adam(path, init_network([4, 3], seed=0))
     blob = bytearray(path.read_bytes())
     hidden_at = _HEADER.size + _dims(2).size  # the first of the tags
     blob[hidden_at] = tag
@@ -316,7 +346,7 @@ def test_removed_activation_tags_rejected(tmp_path, tag):
 def test_output_tag_other_than_sigmoid_rejected(tmp_path, tag):
     # every model's output level is a sigmoid; tag 1 (tanh) used to load
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, init_network([4, 3], seed=0))
+    save_with_fresh_adam(path, init_network([4, 3], seed=0))
     blob = bytearray(path.read_bytes())
     tags_at = _HEADER.size + _dims(2).size
     output_at = tags_at + 1  # after the hidden activation tag
@@ -346,7 +376,7 @@ def _with_param(blob: bytes, slot: int, value: float, n_dims: int) -> bytes:
 ])
 def test_invalid_parameters_are_checkpoint_errors(tmp_path, net, slot, value):
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, init_network([5, 4, 3], seed=0, **net))
+    save_with_fresh_adam(path, init_network([5, 4, 3], seed=0, **net))
     path.write_bytes(_with_param(path.read_bytes(), slot, value, 3))
     with pytest.raises(CheckpointError, match=str(path)):
         load_checkpoint(path)
@@ -356,7 +386,7 @@ def test_invalid_parameters_are_checkpoint_errors(tmp_path, net, slot, value):
 def test_unused_parameter_slots_must_be_zero(tmp_path, slot):
     # an MLP reads none of them: a value there would load, then save as zero
     path = tmp_path / "mlp.pcck"
-    save_checkpoint(path, init_mlp([3, 2, 2], seed=0))
+    save_with_fresh_adam(path, init_network([3, 2, 2], seed=0, model_class=MLP))
     value = {1: 5.0, 2: 7.0, 3: 0.25, 4: 0.5}[slot]
     path.write_bytes(_with_param(path.read_bytes(), slot, value, 3))
     refused = f"{path}: parameters at offset {_params_at(3)} would save as other bytes$"
@@ -372,7 +402,7 @@ def test_used_parameter_slots_load(tmp_path):
     net = init_network([3, 2, 2], encoding=enc.SubtractiveThreshold(e_min=-2.0, e_max=3.0),
                        feedback=KolenPollack(gamma=0.01), positive_activities=True, seed=0)
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, net)
+    save_with_fresh_adam(path, net)
     loaded, _ = load_checkpoint(path)
     assert (loaded.encoding, loaded.feedback) == (net.encoding, net.feedback)
     path.write_bytes(_with_param(path.read_bytes(), 3, 1e-3, 3))
@@ -390,7 +420,7 @@ KIND_AT = struct.calcsize(_HEADER.format[:-2])  # the header's magic and version
 def test_pc_record_with_mlp_kind_is_checkpoint_error(tmp_path, net):
     # an MLP would drop the feedback matrices, encoding and positivity
     path = tmp_path / "net.pcck"
-    save_checkpoint(path, init_network(seed=4, **net))
+    save_with_fresh_adam(path, init_network(seed=4, **net))
     blob = bytearray(path.read_bytes())
     assert blob[KIND_AT] == PCNetwork.tag
     blob[KIND_AT] = MLP.tag
@@ -401,9 +431,10 @@ def test_pc_record_with_mlp_kind_is_checkpoint_error(tmp_path, net):
 
 def test_mlp_record_is_the_subtractive_transpose_network(tmp_path):
     # one writer: an MLP's bytes differ from an equal network's only in kind
-    mlp, net = init_mlp([4, 3, 2], bias=0.2, seed=6), init_network([4, 3, 2], bias=0.2, seed=6)
-    save_checkpoint(tmp_path / "mlp.pcck", mlp)
-    save_checkpoint(tmp_path / "net.pcck", net)
+    mlp = init_network([4, 3, 2], bias=0.2, seed=6, model_class=MLP)
+    net = init_network([4, 3, 2], bias=0.2, seed=6)
+    save_with_fresh_adam(tmp_path / "mlp.pcck", mlp)
+    save_with_fresh_adam(tmp_path / "net.pcck", net)
     a, b = (bytearray((tmp_path / n).read_bytes()) for n in ("mlp.pcck", "net.pcck"))
     assert (a[KIND_AT], b[KIND_AT]) == (MLP.tag, PCNetwork.tag)
     b[KIND_AT] = MLP.tag
@@ -412,7 +443,7 @@ def test_mlp_record_is_the_subtractive_transpose_network(tmp_path):
 
 def _small_models():
     kp = init_network([3, 2, 2], feedback=KolenPollack(), seed=4)
-    mlp = init_mlp([3, 2, 2], seed=4)
+    mlp = init_network([3, 2, 2], seed=4, model_class=MLP)
     division = init_network([3, 2, 2], encoding=enc.Division(), positive_activities=True,
                             bias=0.1, seed=4)
     return [(model, [AdamState.for_shape(w.shape) for w in model.weights])

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from biopc import dataio
 
 
-def _write_images(tmp_path, pixels, name="imgs-idx3-ubyte", rows=28, cols=28):
+def _write_images(tmp_path, pixels, name="imgs-idx3-ubyte"):
     path = tmp_path / name
-    dataio.write_idx_images(path, pixels, rows=rows, cols=cols)
+    dataio.write_idx_images(path, pixels)
     return path
 
 
@@ -308,18 +308,19 @@ class TestSyntheticSplit:
         assert split.images.min() >= 0.0 and split.images.max() <= 1.0
         assert split.labels.min() >= 0 and split.labels.max() <= 9
 
-    @pytest.mark.parametrize("n,features,task_seed", [
-        (1, 784, 0), (42, 784, 0), (256, 784, 3), (1000, 784, 0), (8192, 784, 0),
-        (5, 33, 1),
+    @pytest.mark.parametrize("n,task_seed,chunk_rows", [
+        (1, 0, 16), (42, 0, 16), (256, 3, 16), (1000, 0, 16), (8192, 0, 16),
+        (5, 1, 15),  # 784 = 52 * 15 + 4: the last chunk is shorter
     ])
-    def test_same_bits_as_one_whole_draw(self, n, features, task_seed):
+    def test_same_bits_as_one_whole_draw(self, monkeypatch, n, task_seed, chunk_rows):
         # the formula drawn in one piece, as the split was first defined
-        protos = np.random.default_rng([task_seed, 0xDA7A]).uniform(0.0, 1.0, size=(features, 10))
+        monkeypatch.setattr(dataio, "SYNTHETIC_ROWS", chunk_rows)
+        protos = np.random.default_rng([task_seed, 0xDA7A]).uniform(0.0, 1.0, size=(784, 10))
         rng = np.random.default_rng([5, 0x5A11])
         labels = rng.integers(0, 10, size=n)
-        noise = rng.uniform(0.0, 1.0, size=(features, n))
+        noise = rng.uniform(0.0, 1.0, size=(784, n))
         want = np.clip(0.75 * protos[:, labels] + 0.25 * noise, 0.0, 1.0)
-        split = dataio.synthetic_split(n, seed=5, n_features=features, task_seed=task_seed)
+        split = dataio.synthetic_split(n, seed=5, task_seed=task_seed)
         assert split.images.tobytes() == want.tobytes() and split.images.shape == want.shape
         # columns (samples) contiguous, as the whole-array form gives them
         # from 42 samples on

@@ -118,6 +118,20 @@ class TestThreshold:
         assert np.all(estar >= 0.0)
         np.testing.assert_allclose(back, e, atol=1e-12)
 
+    @given(
+        hnp.arrays(np.float64, (3, 2), elements=st.floats(0.0, 1e300)),
+        st.floats(-1e300, 0.0),
+        # from twice the smallest normal on, e_max / 2 is exact
+        st.floats(2 * np.finfo(np.float64).tiny, np.finfo(np.float64).max),
+    )
+    def test_encoding_is_doubling_then_division(self, above_floor, e_min, e_max):
+        # one division by e_max / 2 rounds the real number that doubling
+        # and then dividing by e_max rounds
+        e = e_min + above_floor
+        with np.errstate(over="ignore"):  # a tiny e_max overflows both to inf
+            estar = _threshold(e, e_min, e_max)[1]
+            assert estar.tobytes() == (((e - e_min) * 2.0) / e_max).tobytes()
+
     @given(hnp.arrays(np.float64, (3, 2), elements=st.floats(-1.0, 1.1)))
     def test_encoded_rates_non_negative(self, e):
         estar = _threshold(e)[1]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import activate_deriv
 
 from biopc import encodings as enc
-from biopc.baseline import init_mlp
+from biopc.baseline import MLP
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import (
     FEEDBACK_SCHEMES,
@@ -90,7 +90,7 @@ class TestInitNetwork:
         with pytest.raises(ValueError, match="bias"):
             init_network([4, 3], bias=bias)
         with pytest.raises(ValueError, match="bias"):
-            init_mlp([4, 3], bias=bias)
+            init_network([4, 3], bias=bias, model_class=MLP)
 
 
 class TestInitForward:
@@ -331,7 +331,7 @@ class TestWeightUpdateDirection:
         # with zero activity steps the top update equals the negated MSE
         # gradient of the baseline holding the same weights
         net = init_network([6, 5, 4], seed=31, bias=bias)
-        mlp = init_mlp([6, 5, 4], seed=31, bias=bias)
+        mlp = init_network([6, 5, 4], seed=31, bias=bias, model_class=MLP)
         x, y = _random_batch(net, 5, 6)
         state = net.init_forward(x)
         net.clamp_output(state, y)
@@ -452,7 +452,7 @@ class TestPredict:
 @pytest.mark.parametrize("model", ["pc", "bp"])
 def test_integer_input_is_refused(model, dtype):
     # pixel bytes would enter as values up to 255, not as rates in [0, 1]
-    net = (init_mlp if model == "bp" else init_network)([4, 3, 2], seed=1)
+    net = init_network([4, 3, 2], seed=1, model_class=MLP if model == "bp" else PCNetwork)
     x = np.full((4, 5), 255, dtype=dtype)
     y = np.zeros((2, 5))
     calls = [lambda: net.predict(x), lambda: net.descent(x, y, 2, 0.1)]
@@ -471,7 +471,7 @@ def test_integer_input_is_refused(model, dtype):
 @pytest.mark.parametrize("model", ["pc", "bp"])
 def test_descent_refuses_mismatched_target(model, y):
     # one target column per input sample, as tall as the output level
-    net = (init_mlp if model == "bp" else init_network)([4, 3, 2], seed=1)
+    net = init_network([4, 3, 2], seed=1, model_class=MLP if model == "bp" else PCNetwork)
     with pytest.raises(ShapeMismatchError):
         net.descent(np.zeros((4, 5)), y, 2, 0.1)
 

@@ -8,7 +8,7 @@ import pytest
 
 from biopc import encodings as enc
 from biopc import training
-from biopc.baseline import MLP, init_mlp
+from biopc.baseline import MLP
 from biopc.checkpoint import load_checkpoint
 from biopc.config import TrainConfig
 from biopc.dataio import (BatchPlan, DatasetSplit, IdxError, load_idx_images, load_idx_labels,
@@ -62,14 +62,14 @@ class TestTrainLoop:
         assert train_objectives[-1] < train_objectives[0]
 
     def test_rejects_wrong_feature_count(self):
-        small = synthetic_split(32, seed=1, n_features=100)
+        small = DatasetSplit(TRAIN.images[:100], TRAIN.labels, "train")
         with pytest.raises(IdxError, match="features"):
             train(_cfg(), small, small)
 
     def test_rejects_wrong_test_feature_count(self, monkeypatch):
         # checked before the first batch, not at the first evaluation
         monkeypatch.setattr(training, "_train_batch", None)
-        short = synthetic_split(32, seed=2, name="test", n_features=783)
+        short = DatasetSplit(TEST.images[:783], TEST.labels, "test")
         with pytest.raises(IdxError, match="test images have 783 features"):
             train(_cfg(), TRAIN, short)
 
@@ -164,7 +164,7 @@ class TestInPlaceTraining:
             assert not np.array_equal(w, before)
 
     def test_backprop_batch_runs_one_sweep(self, monkeypatch):
-        mlp = init_mlp([784, 300, 300, 10], seed=4)
+        mlp = init_network([784, 300, 300, 10], seed=4, model_class=MLP)
         x = TRAIN.images[:, :64]
         y = one_hot(TRAIN.labels[:64])
         expected = mlp.loss(y, mlp.predict(x))
@@ -233,7 +233,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("kind", ["pc", "pc_div", "bp"])
     def test_matches_two_sweep_reference(self, kind):
         if kind == "bp":
-            model = init_mlp([784, 300, 300, 10], seed=2)
+            model = init_network([784, 300, 300, 10], seed=2, model_class=MLP)
         elif kind == "pc_div":
             model = init_network([784, 300, 300, 10], encoding=enc.Division(),
                                  positive_activities=True, bias=0.1, seed=2)
