@@ -55,7 +55,12 @@ Example, against the parent commit:
 
 Matrix products can round differently at another BLAS thread count, so
 compare files written at the same one: set OPENBLAS_NUM_THREADS (or the
-variable of the BLAS in use) for both runs.
+variable of the BLAS in use) for both runs. The file's top-level "blas"
+record holds numpy's BLAS name and version, from
+`np.show_config(mode="dicts")`, and the values of OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS the run saw (null when unset), so two
+files written at different thread counts differ in a field that names the
+cause.
 """
 
 import argparse
@@ -63,6 +68,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -82,6 +88,8 @@ SHORT_BATCH = 48
 IDX_ROW = "pc_idx"
 # Batch widths at and around the edges of predict's 512-column blocks.
 PREDICT_WIDTHS = (1, 511, 512, 513, 1023, 1024, 1535, 4500)
+# The environment variables that set a BLAS's thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _rows(experiments) -> dict:
@@ -94,6 +102,14 @@ def _rows(experiments) -> dict:
         rows[f"{name}_b48"] = dict(rows[name], batch_size=SHORT_BATCH)
     rows[IDX_ROW] = rows["pc"]
     return rows
+
+
+def _blas_record() -> dict:
+    """numpy's BLAS name and version, and the thread-count variables this
+    run saw (None when unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"],
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
 def _sha256(data: bytes) -> str:
@@ -177,7 +193,8 @@ def digests(work_dir: Path) -> dict:
                                  (eval_split, dataio.synthetic_split(IDX_SHORT, seed=4)))
     train_dir = _write_idx_train_test(dataio, work_dir / "data" / "train_test",
                                       train_split, test_split)
-    out = {"rows": {}, "gradcheck": {}, "idx_sha256": _idx_digests(work_dir / "data")}
+    out = {"blas": _blas_record(), "rows": {}, "gradcheck": {},
+           "idx_sha256": _idx_digests(work_dir / "data")}
     for name, overrides in _rows(experiments).items():
         from_idx = name == IDX_ROW
         cfg = experiments.make_config("mnist", SEED, overrides, epochs=EPOCHS,

@@ -23,13 +23,14 @@ outputs against targets. Its dataclass fields are its parameters, named as
 in the run config and the checkpoint. `ENCODINGS` lists the classes;
 `find` looks one up by name or tag in it or in another such registry.
 
-`error` writes into the `LevelTerms` it is given (made by `terms`), which
-also keep what the update terms reuse (for division, 0.5 log e, a + eps and
-phat + eps), so those are computed once per level and step; `rising` and
-`top_down` then write into arrays they are given. The methods take 2-D
-float64 arrays: shapes are checked where a batch enters the network, and
-only an encoding's domain is checked on every call, raising
-`EncodingDomainError` with the encoding's name.
+`error` writes a level's error in place into the `LevelTerms` it is given
+(made by `terms`; a network holds them in `NetworkState.terms`) and returns
+nothing. The terms also keep what the update terms reuse (for division,
+0.5 log e, a + eps and phat + eps), so those are computed once per level
+and step; `rising` and `top_down` then write into arrays they are given.
+The methods take 2-D float64 arrays: shapes are checked where a batch
+enters the network, and only an encoding's domain is checked on every
+call, raising `EncodingDomainError` with the encoding's name.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class EncodingDomainError(ValueError):
 @dataclass
 class LevelTerms:
     """One level's error `e` plus the arrays its encoding reuses until the
-    next `error` call: the encoded rates `e_star` (threshold) or
-    `half_log_e`, `a_eps` and `phat_eps` (division); the others stay None."""
+    next `error` call, which writes them in place: the encoded rates
+    `e_star` (threshold) or `half_log_e`, `a_eps` and `phat_eps`
+    (division); the others stay None."""
 
     e: np.ndarray
     e_star: Optional[np.ndarray] = None
@@ -92,11 +94,10 @@ class Subtractive(_SubtractiveFamily):
         """The arrays one level of this shape needs."""
         return LevelTerms(e=np.empty(shape))
 
-    def error(self, a, phat, terms: LevelTerms):
-        """(e, e_star): the error the update rules consume and, for encodings
-        whose neurons fire something else, the encoded rates (else None).
-        Both are written into `terms`, from `terms(a.shape)`."""
-        return np.subtract(a, phat, out=terms.e), None
+    def error(self, a, phat, terms: LevelTerms) -> None:
+        """Writes the error the update rules consume into `terms`, from
+        `terms(a.shape)`: here the signed difference a - phat."""
+        np.subtract(a, phat, out=terms.e)
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,8 @@ class SubtractiveThreshold(_SubtractiveFamily):
     def terms(self, shape) -> LevelTerms:
         return LevelTerms(e=np.empty(shape), e_star=np.empty(shape))
 
-    def error(self, a, phat, terms: LevelTerms):
+    def error(self, a, phat, terms: LevelTerms) -> None:
+        """Writes the encoded rates into `terms.e_star`, decoded into `terms.e`."""
         estar = np.subtract(a, phat, out=terms.e_star)
         lowest = estar.min() if estar.size else 0.0
         if lowest < self.e_min:
@@ -130,9 +132,8 @@ class SubtractiveThreshold(_SubtractiveFamily):
         # Update rules see the decoded value, e = (e_max / 2) e* + e_min; the
         # round trip is exact up to float rounding, which is what makes this
         # scheme track the plain subtractive one.
-        e = np.multiply(estar, self.e_max / 2.0, out=terms.e)
-        e += self.e_min
-        return e, estar
+        np.multiply(estar, self.e_max / 2.0, out=terms.e)
+        terms.e += self.e_min
 
 
 @dataclass(frozen=True)
@@ -151,23 +152,19 @@ class Division:
         return LevelTerms(e=np.empty(shape), half_log_e=np.empty(shape),
                           a_eps=np.empty(shape), phat_eps=np.empty(shape))
 
-    def _ratio(self, a, phat, out=None, a_eps=None, phat_eps=None) -> np.ndarray:
-        """Ratio mismatch e** = sqrt((a + eps) / (phat + eps)); 1 where
-        a == phat. Written into `out` when given, with a + eps and phat + eps
-        into `a_eps` and `phat_eps`."""
+    def error(self, a, phat, terms: LevelTerms) -> None:
+        """Writes the ratio mismatch e** = sqrt((a + eps) / (phat + eps)),
+        1 where a == phat, into `terms.e`, with a + eps, phat + eps and
+        0.5 log e** into the terms the update terms reuse."""
         for what, rates in (("activity", a), ("prediction", phat)):
             if rates.size and rates.min() < 0:
                 raise EncodingDomainError(f"{self.name} encoding: negative {what} entry "
                                           f"{rates.min()}; rates must be >= 0")
-        out = np.divide(np.add(a, self.epsilon, out=a_eps),
-                        np.add(phat, self.epsilon, out=phat_eps), out=out)
-        return np.sqrt(out, out=out)
-
-    def error(self, a, phat, terms: LevelTerms):
-        e = self._ratio(a, phat, terms.e, terms.a_eps, terms.phat_eps)
+        e = np.divide(np.add(a, self.epsilon, out=terms.a_eps),
+                      np.add(phat, self.epsilon, out=terms.phat_eps), out=terms.e)
+        np.sqrt(e, out=e)
         np.log(e, out=terms.half_log_e)
         terms.half_log_e *= 0.5
-        return e, None
 
     def rising(self, terms: LevelTerms, f_up: np.ndarray) -> np.ndarray:
         """0.5 log(e) * f' / (phat + eps), written over `f_up`."""
@@ -189,7 +186,9 @@ class Division:
         return float(0.5 * np.sum(logs * logs) / e.shape[1])
 
     def output_cost(self, y, out) -> float:
-        return self.cost(self._ratio(y, out))
+        terms = self.terms(y.shape)
+        self.error(y, out, terms)
+        return self.cost(terms.e)
 
 
 ErrorEncoding = Union[Subtractive, SubtractiveThreshold, Division]

@@ -31,7 +31,8 @@ entry that takes an input batch checks it in `_check_input`, and a target
 batch in `_check_target`.
 
 A `NetworkState` owns every array its batch's relaxation and learning
-steps write: `init_forward` makes them, shaped for the batch, and each step
+steps write, each level's error terms (the encoding's `LevelTerms`) among
+them: `init_forward` makes them, shaped for the batch, and each step
 writes into them in place, so a step allocates no batch-sized array.
 Arrays read from a state are therefore valid until the step that rewrites
 them: `activity_directions` returns the state's direction arrays, which the
@@ -102,26 +103,25 @@ FEEDBACK_SCHEMES = (Transpose, RandomFixed, KolenPollack)
 class NetworkState:
     """Per-minibatch inference state.
 
-    Lists are indexed by level; index 0 of `fp`, `phat`, `e`, `e_star` is
-    unused. `fp` is the activation f(W a) of the activities a below and
-    `phat` the effective prediction (f(W a) plus the level's shift); the
-    derivatives are taken from `fp`, so W a is not kept. Where a level's
-    shift cannot change a bit (an unshifted sigmoid level), `phat` is the
-    `fp` array itself. `e` holds whatever the update rules consume: the
-    signed difference for the subtractive family (threshold errors are
-    decoded back before use, with the encoded rates kept in `e_star`, which
-    stays None for the other encodings) or the ratio for the division
-    scheme; both stay None until the first `compute_errors`.
+    Lists are indexed by level; index 0 of `fp`, `phat`, `terms` and
+    `work` is unused. `fp` is the activation f(W a) of the activities a
+    below and `phat` the effective prediction (f(W a) plus the level's
+    shift); the derivatives are taken from `fp`, so W a is not kept. Where
+    a level's shift cannot change a bit (an unshifted sigmoid level),
+    `phat` is the `fp` array itself. `terms[l]` is the encoding's
+    `LevelTerms` for level l, the one home of its error `e` (the signed
+    difference, decoded for threshold with the encoded rates in `e_star`,
+    or the division ratio); `compute_errors` writes them in place, and they
+    hold values once it has run.
 
-    `work` (index 0 unused) and `weight_dirs` (one per weight matrix) are
-    the arrays the steps write into; see the module docstring.
+    `work` and `weight_dirs` (one per weight matrix) are the network's
+    arrays the steps write into; see the module docstring.
     """
 
     a: list
     fp: list
     phat: list
-    e: list
-    e_star: list
+    terms: list
     work: list
     weight_dirs: list
 
@@ -132,9 +132,9 @@ class NetworkState:
 
 @dataclass
 class LevelWork:
-    """The arrays one level of a `NetworkState` reuses at every step."""
+    """The network's own arrays that one level of a `NetworkState` reuses
+    at every step; the encoding's are in `NetworkState.terms`."""
 
-    terms: enc.LevelTerms  # the encoding's error and the terms it reuses
     rising: np.ndarray     # f' at the level, scaled into the rising term
     scratch: np.ndarray    # the sigmoid's work; the division top-down term
     mask: np.ndarray       # the sigmoid's x >= 0
@@ -350,19 +350,19 @@ class PCNetwork(LayeredModel):
 
     def init_forward(self, x) -> NetworkState:
         """Start inference on a batch: activities are set to the effective
-        predictions level by level (the forward sweep), so all errors start
-        at zero. The state's work arrays are made here, shaped for the
-        batch."""
+        predictions level by level (the forward sweep), so errors start at
+        zero except where positivity rectifies a negative prediction. The
+        state's arrays are made here, shaped for the batch."""
         x = self._check_input(x).copy()
         a, fp, phat = self._sweep(x)
         L = self.n_levels
-        work = [None] + [LevelWork(terms=self.encoding.terms(f.shape), rising=np.empty(f.shape),
-                                   scratch=np.empty(f.shape), mask=np.empty(f.shape, dtype=bool),
+        work = [None] + [LevelWork(rising=np.empty(f.shape), scratch=np.empty(f.shape),
+                                   mask=np.empty(f.shape, dtype=bool),
                                    direction=np.empty(f.shape) if l < L else None)
                          for l, f in enumerate(fp[1:], start=1)]
-        none = [None] * (L + 1)
-        return NetworkState(a=a, fp=fp, phat=phat, e=none, e_star=none[:], work=work,
-                            weight_dirs=[np.empty(w.shape) for w in self.weights])
+        return NetworkState(a=a, fp=fp, phat=phat,
+                            terms=[None] + [self.encoding.terms(f.shape) for f in fp[1:]],
+                            work=work, weight_dirs=[np.empty(w.shape) for w in self.weights])
 
     def clamp_output(self, state: NetworkState, y) -> NetworkState:
         state.a[self.n_levels] = self._check_target(y, state.batch_size).copy()
@@ -373,8 +373,7 @@ class PCNetwork(LayeredModel):
         # clamp_output); the encodings' domain checks still run every call.
         for l in range(1, self.n_levels + 1):
             try:
-                state.e[l], state.e_star[l] = self.encoding.error(state.a[l], state.phat[l],
-                                                                  state.work[l].terms)
+                self.encoding.error(state.a[l], state.phat[l], state.terms[l])
             except enc.EncodingDomainError as err:
                 raise enc.EncodingDomainError(f"level {l}: {err}") from None
         return state
@@ -391,9 +390,8 @@ class PCNetwork(LayeredModel):
         """The encoding's rising term at `level`: what the level below
         receives through the feedback matrix, and what the weights into
         `level` learn from. Written into the level's `rising` array."""
-        work = state.work[level]
-        return self.encoding.rising(work.terms,
-                                    self._act_deriv(state.fp, level, out=work.rising))
+        return self.encoding.rising(state.terms[level],
+                                    self._act_deriv(state.fp, level, out=state.work[level].rising))
 
     def activity_directions(self, state: NetworkState) -> list:
         """Proposed change of each hidden level's activities (levels 0 and L
@@ -410,7 +408,7 @@ class PCNetwork(LayeredModel):
             work = state.work[l]
             d = np.matmul(self.feedback.matrix(self, l), self._rising(state, l + 1),
                           out=work.direction)
-            d -= self.encoding.top_down(work.terms, out=work.scratch)
+            d -= self.encoding.top_down(state.terms[l], out=work.scratch)
             dirs[l] = d
         return dirs
 
@@ -452,7 +450,7 @@ class PCNetwork(LayeredModel):
         """Monitored objective: the encoding's cost summed over levels (total
         squared error for the subtractive family, log-ratio cost for
         division). Requires current errors."""
-        return float(sum(self.encoding.cost(state.e[l]) for l in range(1, self.n_levels + 1)))
+        return float(sum(self.encoding.cost(t.e) for t in state.terms[1:]))
 
     def descent(self, x, y, n_updates: int, beta: float):
         """(objective, weight directions) after `n_updates` relaxation steps

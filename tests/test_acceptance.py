@@ -228,10 +228,10 @@ def test_criterion_8a_positivity_invariants():
                                      min(float(a.min()) for a in state.a))
                 if isinstance(encoding, enc.SubtractiveThreshold):
                     worst_estar = min(worst_estar,
-                                      min(float(e.min()) for e in state.e_star[1:]))
+                                      min(float(t.e_star.min()) for t in state.terms[1:]))
                 else:
                     worst_div = min(worst_div,
-                                    min(float(e.min()) for e in state.e[1:]))
+                                    min(float(t.e.min()) for t in state.terms[1:]))
     passed = worst_activity >= 0.0 and worst_estar >= 0.0 and worst_div > 0.0
     _report("8a", "positivity of activities and encoded errors", passed,
             f"min activity {worst_activity:.3g}, min e* {worst_estar:.3g}, "

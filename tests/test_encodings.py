@@ -17,15 +17,21 @@ M = lambda *rows: np.array(rows, dtype=np.float64)
 
 
 def _error(encoding, a, phat):
-    """`encoding.error` of activities `a` against predictions `phat`, into
-    fresh level terms."""
-    return encoding.error(a, phat, encoding.terms(a.shape))
+    """The level terms `encoding.error` writes for activities `a` against
+    predictions `phat`, into fresh ones: it returns nothing and writes
+    every array of `encoding.terms(a.shape)` in place."""
+    terms = encoding.terms(a.shape)
+    arrays = dict(vars(terms))
+    assert encoding.error(a, phat, terms) is None
+    assert all(getattr(terms, name) is arr for name, arr in arrays.items())
+    return terms
 
 
 def _threshold(e, e_min=-1.0, e_max=2.1):
     """(decoded, encoded) threshold errors for raw errors `e`: activities `e`
     against a zero prediction."""
-    return _error(enc.SubtractiveThreshold(e_min, e_max), e, np.zeros_like(e))
+    terms = _error(enc.SubtractiveThreshold(e_min, e_max), e, np.zeros_like(e))
+    return terms.e, terms.e_star
 
 
 class TestVariants:
@@ -40,6 +46,16 @@ class TestVariants:
         for epsilon in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError):
                 enc.Division(epsilon=epsilon)
+
+    @pytest.mark.parametrize("encoding", [e() for e in enc.ENCODINGS], ids=lambda e: e.name)
+    def test_error_writes_every_term_in_place(self, encoding):
+        a, phat = M([0.3, 0.7], [0.2, 0.0]), M([0.5, 0.1], [0.2, 0.4])
+        terms = encoding.terms(a.shape)
+        arrays = [v for v in vars(terms).values() if v is not None]
+        for arr in arrays:
+            arr.fill(np.nan)
+        assert encoding.error(a, phat, terms) is None
+        assert not any(np.isnan(arr).any() for arr in arrays)
 
     def test_defaults(self):
         t = enc.SubtractiveThreshold()
@@ -70,16 +86,16 @@ class TestPredictedRate:
 class TestSubtractive:
     def test_zero_when_matched(self):
         a = M([0.3, 0.7])
-        e, e_star = _error(enc.Subtractive(), a, a)
-        assert np.all(e == 0.0) and e_star is None
+        terms = _error(enc.Subtractive(), a, a)
+        assert np.all(terms.e == 0.0) and terms.e_star is None
 
     def test_simple_difference(self):
-        assert _error(enc.Subtractive(), M([1.0]), M([0.5]))[0][0, 0] == 0.5
+        assert _error(enc.Subtractive(), M([1.0]), M([0.5])).e[0, 0] == 0.5
 
     def test_bias_enters_through_prediction(self):
         # a = 1 against f(p) = 0.5 shifted by b = 0.1
         phat = _effective_prediction(ActivationKind.SIGMOID, 0.1)
-        got, _ = _error(enc.Subtractive(), M([1.0]), phat)
+        got = _error(enc.Subtractive(), M([1.0]), phat).e
         assert got[0, 0] == pytest.approx(0.4, abs=1e-15)
 
 
@@ -141,15 +157,15 @@ class TestThreshold:
 class TestDivision:
     def test_one_when_matched(self):
         a = M([0.2, 0.9])
-        got, _ = _error(enc.Division(1e-3), a, a)
+        got = _error(enc.Division(1e-3), a, a).e
         np.testing.assert_allclose(got, 1.0, atol=1e-15)
 
     def test_ratio_of_four_gives_two(self):
-        got, _ = _error(enc.Division(1e-12), M([1.0]), M([0.25]))
+        got = _error(enc.Division(1e-12), M([1.0]), M([0.25])).e
         assert got[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_over_zero_is_one(self):
-        got, _ = _error(enc.Division(1e-3), M([0.0]), M([0.0]))
+        got = _error(enc.Division(1e-3), M([0.0]), M([0.0])).e
         assert got[0, 0] == 1.0
 
     def test_negative_inputs_rejected(self):
@@ -165,7 +181,7 @@ class TestDivision:
     )
     @example(a=np.zeros((4, 3)), phat=np.full((4, 3), 1.72e-18), epsilon=1e-6)
     def test_strictly_positive_and_one_iff_matched(self, a, phat, epsilon):
-        got, _ = _error(enc.Division(epsilon), a, phat)
+        got = _error(enc.Division(epsilon), a, phat).e
         assert np.all(got > 0.0)
         assert np.all(got[a == phat] == 1.0)
         # e = sqrt(1 + d) with d = (a - phat) / (phat + eps), so |e - 1| is
@@ -201,6 +217,23 @@ class TestDivisionCost:
             enc.Division().cost(M([0.0]))
         with pytest.raises(enc.EncodingDomainError):
             enc.Division().cost(M([-1.0]))
+
+
+    @given(
+        hnp.arrays(np.float64, (4, 3), elements=st.floats(0.0, 1.0)),
+        hnp.arrays(np.float64, (4, 3), elements=st.floats(0.0, 1.0)),
+        st.floats(1e-6, 1e-1),
+    )
+    def test_output_cost_is_the_cost_of_the_ratio(self, y, out, epsilon):
+        # the ratio written out of place, bit for bit
+        division = enc.Division(epsilon)
+        want = division.cost(np.sqrt((y + epsilon) / (out + epsilon)))
+        assert np.float64(division.output_cost(y, out)).tobytes() == np.float64(want).tobytes()
+
+    def test_output_cost_rejects_negative_rates(self):
+        for y, out in ((M([-0.1]), M([0.5])), (M([0.1]), M([-0.5]))):
+            with pytest.raises(enc.EncodingDomainError, match="negative"):
+                enc.Division().output_cost(y, out)
 
 
 class TestSubtractiveCost:

@@ -105,7 +105,19 @@ class TestInitForward:
         x, _ = _random_batch(net, 4, 0)
         state = net.compute_errors(net.init_forward(x))
         for l in range(1, net.n_levels + 1):
-            np.testing.assert_array_equal(state.e[l], np.zeros_like(state.e[l]))
+            np.testing.assert_array_equal(state.terms[l].e, np.zeros_like(state.terms[l].e))
+
+    def test_errors_where_positivity_clips_a_negative_prediction(self):
+        # tanh predicts below zero and positivity rectifies those activities
+        # to 0, so there the error is -phat, and 0 everywhere else
+        net = init_network([784, 30, 20, 10], hidden_activation=ActivationKind.TANH,
+                           positive_activities=True, seed=3)
+        x, _ = _random_batch(net, 8, 0)
+        state = net.compute_errors(net.init_forward(x))
+        for l in range(1, net.n_levels + 1):
+            phat = state.phat[l]
+            assert state.terms[l].e.tobytes() == np.where(phat < 0, -phat, 0.0).tobytes()
+        assert all(np.any(state.terms[l].e != 0.0) for l in (1, 2))
 
     def test_scalar_chain(self):
         net = _zero_net([1, 1, 1])
@@ -141,7 +153,7 @@ class TestClampOutput:
         state = net.init_forward(x)
         net.clamp_output(state, y)
         net.compute_errors(state)
-        np.testing.assert_allclose(state.e[2], y - state.phat[2], atol=0)
+        np.testing.assert_allclose(state.terms[2].e, y - state.phat[2], atol=0)
 
     def test_matched_target_zero_error(self):
         net = init_network([5, 4, 3], seed=7)
@@ -150,7 +162,7 @@ class TestClampOutput:
         y = state.phat[2].copy()
         net.clamp_output(state, y)
         net.compute_errors(state)
-        np.testing.assert_array_equal(state.e[2], np.zeros_like(y))
+        np.testing.assert_array_equal(state.terms[2].e, np.zeros_like(y))
 
     def test_one_hot_against_half_predictions(self):
         net = _zero_net([3, 2])
@@ -159,7 +171,7 @@ class TestClampOutput:
         y[0] = 1.0
         net.clamp_output(state, y)
         net.compute_errors(state)
-        assert set(np.unique(state.e[1])) == {-0.5, 0.5}
+        assert set(np.unique(state.terms[1].e)) == {-0.5, 0.5}
 
     def test_shape_checked(self):
         net = init_network([5, 4, 3], seed=7)
@@ -180,13 +192,13 @@ class TestComputeErrors:
             state = net.compute_errors(net.init_forward(x))
             for l in (1, 2):
                 if isinstance(encoding, enc.Subtractive):
-                    np.testing.assert_array_equal(state.e[l], np.zeros_like(state.e[l]))
+                    np.testing.assert_array_equal(state.terms[l].e, np.zeros_like(state.terms[l].e))
                 elif isinstance(encoding, enc.SubtractiveThreshold):
                     baseline = 2.0 * (0.0 - encoding.e_min) / encoding.e_max
-                    np.testing.assert_allclose(state.e_star[l], baseline, atol=1e-12)
-                    np.testing.assert_allclose(state.e[l], 0.0, atol=1e-12)
+                    np.testing.assert_allclose(state.terms[l].e_star, baseline, atol=1e-12)
+                    np.testing.assert_allclose(state.terms[l].e, 0.0, atol=1e-12)
                 else:
-                    np.testing.assert_allclose(state.e[l], 1.0, atol=1e-12)
+                    np.testing.assert_allclose(state.terms[l].e, 1.0, atol=1e-12)
 
     def test_error_shapes_match_activities(self):
         net = init_network([6, 5, 4, 3], seed=4)
@@ -195,7 +207,7 @@ class TestComputeErrors:
         net.clamp_output(state, y)
         net.compute_errors(state)
         for l in range(1, net.n_levels + 1):
-            assert state.e[l].shape == state.a[l].shape
+            assert state.terms[l].e.shape == state.a[l].shape
 
 
 class TestActivityStep:
@@ -250,7 +262,7 @@ class TestActivityStep:
         net.compute_errors(state)
         dirs = net.activity_directions(state)
         p2 = net.weights[1] @ state.a[1]
-        expected = net.weights[1].T @ (state.e[2] * activate_deriv(SIG, p2))
+        expected = net.weights[1].T @ (state.terms[2].e * activate_deriv(SIG, p2))
         np.testing.assert_allclose(dirs[1], expected, atol=0)
 
     def test_scalar_chain_direction_zero(self):
@@ -258,7 +270,7 @@ class TestActivityStep:
         state = net.init_forward(np.array([[1.0]]))
         net.clamp_output(state, np.array([[1.0]]))
         net.compute_errors(state)
-        assert state.e[2][0, 0] == 0.5
+        assert state.terms[2].e[0, 0] == 0.5
         dirs = net.activity_directions(state)
         assert dirs[1][0, 0] == 0.0  # 0 * (0.5 * 0.25) - 0
 
@@ -654,7 +666,7 @@ def _check_against_reference(net, x, y, n_steps=6, beta=0.1):
     for l in range(net.n_levels + 1):
         _same_bits(state.a[l], want_a[l])
     for l in range(1, net.n_levels + 1):
-        _same_bits(state.e[l], want_e[l])
+        _same_bits(state.terms[l].e, want_e[l])
         _same_bits(state.phat[l], want_phat[l])
     for got, want in zip(net.weight_update_direction(state), want_dw):
         _same_bits(got, want)
@@ -706,6 +718,20 @@ class TestBufferedStep:
         net.weight_update_direction(second)
         for got, want in zip(net.weight_update_direction(first), kept):
             _same_bits(got, want)
+
+    @pytest.mark.parametrize("encoding", [enc.Subtractive(), enc.SubtractiveThreshold(),
+                                          enc.Division()], ids=lambda e: e.name)
+    def test_level_terms_keep_their_identity(self, encoding):
+        net = _net(encoding, Transpose(), SIG, encoding.needs_positive, [6, 5, 4, 3])
+        x, y = _random_batch(net, 4, 0)
+        state = net.clamp_output(net.init_forward(x), y)
+        held = [None] + [(t, t.e, t.e_star) for t in state.terms[1:]]
+        net.relax(state, 3, 0.1)
+        net.compute_errors(state)
+        for l in range(1, net.n_levels + 1):
+            terms, e, e_star = held[l]
+            assert state.terms[l] is terms and terms.e is e and terms.e_star is e_star
+            assert (e_star is None) == (encoding.name != "threshold")
 
     @pytest.mark.parametrize("encoding", [enc.Subtractive(), enc.SubtractiveThreshold(),
                                           enc.Division()], ids=lambda e: e.name)
