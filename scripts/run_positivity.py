@@ -18,7 +18,7 @@ Example:
 import sys
 
 from biopc import cli
-from biopc.experiments import POSITIVITY_ROWS, TABLE_SEEDS, run_experiment, seed_configs
+from biopc.experiments import POSITIVITY_ROWS, TABLE_SEEDS, run_study
 
 
 def main(argv=None) -> int:
@@ -29,13 +29,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=list(TABLE_SEEDS))
     args = parser.parse_args(argv)
 
-    configs = {name: seed_configs(name, "mnist", overrides, args.seeds, args.out_dir,
-                                  epochs=args.epochs, data_dir=args.data_dir)
-               for name, overrides in POSITIVITY_ROWS.items()}
-    means = {}
-    for name, row_configs in configs.items():
-        means[name] = run_experiment(name, row_configs)
-        print(f"== {name}: mean last-3 test error {means[name]:.4f}")
+    means = run_study(POSITIVITY_ROWS, "mnist", args.seeds, args.out_dir,
+                      epochs=args.epochs, data_dir=args.data_dir)
 
     sigmoid_gap = abs(means["sigmoid_pos"] - means["sigmoid"])
     tanh_drop = means["tanh_pos"] - means["tanh"]

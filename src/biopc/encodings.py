@@ -25,9 +25,9 @@ in the run config and the checkpoint. `ENCODINGS` lists the classes;
 
 `error` writes a level's error in place into the `LevelTerms` it is given
 (made by `terms`; a network holds them in `NetworkState.terms`) and returns
-nothing. The terms also keep what the update terms reuse (for division,
-0.5 log e, a + eps and phat + eps), so those are computed once per level
-and step; `rising` and `top_down` then write into arrays they are given.
+nothing. The terms also keep what the update terms and `cost` reuse (for
+division, 0.5 log e, a + eps and phat + eps), so those are computed once
+per level and step; `rising` and `top_down` write into arrays they are given.
 The methods take 2-D float64 arrays: shapes are checked where a batch
 enters the network, and only an encoding's domain is checked on every
 call, raising `EncodingDomainError` with the encoding's name.
@@ -52,7 +52,8 @@ class LevelTerms:
     """One level's error `e` plus the arrays its encoding reuses until the
     next `error` call, which writes them in place: the encoded rates
     `e_star` (threshold) or `half_log_e`, `a_eps` and `phat_eps`
-    (division); the others stay None."""
+    (division); the others stay None. An encoding's `terms` makes them
+    filled with NaN, which they hold until the first `error` call."""
 
     e: np.ndarray
     e_star: Optional[np.ndarray] = None
@@ -76,13 +77,14 @@ class _SubtractiveFamily:
         """The top-down term: e itself, so `out` is not written."""
         return terms.e
 
-    def cost(self, e) -> float:
+    def cost(self, terms: LevelTerms) -> float:
         """Squared prediction error of one level: sum over units of (1/2) e^2,
         mean over batch."""
+        e = terms.e
         return float(0.5 * np.sum(e * e) / e.shape[1])
 
     def output_cost(self, y, out) -> float:
-        return self.cost(y - out)
+        return self.cost(LevelTerms(e=y - out))
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class Subtractive(_SubtractiveFamily):
 
     def terms(self, shape) -> LevelTerms:
         """The arrays one level of this shape needs."""
-        return LevelTerms(e=np.empty(shape))
+        return LevelTerms(e=np.full(shape, np.nan))
 
     def error(self, a, phat, terms: LevelTerms) -> None:
         """Writes the error the update rules consume into `terms`, from
@@ -115,7 +117,7 @@ class SubtractiveThreshold(_SubtractiveFamily):
             raise ValueError(f"e_min must be <= 0 and finite, got {self.e_min}")
 
     def terms(self, shape) -> LevelTerms:
-        return LevelTerms(e=np.empty(shape), e_star=np.empty(shape))
+        return LevelTerms(e=np.full(shape, np.nan), e_star=np.full(shape, np.nan))
 
     def error(self, a, phat, terms: LevelTerms) -> None:
         """Writes the encoded rates into `terms.e_star`, decoded into `terms.e`."""
@@ -149,8 +151,8 @@ class Division:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def terms(self, shape) -> LevelTerms:
-        return LevelTerms(e=np.empty(shape), half_log_e=np.empty(shape),
-                          a_eps=np.empty(shape), phat_eps=np.empty(shape))
+        return LevelTerms(e=np.full(shape, np.nan), half_log_e=np.full(shape, np.nan),
+                          a_eps=np.full(shape, np.nan), phat_eps=np.full(shape, np.nan))
 
     def error(self, a, phat, terms: LevelTerms) -> None:
         """Writes the ratio mismatch e** = sqrt((a + eps) / (phat + eps)),
@@ -176,19 +178,20 @@ class Division:
         """0.5 log(e) / (a + eps), written into `out`."""
         return np.divide(terms.half_log_e, terms.a_eps, out=out)
 
-    def cost(self, e) -> float:
+    def cost(self, terms: LevelTerms) -> float:
         """Cost of ratio mismatches: sum over units of (1/2) ln(e**)^2, mean
-        over batch."""
+        over batch. ln e** is read as 2 * `half_log_e`, which is exact."""
+        e = terms.e
         if e.size and e.min() <= 0:
             raise EncodingDomainError(f"{self.name} encoding: non-positive ratio "
                                       f"{e.min()}; ratios must be > 0")
-        logs = np.log(e)
+        logs = 2.0 * terms.half_log_e
         return float(0.5 * np.sum(logs * logs) / e.shape[1])
 
     def output_cost(self, y, out) -> float:
         terms = self.terms(y.shape)
         self.error(y, out, terms)
-        return self.cost(terms.e)
+        return self.cost(terms)
 
 
 ErrorEncoding = Union[Subtractive, SubtractiveThreshold, Division]

@@ -2,8 +2,8 @@
 positive-activity study, with their aggregation conventions.
 
 Each run is one `TrainConfig` (`make_config`, merged as the CLI merges
-flags). A script finalizes every run's config (`seed_configs`) before any
-data loads; `run_experiment` then trains a row's runs and returns their mean.
+flags). `run_study` runs a study: it finalizes every run's config before
+any data loads, trains the runs in one loop, and returns each row's mean.
 
 Reported numbers are the mean test error over the last three epochs of
 each run, averaged across seeds. Division-encoding rows force the positivity
@@ -48,25 +48,26 @@ def make_config(dataset: str, seed: int, overrides: dict, **fields) -> TrainConf
     return merge_config({"dataset": dataset, "seed": seed, **overrides}, fields)
 
 
-def seed_configs(name: str, dataset: str, overrides: dict, seeds, out_root: str,
-                 **fields) -> list:
-    """The finalized config of row `name` for each seed, writing its outputs
-    to `{out_root}/{name}_seed{seed}`; raises ConfigError on a bad setting."""
-    return [make_config(dataset, seed, overrides, out_dir=f"{out_root}/{name}_seed{seed}",
-                        **fields).finalize()
-            for seed in seeds]
-
-
 def last3_mean_test_error(result: TrainResult) -> float:
     errors = [m.error for m in result.metrics if m.split == "test"]
     return sum(errors[-3:]) / len(errors[-3:])
 
 
-def run_experiment(name: str, configs) -> float:
-    """Train row `name` once per config, each run loading its data and writing
-    its outputs; returns the mean over runs of the last-3 mean test error."""
-    errors = []
-    for cfg in configs:
-        errors.append(last3_mean_test_error(train(cfg, log=print)))
-        print(f"[{name} seed={cfg.seed}] last-3-epoch mean test error {errors[-1]:.4f}")
-    return sum(errors) / len(errors)
+def run_study(rows: dict, dataset: str, seeds, out_root: str, **fields) -> dict:
+    """Train each row of `rows` (name -> config overrides) once per seed and
+    return each row's mean over seeds of the last-3 mean test error, in row
+    order. Every run's config (`make_config` with `fields`, writing to
+    `{out_root}/{name}_seed{seed}`) is finalized first, so a bad setting is a
+    ConfigError before any data loads; then each run loads its data, trains
+    and writes its outputs."""
+    runs = [(name, make_config(dataset, seed, overrides, out_dir=f"{out_root}/{name}_seed{seed}",
+                               **fields).finalize())
+            for name, overrides in rows.items() for seed in seeds]
+    errors = {name: [] for name in rows}
+    for name, cfg in runs:
+        errors[name].append(last3_mean_test_error(train(cfg, log=print)))
+        print(f"[{name} seed={cfg.seed}] last-3-epoch mean test error {errors[name][-1]:.4f}")
+    means = {name: sum(errs) / len(errs) for name, errs in errors.items()}
+    for name, mean in means.items():
+        print(f"== {name}: mean last-3 test error {mean:.4f}")
+    return means

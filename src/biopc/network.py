@@ -111,8 +111,9 @@ class NetworkState:
     `phat` is the `fp` array itself. `terms[l]` is the encoding's
     `LevelTerms` for level l, the one home of its error `e` (the signed
     difference, decoded for threshold with the encoded rates in `e_star`,
-    or the division ratio); `compute_errors` writes them in place, and they
-    hold values once it has run.
+    or the division ratio); `compute_errors` writes them in place. Until
+    it first runs they hold NaN, so an objective or direction read before
+    it is NaN.
 
     `work` and `weight_dirs` (one per weight matrix) are the network's
     arrays the steps write into; see the module docstring.
@@ -450,7 +451,7 @@ class PCNetwork(LayeredModel):
         """Monitored objective: the encoding's cost summed over levels (total
         squared error for the subtractive family, log-ratio cost for
         division). Requires current errors."""
-        return float(sum(self.encoding.cost(t.e) for t in state.terms[1:]))
+        return float(sum(self.encoding.cost(t) for t in state.terms[1:]))
 
     def descent(self, x, y, n_updates: int, beta: float):
         """(objective, weight directions) after `n_updates` relaxation steps

@@ -27,6 +27,13 @@ def _error(encoding, a, phat):
     return terms
 
 
+def _ratio_terms(e):
+    """Division's level terms for ratios `e`, with 0.5 log e as its `error`
+    writes it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return enc.LevelTerms(e=e, half_log_e=0.5 * np.log(e))
+
+
 def _threshold(e, e_min=-1.0, e_max=2.1):
     """(decoded, encoded) threshold errors for raw errors `e`: activities `e`
     against a zero prediction."""
@@ -196,27 +203,29 @@ class TestDivision:
 
 class TestDivisionCost:
     def test_zero_iff_all_ones(self):
-        assert enc.Division().cost(np.ones((3, 2))) == 0.0
+        assert enc.Division().cost(_ratio_terms(np.ones((3, 2)))) == 0.0
         almost = np.ones((3, 2))
         almost[1, 0] = 1.5
-        assert enc.Division().cost(almost) > 0.0
+        assert enc.Division().cost(_ratio_terms(almost)) > 0.0
 
     def test_euler_ratio(self):
-        assert enc.Division().cost(M([math.e])) == pytest.approx(0.5, abs=1e-12)
+        assert enc.Division().cost(_ratio_terms(M([math.e]))) == pytest.approx(0.5, abs=1e-12)
 
     def test_ratio_two(self):
         # (1/2) ln(2)^2
-        assert enc.Division().cost(M([2.0])) == pytest.approx(0.24022650695910071, abs=1e-15)
+        assert (enc.Division().cost(_ratio_terms(M([2.0])))
+                == pytest.approx(0.24022650695910071, abs=1e-15))
 
     def test_mean_over_batch_sum_over_units(self):
         block = np.full((2, 3), 2.0)  # 2 units, 3 samples
-        assert enc.Division().cost(block) == pytest.approx(2 * 0.24022650695910071, abs=1e-12)
+        assert (enc.Division().cost(_ratio_terms(block))
+                == pytest.approx(2 * 0.24022650695910071, abs=1e-12))
 
     def test_non_positive_entries_rejected(self):
         with pytest.raises(enc.EncodingDomainError):
-            enc.Division().cost(M([0.0]))
+            enc.Division().cost(_ratio_terms(M([0.0])))
         with pytest.raises(enc.EncodingDomainError):
-            enc.Division().cost(M([-1.0]))
+            enc.Division().cost(_ratio_terms(M([-1.0])))
 
 
     @given(
@@ -227,8 +236,17 @@ class TestDivisionCost:
     def test_output_cost_is_the_cost_of_the_ratio(self, y, out, epsilon):
         # the ratio written out of place, bit for bit
         division = enc.Division(epsilon)
-        want = division.cost(np.sqrt((y + epsilon) / (out + epsilon)))
+        want = division.cost(_ratio_terms(np.sqrt((y + epsilon) / (out + epsilon))))
         assert np.float64(division.output_cost(y, out)).tobytes() == np.float64(want).tobytes()
+
+    @given(hnp.arrays(np.float64, (4, 3), elements=st.floats(1e-3, 1e3)))
+    def test_cost_from_half_log_equals_cost_from_log(self, e):
+        # 2 * (0.5 log e) is log e exactly, so the cost keeps the bits of
+        # taking the log of the ratio itself
+        logs = np.log(e)
+        want = 0.5 * np.sum(logs * logs) / e.shape[1]
+        got = enc.Division().cost(_ratio_terms(e))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_output_cost_rejects_negative_rates(self):
         for y, out in ((M([-0.1]), M([0.5])), (M([0.1]), M([-0.5]))):
@@ -238,17 +256,18 @@ class TestDivisionCost:
 
 class TestSubtractiveCost:
     def test_zero(self):
-        assert enc.Subtractive().cost(np.zeros((3, 2))) == 0.0
+        assert enc.Subtractive().cost(enc.LevelTerms(np.zeros((3, 2)))) == 0.0
 
     def test_single_entry(self):
-        assert enc.Subtractive().cost(M([2.0])) == 2.0
+        assert enc.Subtractive().cost(enc.LevelTerms(M([2.0]))) == 2.0
 
     def test_two_units(self):
-        assert enc.Subtractive().cost(np.array([[0.5], [-0.5]])) == pytest.approx(0.25, abs=1e-15)
+        assert (enc.Subtractive().cost(enc.LevelTerms(np.array([[0.5], [-0.5]])))
+                == pytest.approx(0.25, abs=1e-15))
 
     def test_mean_over_batch(self):
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert enc.Subtractive().cost(e) == pytest.approx(0.5, abs=1e-15)
+        assert enc.Subtractive().cost(enc.LevelTerms(e)) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestThresholdEquivalence:

@@ -119,6 +119,22 @@ class TestInitForward:
             assert state.terms[l].e.tobytes() == np.where(phat < 0, -phat, 0.0).tobytes()
         assert all(np.any(state.terms[l].e != 0.0) for l in (1, 2))
 
+    @pytest.mark.parametrize("encoding", [enc.Subtractive(), enc.SubtractiveThreshold(),
+                                          enc.Division()], ids=lambda e: e.name)
+    def test_reads_before_compute_errors_are_nan(self, encoding):
+        # the level terms start as NaN, so a read before any error is computed
+        # cannot return what their memory held before
+        net = init_network([6, 5, 4, 3], encoding=encoding, seed=11,
+                           positive_activities=encoding.needs_positive,
+                           bias=0.1 if encoding.needs_positive else 0.0)
+        x, y = _random_batch(net, 4, 0)
+        state = net.clamp_output(net.init_forward(x), y)
+        for _ in range(2):
+            assert np.isnan(net.objective(state))
+            dirs = net.activity_directions(state)
+            assert all(np.isnan(dirs[l]).all() for l in range(1, net.n_levels))
+            assert all(np.isnan(d).all() for d in net.weight_update_direction(state))
+
     def test_scalar_chain(self):
         net = _zero_net([1, 1, 1])
         state = net.init_forward(np.array([[1.0]]))
