@@ -5,7 +5,8 @@
 the class registries give the choices, and a field's declared type picks
 its value parser. A rule a class owns is checked by that class: the config
 builds the schemes, a `BatchPlan` and an `AdamState` and calls
-`check_structure`.
+`check_structure` on `structure()`, the keywords the model constructor
+takes.
 
 Precedence is command-line flag > config file entry > built-in default.
 Unset inference rate, activity-update count and threshold floor resolve from
@@ -112,9 +113,7 @@ class TrainConfig:
         try:
             BatchPlan(self.batch_size, self.seed)
             AdamState.for_shape((0, 0), lr=self.lr)
-            self.model_class().check_structure(
-                encoding=self.encoding_value(), feedback=self.feedback_value(),
-                positive_activities=self.positive_activities)
+            self.model_class().check_structure(**self.structure())
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
@@ -123,14 +122,12 @@ class TrainConfig:
     def model_class(self) -> type:
         return enc.find(MODELS, "name", self.model)
 
-    def encoding_value(self) -> enc.ErrorEncoding:
-        return enc.build(enc.ENCODINGS, "name", self.encoding, vars(self))
-
-    def feedback_value(self):
-        return enc.build(FEEDBACK_SCHEMES, "name", self.feedback, vars(self))
-
-    def hidden_activation_value(self) -> ActivationKind:
-        return ActivationKind(self.hidden_activation)
+    def structure(self) -> dict:
+        """The model constructor's structure keywords (see `init_network`)."""
+        return {"encoding": enc.build(enc.ENCODINGS, "name", self.encoding, vars(self)),
+                "feedback": enc.build(FEEDBACK_SCHEMES, "name", self.feedback, vars(self)),
+                "hidden_activation": ActivationKind(self.hidden_activation),
+                "bias": self.bias, "positive_activities": self.positive_activities}
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}

@@ -31,14 +31,15 @@ entry that takes an input batch checks it in `_check_input`, and a target
 batch in `_check_target`.
 
 A `NetworkState` owns every array its batch's relaxation and learning
-steps write, each level's error terms (the encoding's `LevelTerms`) among
-them: `init_forward` makes them, shaped for the batch, and each step
-writes into them in place, so a step allocates no batch-sized array.
-Arrays read from a state are therefore valid until the step that rewrites
-them: `activity_directions` returns the state's direction arrays, which the
-next `activity_step` overwrites, and `weight_update_direction` returns
-arrays that its next call on the same state overwrites. Copy what has to
-outlive that.
+steps write, as flat lists indexed by level like the activities: each
+level's error terms (the encoding's `LevelTerms`), its rising term, its
+sigmoid scratch and mask and its activity direction. `init_forward` makes
+them, shaped for the batch, and each step writes into them in place, so a
+step allocates no batch-sized array. Arrays read from a state are
+therefore valid until the step that rewrites them: `activity_directions`
+fills and returns `state.direction`, which the next `activity_step`
+overwrites, and `weight_update_direction` returns arrays that its next
+call on the same state overwrites. Copy what has to outlive that.
 
 `predict` makes its arrays (an activation array per level, one sigmoid
 scratch and mask for all) once per call, sized for one column block, and
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -103,43 +104,38 @@ FEEDBACK_SCHEMES = (Transpose, RandomFixed, KolenPollack)
 class NetworkState:
     """Per-minibatch inference state.
 
-    Lists are indexed by level; index 0 of `fp`, `phat`, `terms` and
-    `work` is unused. `fp` is the activation f(W a) of the activities a
-    below and `phat` the effective prediction (f(W a) plus the level's
-    shift); the derivatives are taken from `fp`, so W a is not kept. Where
-    a level's shift cannot change a bit (an unshifted sigmoid level),
-    `phat` is the `fp` array itself. `terms[l]` is the encoding's
-    `LevelTerms` for level l, the one home of its error `e` (the signed
-    difference, decoded for threshold with the encoded rates in `e_star`,
-    or the division ratio); `compute_errors` writes them in place. Until
-    it first runs they hold NaN, so an objective or direction read before
-    it is NaN.
+    Every list is indexed by level; index 0 of all but `a` is unused. `fp`
+    is the activation f(W a) of the activities a below and `phat` the
+    effective prediction (f(W a) plus the level's shift); the derivatives
+    are taken from `fp`, so W a is not kept. Where a level's shift cannot
+    change a bit (an unshifted sigmoid level), `phat` is the `fp` array
+    itself. `terms[l]` is the encoding's `LevelTerms` for level l, the one
+    home of its error `e` (the signed difference, decoded for threshold
+    with the encoded rates in `e_star`, or the division ratio);
+    `compute_errors` writes them in place. Until it first runs they hold
+    NaN, so an objective or direction read before it is NaN.
 
-    `work` and `weight_dirs` (one per weight matrix) are the network's
-    arrays the steps write into; see the module docstring.
+    The rest are the network's arrays that the steps write into (see the
+    module docstring): `rising`, f' at the level scaled into its rising
+    term; `scratch`, the sigmoid's work and the division top-down term;
+    `mask`, the sigmoid's x >= 0; `direction`, a hidden level's activity
+    direction (None at levels 0 and L); and `weight_dirs`, one per weight
+    matrix.
     """
 
     a: list
     fp: list
     phat: list
     terms: list
-    work: list
+    rising: list
+    scratch: list
+    mask: list
+    direction: list
     weight_dirs: list
 
     @property
     def batch_size(self) -> int:
         return self.a[0].shape[1]
-
-
-@dataclass
-class LevelWork:
-    """The network's own arrays that one level of a `NetworkState` reuses
-    at every step; the encoding's are in `NetworkState.terms`."""
-
-    rising: np.ndarray     # f' at the level, scaled into the rising term
-    scratch: np.ndarray    # the sigmoid's work; the division top-down term
-    mask: np.ndarray       # the sigmoid's x >= 0
-    direction: Optional[np.ndarray]  # hidden levels: the activity direction
 
 
 # Columns per block of a prediction sweep. A 4096-sample evaluation chunk
@@ -356,14 +352,14 @@ class PCNetwork(LayeredModel):
         state's arrays are made here, shaped for the batch."""
         x = self._check_input(x).copy()
         a, fp, phat = self._sweep(x)
-        L = self.n_levels
-        work = [None] + [LevelWork(rising=np.empty(f.shape), scratch=np.empty(f.shape),
-                                   mask=np.empty(f.shape, dtype=bool),
-                                   direction=np.empty(f.shape) if l < L else None)
-                         for l, f in enumerate(fp[1:], start=1)]
+        shapes = [f.shape for f in fp[1:]]
         return NetworkState(a=a, fp=fp, phat=phat,
-                            terms=[None] + [self.encoding.terms(f.shape) for f in fp[1:]],
-                            work=work, weight_dirs=[np.empty(w.shape) for w in self.weights])
+                            terms=[None] + [self.encoding.terms(s) for s in shapes],
+                            rising=[None] + [np.empty(s) for s in shapes],
+                            scratch=[None] + [np.empty(s) for s in shapes],
+                            mask=[None] + [np.empty(s, dtype=bool) for s in shapes],
+                            direction=[None] + [np.empty(s) for s in shapes[:-1]] + [None],
+                            weight_dirs=[np.empty(w.shape) for w in self.weights])
 
     def clamp_output(self, state: NetworkState, y) -> NetworkState:
         state.a[self.n_levels] = self._check_target(y, state.batch_size).copy()
@@ -384,34 +380,31 @@ class PCNetwork(LayeredModel):
         # relaxation and the default skips it; gradient checking perturbs W_0
         # and asks for a full rebuild from level 1.
         for l in range(from_level, self.n_levels + 1):
-            work = state.work[l]
-            self._level(l, state.a[l - 1], state.fp[l], state.phat[l], work.scratch, work.mask)
+            self._level(l, state.a[l - 1], state.fp[l], state.phat[l], state.scratch[l],
+                        state.mask[l])
 
     def _rising(self, state: NetworkState, level: int) -> np.ndarray:
         """The encoding's rising term at `level`: what the level below
         receives through the feedback matrix, and what the weights into
         `level` learn from. Written into the level's `rising` array."""
         return self.encoding.rising(state.terms[level],
-                                    self._act_deriv(state.fp, level, out=state.work[level].rising))
+                                    self._act_deriv(state.fp, level, out=state.rising[level]))
 
     def activity_directions(self, state: NetworkState) -> list:
         """Proposed change of each hidden level's activities (levels 0 and L
         are clamped and get None): the fed-back rising term from above minus
-        the encoding's top-down term. Requires current errors. The arrays
-        are the state's, overwritten by the next `activity_step`.
+        the encoding's top-down term. Requires current errors. Fills and
+        returns `state.direction`, which the next `activity_step` overwrites.
 
         With transpose feedback this is the negative gradient of the
         configured objective; separate feedback matrices replace the
         transpose in the bottom-up term.
         """
-        dirs = [None] * (self.n_levels + 1)
         for l in range(1, self.n_levels):
-            work = state.work[l]
             d = np.matmul(self.feedback.matrix(self, l), self._rising(state, l + 1),
-                          out=work.direction)
-            d -= self.encoding.top_down(state.terms[l], out=work.scratch)
-            dirs[l] = d
-        return dirs
+                          out=state.direction[l])
+            d -= self.encoding.top_down(state.terms[l], out=state.scratch[l])
+        return state.direction
 
     def activity_step(self, state: NetworkState, beta: float) -> NetworkState:
         """Move hidden activities, in place, along their directions with step
@@ -486,16 +479,17 @@ def kp_step(w: np.ndarray, b: np.ndarray, adjustment: np.ndarray, gamma: float):
     return w, b
 
 
-def init_network(dims, *, encoding: enc.ErrorEncoding = enc.Subtractive(),
-                 feedback: FeedbackScheme = Transpose(),
-                 hidden_activation: ActivationKind = ActivationKind.SIGMOID,
-                 bias: float = 0.0, positive_activities: bool = False,
-                 seed: int = 0, model_class: type = PCNetwork) -> LayeredModel:
+def init_network(dims, *, seed: int = 0, model_class: type = PCNetwork,
+                 **structure) -> LayeredModel:
     """Build a `model_class` model with uniform Xavier weights, deterministic
     in `seed`: either class gets the same forward weights from one seed.
 
-    Separate feedback matrices (random or Kolen-Pollack) are drawn
-    independently from the same distribution, never as transposes: for the
+    `structure` holds the constructor's keyword arguments (`encoding`,
+    `feedback`, `hidden_activation`, `bias`, `positive_activities`) and is
+    passed to it as given, so their defaults are the constructor's. The
+    feedback scheme is read here only to decide whether to draw feedback
+    matrices: separate ones (random or Kolen-Pollack) are drawn independently
+    from the same distribution, never as transposes, so for the
     Kolen-Pollack scheme alignment has to be learned.
     """
     dims = [int(d) for d in dims]
@@ -503,8 +497,6 @@ def init_network(dims, *, encoding: enc.ErrorEncoding = enc.Subtractive(),
     L = len(dims) - 1
     weights = [_xavier_uniform(rng, dims[l + 1], dims[l]) for l in range(L)]
     fb = None
-    if feedback.has_matrices:
+    if structure.get("feedback", Transpose()).has_matrices:
         fb = [_xavier_uniform(rng, dims[l], dims[l + 1]) for l in range(L)]
-    return model_class(dims, weights, fb, bias=bias, hidden_activation=hidden_activation,
-                       encoding=encoding, feedback=feedback,
-                       positive_activities=positive_activities)
+    return model_class(dims, weights, fb, **structure)

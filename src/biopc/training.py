@@ -23,8 +23,8 @@ Training stops with `NonFiniteError` at the first batch whose objective is
 NaN or infinite.
 
 `run_gradcheck` compares the activity and weight directions with central
-differences of the objective, one loop for both kinds of matrix, at the
-fixed `GRADCHECK_*` settings.
+differences of the objective (one-sided at a rectifier's boundary), one
+loop for both kinds of matrix, at the fixed `GRADCHECK_*` settings.
 """
 
 from __future__ import annotations
@@ -73,11 +73,8 @@ class TrainResult:
 
 
 def build_model(cfg: TrainConfig):
-    return init_network(NETWORK_DIMS, encoding=cfg.encoding_value(),
-                        feedback=cfg.feedback_value(),
-                        hidden_activation=cfg.hidden_activation_value(), bias=cfg.bias,
-                        positive_activities=cfg.positive_activities, seed=cfg.seed,
-                        model_class=cfg.model_class())
+    return init_network(NETWORK_DIMS, seed=cfg.seed, model_class=cfg.model_class(),
+                        **cfg.structure())
 
 
 # Samples per `predict` call of an evaluation (perfbench times 4096-column calls)
@@ -270,22 +267,31 @@ class GradcheckReport:
         return max((c.max_rel_err for c in self.checks if c.gated), default=0.0)
 
 
-def _central_differences(net: PCNetwork, state, m: np.ndarray, scale: int, h: float) -> np.ndarray:
-    """-scale times the central-difference derivative of the objective with
+# Finite-difference stencils as (offset in steps h, weight) pairs, the
+# weighted sum taken over 2h: the central difference, and the one-sided
+# second-order (-3 f(a) + 4 f(a+h) - f(a+2h)) / (2h) for a rectified
+# activity below h, which a step down would make negative.
+_CENTRAL = ((1.0, 1.0), (-1.0, -1.0))
+_ONE_SIDED = ((0.0, -3.0), (1.0, 4.0), (2.0, -1.0))
+
+
+def _finite_differences(net: PCNetwork, state, m: np.ndarray, scale: int, h: float,
+                        rectified: bool) -> np.ndarray:
+    """-scale times the finite-difference derivative of the objective with
     respect to each entry of `m`, an activity or weight matrix of `state` or
-    `net`; each perturbation rebuilds all predictions."""
+    `net`; each perturbation rebuilds all predictions. Entries below h of a
+    `rectified` matrix take the one-sided stencil, all others the central."""
     numeric = np.empty_like(m)
     for ij in np.ndindex(*m.shape):
         orig = m[ij]
-        sides = []
-        for value in (orig + h, orig - h):
-            m[ij] = value
+        total = 0.0
+        for offset, weight in _ONE_SIDED if rectified and orig < h else _CENTRAL:
+            m[ij] = orig + offset * h
             net._refresh_predictions(state, from_level=1)
             net.compute_errors(state)
-            sides.append(net.objective(state))
+            total += weight * net.objective(state)
         m[ij] = orig
-        up, down = sides
-        numeric[ij] = -scale * (up - down) / (2.0 * h)
+        numeric[ij] = -scale * total / (2.0 * h)
     net._refresh_predictions(state, from_level=1)
     net.compute_errors(state)
     return numeric
@@ -300,8 +306,8 @@ def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
                   feedback=Transpose(), *, hidden_activation=ActivationKind.SIGMOID,
                   dims=GRADCHECK_DIMS, batch: int = GRADCHECK_BATCH,
                   seed: int = 0) -> GradcheckReport:
-    """Compare analytic update directions against central finite differences
-    of the configured objective on a small network.
+    """Compare analytic update directions against finite differences (see
+    `_finite_differences`) of the configured objective on a small network.
 
     Activity directions are per-sample, so they are checked against the
     batch-size-scaled derivative of the batch-mean objective. With separate
@@ -331,11 +337,11 @@ def run_gradcheck(encoding: enc.ErrorEncoding = enc.Subtractive(),
 
     checks = []
     for l in range(1, net.n_levels):
-        numeric = _central_differences(net, state, state.a[l], batch, GRADCHECK_H)
+        numeric = _finite_differences(net, state, state.a[l], batch, GRADCHECK_H, positive)
         checks.append(LayerCheck("activities", l, _relative_error(activity_dirs[l], numeric),
                                  gated=not feedback.has_matrices))
     for l in range(net.n_levels):
-        numeric = _central_differences(net, state, net.weights[l], 1, GRADCHECK_H)
+        numeric = _finite_differences(net, state, net.weights[l], 1, GRADCHECK_H, False)
         checks.append(LayerCheck("weights", l, _relative_error(weight_dirs[l], numeric),
                                  gated=True))
     return GradcheckReport(checks=checks)

@@ -351,6 +351,13 @@ class TestGradcheckCommand:
                      "--hidden-activation", hidden]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("feedback", ["random", "kp"])
+    def test_rectified_zero_activity_passes(self, feedback, capsys):
+        # seed 33 leaves a rectified hidden activity at exactly 0
+        assert main(["gradcheck", "--encoding", "division", "--feedback", feedback,
+                     "--hidden-activation", "tanh", "--seed", "33"]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+
     def test_header_names_the_checked_network(self, capsys):
         # the printed sizes are the constants run_gradcheck checks by default
         defaults = inspect.signature(run_gradcheck).parameters

@@ -735,6 +735,18 @@ class TestBufferedStep:
         for got, want in zip(net.weight_update_direction(first), kept):
             _same_bits(got, want)
 
+    def test_directions_are_the_states_lists(self):
+        net = init_network([6, 5, 4, 3], seed=2)
+        x, y = _random_batch(net, 4, 1)
+        state = net.clamp_output(net.init_forward(x), y)
+        net.compute_errors(state)
+        held = list(state.direction)
+        assert held[0] is None and held[-1] is None
+        dirs = net.activity_directions(state)
+        assert dirs is state.direction
+        assert all(d is h for d, h in zip(dirs, held))
+        assert net.weight_update_direction(state) is state.weight_dirs
+
     @pytest.mark.parametrize("encoding", [enc.Subtractive(), enc.SubtractiveThreshold(),
                                           enc.Division()], ids=lambda e: e.name)
     def test_level_terms_keep_their_identity(self, encoding):

@@ -354,3 +354,11 @@ class TestGradcheckReport:
         weight_checks = [c for c in report.checks if c.quantity == "weights"]
         assert all(c.gated and c.max_rel_err <= 1e-5 for c in weight_checks)
         assert report.passed
+
+    @pytest.mark.parametrize("feedback", [RandomFixed(), KolenPollack()], ids=["random", "kp"])
+    def test_rectified_zero_activity_is_differenced_one_sided(self, feedback):
+        # At this seed a rectified hidden activity is exactly 0, which a
+        # central difference would step to -h, outside division's domain.
+        report = run_gradcheck(enc.Division(), feedback,
+                               hidden_activation=ActivationKind.TANH, seed=33)
+        assert report.passed
