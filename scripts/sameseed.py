@@ -3,9 +3,10 @@
 
 Imports biopc from SRC_DIR and writes OUT_JSON holding, for each row
 configuration (the six table rows, `pc_threshold`, `tanh_pos_bias`, a
-Kolen-Pollack + threshold + tanh row, `pc`, `pc_div` and `kp_pc` again
-in batches of 48, and `pc` again as `pc_idx`), trained for 2 epochs on 640
-synthetic MNIST-shaped samples:
+Kolen-Pollack + threshold + tanh row, backprop with tanh and a hidden
+shift of 0.1, `pc`, `pc_div`, `kp_pc` and `backprop` again in batches of
+48, and `pc` again as `pc_idx`), trained for 2 epochs on 640 synthetic
+MNIST-shaped samples:
 
 * the SHA-256 of the `.pcck` checkpoint bytes,
 * the SHA-256 of the metrics CSV without its `seconds` column,
@@ -44,7 +45,9 @@ batches gathered from them. The other rows are given the synthetic splits.
 
 In batches of 64, 640 samples make 10 full batches. The `*_b48` rows split
 them into 13 batches of 48 and a last one of 16, so code whose arrays
-depend on the batch width also meets a narrower batch mid-run.
+depend on the batch width also meets a narrower batch mid-run. The
+`backprop_tanh_bias` row has shifted hidden levels, whose effective
+prediction is not their activation array.
 
 Example, against the parent commit:
     git worktree add ../parent HEAD~1
@@ -98,7 +101,8 @@ def _rows(experiments) -> dict:
     rows["tanh_pos_bias"] = experiments.POSITIVITY_ROWS["tanh_pos_bias"]
     rows["kp_threshold_tanh"] = dict(feedback="kp", encoding="threshold",
                                      hidden_activation="tanh")
-    for name in ("pc", "pc_div", "kp_pc"):
+    rows["backprop_tanh_bias"] = dict(rows["backprop"], hidden_activation="tanh", bias=0.1)
+    for name in ("pc", "pc_div", "kp_pc", "backprop"):
         rows[f"{name}_b48"] = dict(rows[name], batch_size=SHORT_BATCH)
     rows[IDX_ROW] = rows["pc"]
     return rows

@@ -10,9 +10,13 @@ transpose feedback, no positivity): the shared constructor and `TrainConfig`
 reject anything else. `MODELS` lists both model classes. The loss is the
 mean over the batch of the summed squared output error (1/2)||y - a_L||^2,
 the subtractive output cost.
-`MLP.descent` is backprop's batch entry: it checks the input and target
-once and gives the loss and negative gradients from one forward sweep,
-which `loss` and `backward` take.
+`MLP.descent` is backprop's batch entry. It runs on the network's own
+batch state and learning rule: `init_forward` sweeps the batch into a
+`NetworkState` and `clamp_output` puts the targets at the output level;
+`loss` writes the output error there, and `backward` writes each hidden
+level's error (backprop's delta over f') from the top down and returns
+`weight_update_direction`, which with exact errors is the negative
+gradient (Whittington & Bogacz 2017). No gradient formula lives here.
 An MLP is built as a network is, by `network.init_network(dims, ...,
 model_class=MLP)`: the same seed yields the same forward weights for
 either class, which equal-footing comparisons rely on.
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encodings as enc
-from .network import LayeredModel, PCNetwork, Transpose
+from .network import LayeredModel, NetworkState, PCNetwork, Transpose
 
 
 class MLP(LayeredModel):
@@ -34,33 +38,28 @@ class MLP(LayeredModel):
     fixed_structure = {"encoding": enc.Subtractive(), "feedback": Transpose(),
                        "positive_activities": False}
 
-    def loss(self, y, outputs) -> float:
-        """Mean squared-error loss of forward-sweep `outputs` against the
-        targets `y`."""
-        return self.encoding.output_cost(y, outputs)
-
-    def backward(self, y, sweep):
-        """Exact gradients of the mean squared-error loss w.r.t. each W, from
-        `sweep`, the batch's `_sweep`."""
-        a, fp, _ = sweep
+    def loss(self, state: NetworkState) -> float:
+        """Mean squared-error loss of the state's outputs against its clamped
+        targets: the encoding's error and cost at the output level."""
         L = self.n_levels
-        batch = y.shape[1]
-        grads = [None] * L
-        g = (a[L] - y) * self._act_deriv(fp, L)
-        for l in range(L, 0, -1):
-            grads[l - 1] = (g @ a[l - 1].T) / batch
-            if l > 1:
-                g = (self.weights[l - 1].T @ g) * self._act_deriv(fp, l - 1)
-        return grads
+        self.encoding.error(state.a[L], state.phat[L], state.terms[L])
+        return self.encoding.cost(state.terms[L])
+
+    def backward(self, state: NetworkState) -> list:
+        """Negative gradients of the loss w.r.t. each W, after `loss`: from
+        the top down, each hidden level's error becomes the rising term above
+        it sent down through the weights' transposes, and the network's own
+        weight rule turns those errors into the directions."""
+        for l in range(self.n_levels - 1, 0, -1):
+            np.matmul(self.feedback.matrix(self, l), self._rising(state, l + 1),
+                      out=state.terms[l].e)
+        return self.weight_update_direction(state)
 
     def descent(self, x, y, n_updates: int, beta: float):
         """(loss, negative gradients) of the batch, from one forward sweep.
         Backprop does not relax: `n_updates` and `beta` are ignored."""
-        x = self._check_input(x)
-        y = self._check_target(y, x.shape[1])
-        sweep = self._sweep(x)
-        objective = self.loss(y, sweep[0][-1])
-        return objective, [np.negative(g, out=g) for g in self.backward(y, sweep)]
+        state = self.clamp_output(self.init_forward(x), y)
+        return self.loss(state), self.backward(state)
 
 
 MODELS = (PCNetwork, MLP)

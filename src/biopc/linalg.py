@@ -4,7 +4,7 @@ Everything here operates on 2-D numpy arrays of float64; minibatches are
 stored with one column per sample. The models' loops use `@` directly;
 `matmul`, the shape-checked product, is what the benchmark times. The
 models take activation derivatives from the stored activations (see
-`network.LayeredModel._act_deriv`).
+`network.LayeredModel._rising`).
 """
 
 from __future__ import annotations

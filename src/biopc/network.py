@@ -20,30 +20,26 @@ as in the run config and the checkpoint. `FEEDBACK_SCHEMES` lists the
 classes. The encoding (see `encodings`) owns every per-encoding term, so
 `PCNetwork` holds no branch on either. `LayeredModel` is what the network
 and the backprop `MLP` share: one constructor, which takes and checks the
-whole structure, and the forward sweep. Its `check_structure`, which
-`TrainConfig` calls too, holds the structure rules: a model class's fixed
-fields, and that an encoding which `needs_positive` rates (division) takes
-`positive_activities`. Each model class owns its config
-`name`, its checkpoint `tag`, the `fixed_structure` the constructor holds
-it to (none for `PCNetwork`, backprop's for `MLP`, see `baseline`) and
-`descent`, which gives a batch's objective and weight directions. Every
-entry that takes an input batch checks it in `_check_input`, and a target
-batch in `_check_target`.
+whole structure, the forward sweep into a batch's `NetworkState`
+(`init_forward`, `clamp_output`) and the local weight rule
+(`weight_update_direction`, from each level's rising term). Its
+`check_structure`, which `TrainConfig` calls too, holds the structure
+rules: a model class's fixed fields, and that an encoding which
+`needs_positive` rates (division) takes `positive_activities`. Each model
+class owns its config `name`, its checkpoint `tag`, the `fixed_structure`
+the constructor holds it to (none for `PCNetwork`, backprop's for `MLP`,
+see `baseline`) and `descent`, which gives a batch's objective and weight
+directions. Every entry that takes an input batch checks it in
+`_check_input`, and a target batch in `_check_target`.
 
-A `NetworkState` owns every array its batch's relaxation and learning
-steps write, as flat lists indexed by level like the activities: each
-level's error terms (the encoding's `LevelTerms`), its rising term, its
-sigmoid scratch and mask and its activity direction. `init_forward` makes
-them, shaped for the batch, and each step writes into them in place, so a
-step allocates no batch-sized array. Arrays read from a state are
-therefore valid until the step that rewrites them: `activity_directions`
-fills and returns `state.direction`, which the next `activity_step`
-overwrites, and `weight_update_direction` returns arrays that its next
-call on the same state overwrites. Copy what has to outlive that.
-
-`predict` makes its arrays (an activation array per level, one sigmoid
-scratch and mask for all) once per call, sized for one column block, and
-runs every block of the batch through them; only its output is batch-sized.
+A `NetworkState` is either model's batch state: `init_forward` makes every
+array that the batch's forward sweep, relaxation and learning steps write,
+shaped for the batch, and each step writes into them in place, so a step
+allocates no batch-sized array. Arrays read from a state are therefore
+valid until the step that rewrites them: `activity_directions` fills and
+returns `state.direction`, which the next `activity_step` overwrites, and
+`weight_update_direction` returns arrays that its next call on the same
+state overwrites. Copy what has to outlive that.
 """
 
 from __future__ import annotations
@@ -102,7 +98,7 @@ FEEDBACK_SCHEMES = (Transpose, RandomFixed, KolenPollack)
 
 @dataclass
 class NetworkState:
-    """Per-minibatch inference state.
+    """Per-minibatch state of either model.
 
     Every list is indexed by level; index 0 of all but `a` is unused. `fp`
     is the activation f(W a) of the activities a below and `phat` the
@@ -111,11 +107,12 @@ class NetworkState:
     change a bit (an unshifted sigmoid level), `phat` is the `fp` array
     itself. `terms[l]` is the encoding's `LevelTerms` for level l, the one
     home of its error `e` (the signed difference, decoded for threshold
-    with the encoded rates in `e_star`, or the division ratio);
-    `compute_errors` writes them in place. Until it first runs they hold
-    NaN, so an objective or direction read before it is NaN.
+    with the encoded rates in `e_star`, or the division ratio), written in
+    place by a network's `compute_errors` or an MLP's `loss` and
+    `backward`. Until then they hold NaN, so an objective or direction
+    read before is NaN.
 
-    The rest are the network's arrays that the steps write into (see the
+    The rest are the model's arrays that the steps write into (see the
     module docstring): `rising`, f' at the level scaled into its rising
     term; `scratch`, the sigmoid's work and the division top-down term;
     `mask`, the sigmoid's x >= 0; `direction`, a hidden level's activity
@@ -256,42 +253,17 @@ class LayeredModel:
             raise ShapeMismatchError(f"target batch has {y.shape[1]} columns, input has {batch}")
         return y
 
-    def _level(self, l: int, below: np.ndarray, fp=None, phat=None, scratch=None, mask=None):
-        """Level l's activation f(W_{l-1} below) of the activities below it,
-        and its effective prediction, the activation plus the level's shift.
-
-        Given arrays are written in place (`scratch` and `mask` serve the
-        sigmoid, see `activate`, and `phat` may be `fp`); missing ones are
-        made. Where `_phat_is_fp` holds, the prediction is the `fp` array
-        itself and `phat` is not written."""
-        fp = activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
-                      out=fp, scratch=scratch, mask=mask)
+    def _level(self, l: int, below: np.ndarray, fp, phat, scratch, mask) -> np.ndarray:
+        """Level l's effective prediction: its activation f(W_{l-1} below) of
+        the activities below it, written into `fp`, plus the level's shift,
+        written into `phat` (which may be `fp`). `scratch` and `mask` serve
+        the sigmoid (see `activate`). Where `_phat_is_fp` holds, the
+        prediction is the `fp` array itself and `phat` is not written."""
+        activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
+                 out=fp, scratch=scratch, mask=mask)
         if self._phat_is_fp(l):
-            return fp, fp
-        return fp, np.add(fp, self.bias_at(l), out=phat)
-
-    def _sweep(self, x: np.ndarray):
-        """Forward pass: per level the activation, the effective prediction
-        (the activation array itself where `_phat_is_fp` holds) and the
-        activity (index 0 of the first two is None)."""
-        a, fp, phat = [x], [None], [None]
-        for l in range(1, self.n_levels + 1):
-            fl, ph = self._level(l, a[l - 1], np.empty((self.dims[l], x.shape[1])))
-            fp.append(fl)
-            phat.append(ph)
-            a.append(np.maximum(ph, 0.0) if self.positive_activities else ph.copy())
-        return a, fp, phat
-
-    def _act_deriv(self, fp: list, level: int, out=None) -> np.ndarray:
-        """Activation derivative at a level's pre-activation, from the
-        stored activation value; written into `out` when given."""
-        fl = fp[level]
-        if self.activation_at(level) is ActivationKind.SIGMOID:
-            out = np.subtract(1.0, fl, out=out)
-            out *= fl
-            return out
-        out = np.multiply(fl, fl, out=out)
-        return np.subtract(1.0, out, out=out)
+            return fp
+        return np.add(fp, self.bias_at(l), out=phat)
 
     def _phat_is_fp(self, level: int) -> bool:
         """Whether the level's effective prediction can be its activation
@@ -300,8 +272,61 @@ class LayeredModel:
         no bit."""
         return self.bias_at(level) == 0.0 and self.activation_at(level) is ActivationKind.SIGMOID
 
+    def init_forward(self, x) -> NetworkState:
+        """Start a batch: the forward sweep sets each level's activities to
+        its effective prediction, so a network's errors start at zero except
+        where positivity rectifies a negative prediction. The state's arrays
+        are made here, shaped for the batch, and the sweep writes into them."""
+        x = self._check_input(x).copy()
+        shapes = [(d, x.shape[1]) for d in self.dims[1:]]
+        fp = [None] + [np.empty(s) for s in shapes]
+        state = NetworkState(
+            a=[x], fp=fp,
+            phat=[None] + [f if self._phat_is_fp(l) else np.empty(f.shape)
+                           for l, f in enumerate(fp[1:], start=1)],
+            terms=[None] + [self.encoding.terms(s) for s in shapes],
+            rising=[None] + [np.empty(s) for s in shapes],
+            scratch=[None] + [np.empty(s) for s in shapes],
+            mask=[None] + [np.empty(s, dtype=bool) for s in shapes],
+            direction=[None] + [np.empty(s) for s in shapes[:-1]] + [None],
+            weight_dirs=[np.empty(w.shape) for w in self.weights])
+        for l in range(1, self.n_levels + 1):
+            phat = self._level(l, state.a[l - 1], fp[l], state.phat[l], state.scratch[l],
+                               state.mask[l])
+            state.a.append(np.maximum(phat, 0.0) if self.positive_activities else phat.copy())
+        return state
+
+    def clamp_output(self, state: NetworkState, y) -> NetworkState:
+        state.a[self.n_levels] = self._check_target(y, state.batch_size).copy()
+        return state
+
+    def _rising(self, state: NetworkState, level: int) -> np.ndarray:
+        """The encoding's rising term at `level`: what the level below
+        receives through the feedback matrix, and what the weights into
+        `level` learn from. f' is taken from the stored activation value
+        into the level's `rising` array, which the encoding scales."""
+        fl, f_up = state.fp[level], state.rising[level]
+        if self.activation_at(level) is ActivationKind.SIGMOID:
+            np.subtract(1.0, fl, out=f_up)
+            f_up *= fl
+        else:
+            np.multiply(fl, fl, out=f_up)
+            np.subtract(1.0, f_up, out=f_up)
+        return self.encoding.rising(state.terms[level], f_up)
+
+    def weight_update_direction(self, state: NetworkState) -> list:
+        """Batch-averaged increment for each W_l, from the errors in
+        `state.terms`; adding it (scaled by a learning rate or optimizer)
+        decreases the configured objective. The arrays are the state's,
+        overwritten by the next call on it."""
+        dirs = state.weight_dirs
+        for l, d in enumerate(dirs):
+            np.matmul(self._rising(state, l + 1), state.a[l].T, out=d)
+            d /= state.batch_size
+        return dirs
+
     def predict(self, x) -> np.ndarray:
-        """Output activities of the forward sweep, what `_sweep` computes
+        """Output activities of the forward sweep, what `init_forward` sweeps
         without keeping the hidden levels.
 
         Wide batches run in column blocks that start at multiples of
@@ -332,7 +357,7 @@ class LayeredModel:
             a, cols = x[:, lo:hi], hi - lo
             for l, (d, act) in enumerate(zip(self.dims[1:], acts), start=1):
                 fp = act[:, :cols]
-                _, a = self._level(l, a, fp, fp, scratch[:d, :cols], mask[:d, :cols])
+                a = self._level(l, a, fp, fp, scratch[:d, :cols], mask[:d, :cols])
                 if self.positive_activities:
                     np.maximum(a, 0.0, out=a)
             out[:, lo:hi] = a
@@ -342,28 +367,6 @@ class LayeredModel:
 class PCNetwork(LayeredModel):
     name = "pc"
     tag = 0
-
-    # -- inference ----------------------------------------------------------
-
-    def init_forward(self, x) -> NetworkState:
-        """Start inference on a batch: activities are set to the effective
-        predictions level by level (the forward sweep), so errors start at
-        zero except where positivity rectifies a negative prediction. The
-        state's arrays are made here, shaped for the batch."""
-        x = self._check_input(x).copy()
-        a, fp, phat = self._sweep(x)
-        shapes = [f.shape for f in fp[1:]]
-        return NetworkState(a=a, fp=fp, phat=phat,
-                            terms=[None] + [self.encoding.terms(s) for s in shapes],
-                            rising=[None] + [np.empty(s) for s in shapes],
-                            scratch=[None] + [np.empty(s) for s in shapes],
-                            mask=[None] + [np.empty(s, dtype=bool) for s in shapes],
-                            direction=[None] + [np.empty(s) for s in shapes[:-1]] + [None],
-                            weight_dirs=[np.empty(w.shape) for w in self.weights])
-
-    def clamp_output(self, state: NetworkState, y) -> NetworkState:
-        state.a[self.n_levels] = self._check_target(y, state.batch_size).copy()
-        return state
 
     def compute_errors(self, state: NetworkState) -> NetworkState:
         # Shapes were checked when the batch entered (init_forward,
@@ -382,13 +385,6 @@ class PCNetwork(LayeredModel):
         for l in range(from_level, self.n_levels + 1):
             self._level(l, state.a[l - 1], state.fp[l], state.phat[l], state.scratch[l],
                         state.mask[l])
-
-    def _rising(self, state: NetworkState, level: int) -> np.ndarray:
-        """The encoding's rising term at `level`: what the level below
-        receives through the feedback matrix, and what the weights into
-        `level` learn from. Written into the level's `rising` array."""
-        return self.encoding.rising(state.terms[level],
-                                    self._act_deriv(state.fp, level, out=state.rising[level]))
 
     def activity_directions(self, state: NetworkState) -> list:
         """Proposed change of each hidden level's activities (levels 0 and L
@@ -427,19 +423,6 @@ class PCNetwork(LayeredModel):
             self.activity_step(state, beta)
         return state
 
-    # -- learning -----------------------------------------------------------
-
-    def weight_update_direction(self, state: NetworkState) -> list:
-        """Batch-averaged increment for each W_l; adding it (scaled by a
-        learning rate or optimizer) decreases the configured objective.
-        Requires current errors. The arrays are the state's, overwritten by
-        the next call on it."""
-        dirs = state.weight_dirs
-        for l, d in enumerate(dirs):
-            np.matmul(self._rising(state, l + 1), state.a[l].T, out=d)
-            d /= state.batch_size
-        return dirs
-
     def objective(self, state: NetworkState) -> float:
         """Monitored objective: the encoding's cost summed over levels (total
         squared error for the subtractive family, log-ratio cost for
@@ -449,8 +432,7 @@ class PCNetwork(LayeredModel):
     def descent(self, x, y, n_updates: int, beta: float):
         """(objective, weight directions) after `n_updates` relaxation steps
         of size `beta` with the output clamped to `y`; see `weight_update_direction`."""
-        state = self.init_forward(x)
-        self.clamp_output(state, y)
+        state = self.clamp_output(self.init_forward(x), y)
         self.relax(state, n_updates, beta)
         self.compute_errors(state)
         return self.objective(state), self.weight_update_direction(state)

@@ -20,6 +20,11 @@ def activate_deriv(kind: ActivationKind, x) -> np.ndarray:
     return 1.0 - f * f
 
 
+def max_gated_error(report) -> float:
+    """The largest relative error among a gradcheck report's gated checks."""
+    return max(c.max_rel_err for c in report.checks if c.gated)
+
+
 def save_with_fresh_adam(path, model) -> list:
     """Save `model` with one fresh `AdamState` per weight matrix, as `train`
     would before its first batch; returns the states."""

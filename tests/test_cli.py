@@ -4,8 +4,12 @@ outputs. Runs against small synthetic IDX datasets on disk."""
 import argparse
 import dataclasses
 import inspect
+import os
 import shutil
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,17 @@ class TestGradcheckCommand:
                      "--hidden-activation", "tanh", "--seed", "33"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("feedback", ["random", "kp"])
+    def test_rounding_limited_layer_passes(self, feedback, capsys):
+        # weights[1]'s gradients are all below 1e-5 at this seed, so the
+        # difference's rounding reads above 1e-4 of them; the verdict line
+        # names the bound that decided
+        assert main(["gradcheck", "--encoding", "division", "--feedback", feedback,
+                     "--hidden-activation", "tanh", "--seed", "189"]) == EXIT_OK
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert verdict.startswith("PASS  closest to its bound: weights[1] max rel err 1.009e-04 "
+                                  "<= resolution ")
+
     def test_header_names_the_checked_network(self, capsys):
         # the printed sizes are the constants run_gradcheck checks by default
         defaults = inspect.signature(run_gradcheck).parameters
@@ -385,8 +400,32 @@ class TestGradcheckCommand:
 
         def fake(*args, **kwargs):
             return GradcheckReport(
-                checks=[LayerCheck("weights", 0, 0.5, gated=True)])
+                checks=[LayerCheck("weights", 0, 0.5, gated=True, resolution=0.0)])
 
         monkeypatch.setattr(cli, "run_gradcheck", fake)
         assert main(["gradcheck"]) == EXIT_GRADCHECK
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestModuleEntry:
+    """`python -m biopc` is the `biopc` command in a checkout: src/ on the
+    path, no install."""
+
+    @staticmethod
+    def _run(*args, cwd):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "biopc", *args], cwd=cwd,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+
+    def test_gradcheck_exits_0(self, tmp_path):
+        proc = self._run("gradcheck", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout
+
+    def test_eval_on_a_missing_checkpoint_exits_2(self, tmp_path):
+        proc = self._run("eval", "--checkpoint", str(tmp_path / "missing.pcck"),
+                         "--data-dir", str(tmp_path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error")

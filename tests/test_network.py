@@ -469,7 +469,7 @@ class TestPredict:
             for positive in (False, True):
                 net = init_network([784, 300, 300, 10], seed=3, bias=bias, hidden_activation=act,
                                    positive_activities=positive)
-                swept = net._sweep(x)[0][3]
+                swept = net.init_forward(x).a[3]
                 np.testing.assert_array_equal(net.predict(x), swept)
                 np.testing.assert_array_equal(net.predict(x_f), swept)
         np.testing.assert_array_equal(x, before)
