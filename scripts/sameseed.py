@@ -4,9 +4,9 @@
 Imports biopc from SRC_DIR and writes OUT_JSON holding, for each row
 configuration (the six table rows, `pc_threshold`, `tanh_pos_bias`, a
 Kolen-Pollack + threshold + tanh row, backprop with tanh and a hidden
-shift of 0.1, `pc`, `pc_div`, `kp_pc` and `backprop` again in batches of
-48, and `pc` again as `pc_idx`), trained for 2 epochs on 640 synthetic
-MNIST-shaped samples:
+shift of 0.1, division with tanh hidden levels and a shift of 1.0, `pc`,
+`pc_div`, `kp_pc` and `backprop` again in batches of 48, and `pc` again as
+`pc_idx`), trained for 2 epochs on 640 synthetic MNIST-shaped samples:
 
 * the SHA-256 of the `.pcck` checkpoint bytes,
 * the SHA-256 of the metrics CSV without its `seconds` column,
@@ -18,8 +18,8 @@ MNIST-shaped samples:
 * the class name of the model that `load_checkpoint` makes from the
   `.pcck` file, and `evaluate` of that reloaded model on the 9001-sample
   split, and per reloaded Adam state the SHA-256 of its `m` and `v` bytes
-  and the reprs of its `step_count`, `lr`, `beta1`, `beta2` and `eps`:
-  this covers the checkpoint loader,
+  and the reprs of its `step_count` and `lr`: this covers the checkpoint
+  loader,
 * the SHA-256 of the `predict` output bytes on the first 1, 511, 512,
   513, 1023, 1024, 1535 and 4500 samples of that split, each as a C- and
   a Fortran-ordered matrix: these widths sit on both sides of the edges
@@ -47,7 +47,10 @@ In batches of 64, 640 samples make 10 full batches. The `*_b48` rows split
 them into 13 batches of 48 and a last one of 16, so code whose arrays
 depend on the batch width also meets a narrower batch mid-run. The
 `backprop_tanh_bias` row has shifted hidden levels, whose effective
-prediction is not their activation array.
+prediction is not their activation array. The `div_tanh_bias` row takes
+the shift `run_gradcheck` gives division with tanh, which keeps its
+predictions non-negative; its relaxation runs the tanh derivative and the
+division top-down term in one network.
 
 Example, against the parent commit:
     git worktree add ../parent HEAD~1
@@ -102,6 +105,7 @@ def _rows(experiments) -> dict:
     rows["kp_threshold_tanh"] = dict(feedback="kp", encoding="threshold",
                                      hidden_activation="tanh")
     rows["backprop_tanh_bias"] = dict(rows["backprop"], hidden_activation="tanh", bias=0.1)
+    rows["div_tanh_bias"] = dict(rows["pc_div"], hidden_activation="tanh", bias=1.0)
     for name in ("pc", "pc_div", "kp_pc", "backprop"):
         rows[f"{name}_b48"] = dict(rows[name], batch_size=SHORT_BATCH)
     rows[IDX_ROW] = rows["pc"]
@@ -170,8 +174,7 @@ def _config_record(cfg, work_dir: Path) -> dict:
 def _adam_record(state) -> dict:
     """SHA-256 of an Adam state's m and v bytes and reprs of its scalars."""
     return {"m_sha256": _sha256(state.m.tobytes()), "v_sha256": _sha256(state.v.tobytes()),
-            **{name: repr(getattr(state, name))
-               for name in ("step_count", "lr", "beta1", "beta2", "eps")}}
+            **{name: repr(getattr(state, name)) for name in ("step_count", "lr")}}
 
 
 def _predict_digests(model, images: np.ndarray) -> dict:

@@ -16,7 +16,8 @@ Layout, all little-endian. Each bracketed name is the module-level
                cols u32, then rows*cols f64 row-major
     [_FLAG]    feedback presence u8; if 1: [_COUNT] and blocks as above
     [_FLAG]    optimizer presence u8, always 1; [_COUNT], then per state
-               [_ADAM] step u64, lr, beta1, beta2, eps f64, and m, v blocks
+               [_ADAM] step u64, lr, beta1, beta2, eps f64 (the last three
+               always `optim`'s BETA1, BETA2 and EPS), and m, v blocks
 
 Round trips are bit-exact: matrices are written as raw float64 bytes,
 straight from each array's buffer. On loading, each weight and feedback
@@ -56,7 +57,7 @@ from . import encodings as enc
 from .baseline import MODELS
 from .linalg import ActivationKind
 from .network import FEEDBACK_SCHEMES, LayeredModel
-from .optim import AdamState
+from .optim import BETA1, BETA2, EPS, AdamState
 
 MAGIC = b"PCCK"
 VERSION = 1
@@ -173,7 +174,7 @@ def _pack(path, model: LayeredModel, optimizer_states: list) -> list:
     w.write(_FLAG, "optimizer presence", 1)
     w.write(_COUNT, "optimizer count", len(optimizer_states))
     for i, s in enumerate(optimizer_states):
-        w.write(_ADAM, f"opt[{i}] header", s.step_count, s.lr, s.beta1, s.beta2, s.eps)
+        w.write(_ADAM, f"opt[{i}] header", s.step_count, s.lr, BETA1, BETA2, EPS)
         w.matrix(f"opt[{i}] m", s.m)
         w.matrix(f"opt[{i}] v", s.v)
     return w.records
@@ -224,11 +225,11 @@ def load_checkpoint(path):
     (n_opt,) = r.read(_COUNT, "optimizer count")
     optimizers = []
     for i in range(n_opt):
-        step, lr, beta1, beta2, eps = r.read(_ADAM, f"opt[{i}] header")
+        # other constants fail the save-back below
+        step, lr, *_ = r.read(_ADAM, f"opt[{i}] header")
         m, v = r.matrix(f"opt[{i}] m"), r.matrix(f"opt[{i}] v")
         try:
-            optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr,
-                                        beta1=beta1, beta2=beta2, eps=eps))
+            optimizers.append(AdamState(m=m, v=v, step_count=step, lr=lr))
         except ValueError as err:
             raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 

@@ -27,7 +27,7 @@ in the run config and the checkpoint. `ENCODINGS` lists the classes;
 (made by `terms`; a network holds them in `NetworkState.terms`) and returns
 nothing. The terms also keep what the update terms and `cost` reuse (for
 division, 0.5 log e, a + eps and phat + eps), so those are computed once
-per level and step; `rising` and `top_down` write into arrays they are given.
+per level and step; `rising` scales the f' array it is given, in place.
 The methods take 2-D float64 arrays: shapes are checked where a batch
 enters the network, and only an encoding's domain is checked on every
 call, raising `EncodingDomainError` with the encoding's name.
@@ -73,8 +73,8 @@ class _SubtractiveFamily:
         f_up *= terms.e
         return f_up
 
-    def top_down(self, terms: LevelTerms, out: np.ndarray) -> np.ndarray:
-        """The top-down term: e itself, so `out` is not written."""
+    def top_down(self, terms: LevelTerms) -> np.ndarray:
+        """The top-down term: e itself."""
         return terms.e
 
     def cost(self, terms: LevelTerms) -> float:
@@ -174,9 +174,9 @@ class Division:
         f_up /= terms.phat_eps
         return f_up
 
-    def top_down(self, terms: LevelTerms, out: np.ndarray) -> np.ndarray:
-        """0.5 log(e) / (a + eps), written into `out`."""
-        return np.divide(terms.half_log_e, terms.a_eps, out=out)
+    def top_down(self, terms: LevelTerms) -> np.ndarray:
+        """0.5 log(e) / (a + eps), a new array."""
+        return np.divide(terms.half_log_e, terms.a_eps)
 
     def cost(self, terms: LevelTerms) -> float:
         """Cost of ratio mismatches: sum over units of (1/2) ln(e**)^2, mean

@@ -32,14 +32,11 @@ see `baseline`) and `descent`, which gives a batch's objective and weight
 directions. Every entry that takes an input batch checks it in
 `_check_input`, and a target batch in `_check_target`.
 
-A `NetworkState` is either model's batch state: `init_forward` makes every
-array that the batch's forward sweep, relaxation and learning steps write,
-shaped for the batch, and each step writes into them in place, so a step
-allocates no batch-sized array. Arrays read from a state are therefore
-valid until the step that rewrites them: `activity_directions` fills and
-returns `state.direction`, which the next `activity_step` overwrites, and
-`weight_update_direction` returns arrays that its next call on the same
-state overwrites. Copy what has to outlive that.
+A `NetworkState` is either model's batch state: the batch's values, each
+level's activities, predictions and error terms (the paper's value and
+error neurons), which relaxation updates in place. A step makes its own
+work arrays, and the arrays that `activity_directions` and
+`weight_update_direction` return are new ones that the caller owns.
 """
 
 from __future__ import annotations
@@ -110,25 +107,14 @@ class NetworkState:
     with the encoded rates in `e_star`, or the division ratio), written in
     place by a network's `compute_errors` or an MLP's `loss` and
     `backward`. Until then they hold NaN, so an objective or direction
-    read before is NaN.
-
-    The rest are the model's arrays that the steps write into (see the
-    module docstring): `rising`, f' at the level scaled into its rising
-    term; `scratch`, the sigmoid's work and the division top-down term;
-    `mask`, the sigmoid's x >= 0; `direction`, a hidden level's activity
-    direction (None at levels 0 and L); and `weight_dirs`, one per weight
-    matrix.
+    read before is NaN. `a[0]` is the input batch as the caller gave it:
+    no step writes level 0.
     """
 
     a: list
     fp: list
     phat: list
     terms: list
-    rising: list
-    scratch: list
-    mask: list
-    direction: list
-    weight_dirs: list
 
     @property
     def batch_size(self) -> int:
@@ -253,12 +239,14 @@ class LayeredModel:
             raise ShapeMismatchError(f"target batch has {y.shape[1]} columns, input has {batch}")
         return y
 
-    def _level(self, l: int, below: np.ndarray, fp, phat, scratch, mask) -> np.ndarray:
+    def _level(self, l: int, below: np.ndarray, fp, phat, scratch=None,
+               mask=None) -> np.ndarray:
         """Level l's effective prediction: its activation f(W_{l-1} below) of
         the activities below it, written into `fp`, plus the level's shift,
         written into `phat` (which may be `fp`). `scratch` and `mask` serve
-        the sigmoid (see `activate`). Where `_phat_is_fp` holds, the
-        prediction is the `fp` array itself and `phat` is not written."""
+        the sigmoid (see `activate`), which makes its own when they are not
+        given. Where `_phat_is_fp` holds, the prediction is the `fp` array
+        itself and `phat` is not written."""
         activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
                  out=fp, scratch=scratch, mask=mask)
         if self._phat_is_fp(l):
@@ -276,23 +264,18 @@ class LayeredModel:
         """Start a batch: the forward sweep sets each level's activities to
         its effective prediction, so a network's errors start at zero except
         where positivity rectifies a negative prediction. The state's arrays
-        are made here, shaped for the batch, and the sweep writes into them."""
-        x = self._check_input(x).copy()
+        are made here, shaped for the batch, and the sweep writes into them;
+        level 0 is `x` itself, not a copy."""
+        x = self._check_input(x)
         shapes = [(d, x.shape[1]) for d in self.dims[1:]]
         fp = [None] + [np.empty(s) for s in shapes]
         state = NetworkState(
             a=[x], fp=fp,
             phat=[None] + [f if self._phat_is_fp(l) else np.empty(f.shape)
                            for l, f in enumerate(fp[1:], start=1)],
-            terms=[None] + [self.encoding.terms(s) for s in shapes],
-            rising=[None] + [np.empty(s) for s in shapes],
-            scratch=[None] + [np.empty(s) for s in shapes],
-            mask=[None] + [np.empty(s, dtype=bool) for s in shapes],
-            direction=[None] + [np.empty(s) for s in shapes[:-1]] + [None],
-            weight_dirs=[np.empty(w.shape) for w in self.weights])
+            terms=[None] + [self.encoding.terms(s) for s in shapes])
         for l in range(1, self.n_levels + 1):
-            phat = self._level(l, state.a[l - 1], fp[l], state.phat[l], state.scratch[l],
-                               state.mask[l])
+            phat = self._level(l, state.a[l - 1], fp[l], state.phat[l])
             state.a.append(np.maximum(phat, 0.0) if self.positive_activities else phat.copy())
         return state
 
@@ -304,24 +287,22 @@ class LayeredModel:
         """The encoding's rising term at `level`: what the level below
         receives through the feedback matrix, and what the weights into
         `level` learn from. f' is taken from the stored activation value
-        into the level's `rising` array, which the encoding scales."""
-        fl, f_up = state.fp[level], state.rising[level]
+        into a new array, which the encoding scales."""
+        fl = state.fp[level]
         if self.activation_at(level) is ActivationKind.SIGMOID:
-            np.subtract(1.0, fl, out=f_up)
+            f_up = np.subtract(1.0, fl)
             f_up *= fl
         else:
-            np.multiply(fl, fl, out=f_up)
+            f_up = np.multiply(fl, fl)
             np.subtract(1.0, f_up, out=f_up)
         return self.encoding.rising(state.terms[level], f_up)
 
     def weight_update_direction(self, state: NetworkState) -> list:
         """Batch-averaged increment for each W_l, from the errors in
         `state.terms`; adding it (scaled by a learning rate or optimizer)
-        decreases the configured objective. The arrays are the state's,
-        overwritten by the next call on it."""
-        dirs = state.weight_dirs
-        for l, d in enumerate(dirs):
-            np.matmul(self._rising(state, l + 1), state.a[l].T, out=d)
+        decreases the configured objective. The arrays are new ones."""
+        dirs = [self._rising(state, l + 1) @ state.a[l].T for l in range(self.n_levels)]
+        for d in dirs:
             d /= state.batch_size
         return dirs
 
@@ -383,24 +364,23 @@ class PCNetwork(LayeredModel):
         # relaxation and the default skips it; gradient checking perturbs W_0
         # and asks for a full rebuild from level 1.
         for l in range(from_level, self.n_levels + 1):
-            self._level(l, state.a[l - 1], state.fp[l], state.phat[l], state.scratch[l],
-                        state.mask[l])
+            self._level(l, state.a[l - 1], state.fp[l], state.phat[l])
 
     def activity_directions(self, state: NetworkState) -> list:
         """Proposed change of each hidden level's activities (levels 0 and L
         are clamped and get None): the fed-back rising term from above minus
-        the encoding's top-down term. Requires current errors. Fills and
-        returns `state.direction`, which the next `activity_step` overwrites.
+        the encoding's top-down term. Requires current errors. The arrays
+        are new ones.
 
         With transpose feedback this is the negative gradient of the
         configured objective; separate feedback matrices replace the
         transpose in the bottom-up term.
         """
+        dirs = [None] * (self.n_levels + 1)
         for l in range(1, self.n_levels):
-            d = np.matmul(self.feedback.matrix(self, l), self._rising(state, l + 1),
-                          out=state.direction[l])
-            d -= self.encoding.top_down(state.terms[l], out=state.scratch[l])
-        return state.direction
+            dirs[l] = self.feedback.matrix(self, l) @ self._rising(state, l + 1)
+            dirs[l] -= self.encoding.top_down(state.terms[l])
+        return dirs
 
     def activity_step(self, state: NetworkState, beta: float) -> NetworkState:
         """Move hidden activities, in place, along their directions with step

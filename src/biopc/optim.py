@@ -6,13 +6,13 @@ Each weight matrix owns its own state. The increment is a buffer that the
 state owns and overwrites on its next step: add it to the weights (or copy
 it) before stepping the same state again.
 
-Adam's defaults are written once, as the `AdamState` field defaults:
-`for_shape` passes on only what its caller sets, and `TrainConfig.lr`
-defaults to `AdamState.lr`. Its bounds are written once too: an
-`AdamState` refuses, with a ValueError, an `lr` or `eps` that is not
-positive and finite, a `beta1` or `beta2` outside [0, 1) and a negative
-`step_count`. `TrainConfig` and the checkpoint loader build one to check
-them.
+Adam's moment decays and its denominator term are the module constants
+`BETA1`, `BETA2` and `EPS`: every run uses the same ones. The learning
+rate's default is written once, as the `AdamState.lr` field default, and
+`TrainConfig.lr` defaults to it. Its bounds are written once too: an
+`AdamState` refuses, with a ValueError, an `lr` that is not positive and
+finite and a negative `step_count`. `TrainConfig` and the checkpoint loader
+build one to check them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ from .linalg import as_matrix
 # whole matrix (1.9 MB at 300 x 784) through the cache once per pass.
 ADAM_BLOCK = 16384
 
+# The moment decay rates and the denominator's epsilon, Kingma and Ba's
+# defaults, the same for every run.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -39,9 +45,6 @@ class AdamState:
     v: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # Work buffers, made on the first step (so states built by the
     # checkpoint loader get them too): one block of scratch, and the
     # increment that `adam_step` returns. Read-only m and v are copied then.
@@ -50,22 +53,15 @@ class AdamState:
 
     def __post_init__(self):
         # Each bound is written so that NaN fails it.
-        for name in ("lr", "eps"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be > 0 and finite, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be > 0 and finite, got {self.lr}")
         if not self.step_count >= 0:
             raise ValueError(f"step_count must be >= 0, got {self.step_count}")
 
     @classmethod
-    def for_shape(cls, shape, **settings) -> "AdamState":
-        """A fresh state for a matrix of `shape`; `settings` (lr, beta1,
-        beta2, eps) override the field defaults."""
-        return cls(m=np.zeros(shape), v=np.zeros(shape), **settings)
+    def for_shape(cls, shape, lr: float = lr) -> "AdamState":
+        """A fresh state for a matrix of `shape`; `lr` defaults to the field's."""
+        return cls(m=np.zeros(shape), v=np.zeros(shape), lr=lr)
 
     def _buffers(self):
         rows, cols = self.m.shape
@@ -88,8 +84,8 @@ def adam_step(state: AdamState, direction) -> np.ndarray:
     state.step_count += 1
     t = state.step_count
     scratch, increment = state._buffers()
-    c1, c2 = 1.0 - state.beta1, 1.0 - state.beta2
-    bc1, bc2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+    c1, c2 = 1.0 - BETA1, 1.0 - BETA2
+    bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     rows = scratch.shape[0]
     # Per block, the same products and sums in the same order as
     # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
@@ -98,16 +94,16 @@ def adam_step(state: AdamState, direction) -> np.ndarray:
     for lo in range(0, g.shape[0], rows):
         gb, m, v = g[lo:lo + rows], state.m[lo:lo + rows], state.v[lo:lo + rows]
         s, inc = scratch[:gb.shape[0]], increment[lo:lo + rows]
-        m *= state.beta1
+        m *= BETA1
         np.multiply(gb, c1, out=s)
         m += s
         np.multiply(gb, gb, out=s)
         s *= c2
-        v *= state.beta2
+        v *= BETA2
         v += s
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += state.eps
+        s += EPS
         np.divide(m, bc1, out=inc)
         inc *= state.lr
         inc /= s

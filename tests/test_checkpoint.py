@@ -85,7 +85,7 @@ def _assert_same_states(loaded, saved):
     assert len(loaded) == len(saved)
     for sa, sb in zip(saved, loaded):
         assert sb.step_count == sa.step_count
-        assert (sb.lr, sb.beta1, sb.beta2, sb.eps) == (sa.lr, sa.beta1, sa.beta2, sa.eps)
+        assert sb.lr == sa.lr
         np.testing.assert_array_equal(sa.m, sb.m)
         np.testing.assert_array_equal(sa.v, sb.v)
 
@@ -256,11 +256,17 @@ def test_new_file_gets_plain_open_permissions(tmp_path):
     assert (tmp_path / "net.pcck").stat().st_mode & 0o777 == 0o644
 
 
+# Adam's betas and eps are constants: a file that holds others would save
+# as other bytes.
+_OTHER_BYTES = r"opt\[0\] header at offset \d+ would save as other bytes"
+
+
 @pytest.mark.parametrize("field,value,message", [
-    ("lr", math.nan, r"lr must be > 0 and finite, got nan"),
-    ("beta1", 1.0, r"beta1 must be in \[0, 1\), got 1\.0"),
-    ("eps", 0.0, r"eps must be > 0 and finite, got 0\.0"),
-], ids=["lr_nan", "beta1_one", "eps_zero"])
+    ("lr", math.nan, r"opt\[0\]: lr must be > 0 and finite, got nan"),
+    ("beta1", 1.0, _OTHER_BYTES),
+    ("beta2", 0.5, _OTHER_BYTES),
+    ("eps", 0.0, _OTHER_BYTES),
+], ids=["lr_nan", "beta1_one", "beta2_half", "eps_zero"])
 def test_adam_state_out_of_bounds_is_checkpoint_error(tmp_path, field, value, message):
     path, _, _, blob = _good_file_with_adam(tmp_path)
     blob = bytearray(blob)
@@ -272,7 +278,7 @@ def test_adam_state_out_of_bounds_is_checkpoint_error(tmp_path, field, value, me
     header[field] = value
     struct.pack_into("<Q4d", blob, at, *header.values())
     path.write_bytes(blob)
-    with pytest.raises(CheckpointError, match=r"net\.pcck: opt\[0\]: " + message + "$"):
+    with pytest.raises(CheckpointError, match=r"net\.pcck: " + message + "$"):
         load_checkpoint(path)
 
 

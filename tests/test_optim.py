@@ -6,7 +6,7 @@ import pytest
 
 from biopc.checkpoint import load_checkpoint, save_checkpoint
 from biopc.network import init_network
-from biopc.optim import ADAM_BLOCK, AdamState, adam_step
+from biopc.optim import ADAM_BLOCK, BETA1, BETA2, EPS, AdamState, adam_step
 
 
 def test_adam_first_step_is_signed_learning_rate():
@@ -18,17 +18,15 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
-    ("beta1", 1.0), ("beta1", -0.1), ("beta2", -0.5), ("beta2", math.nan),
-    ("eps", 0.0), ("eps", math.inf), ("step_count", -1),
+    ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf), ("step_count", -1),
 ])
 def test_adam_state_refuses_values_outside_its_bounds(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
-        AdamState.for_shape((2, 2), **{field: value})
+        AdamState(m=np.zeros((2, 2)), v=np.zeros((2, 2)), **{field: value})
 
 
 def test_adam_state_takes_its_bounds_edges():
-    AdamState.for_shape((2, 2), beta1=0.0, beta2=0.0, lr=1e-300, eps=1e-300)
+    AdamState.for_shape((2, 2), lr=1e-300)
 
 
 def test_adam_zero_directions_stay_zero():
@@ -86,11 +84,11 @@ def _reference_adam_step(state, g):
     # Reference: the out-of-place Adam update the in-place one replaced.
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    return state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * g
+    state.v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
+    m_hat = state.m / (1.0 - BETA1 ** t)
+    v_hat = state.v / (1.0 - BETA2 ** t)
+    return state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @pytest.mark.parametrize("shape, lr", [((300, 784), 1e-3), ((10, 300), 0.05), ((3, 4), 1.0)])
