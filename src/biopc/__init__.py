@@ -20,7 +20,6 @@ from .network import (
     RandomFixed,
     Transpose,
     init_network,
-    kp_step,
 )
 from .optim import AdamState, adam_step
 from .training import run_gradcheck, train
@@ -42,7 +41,6 @@ __all__ = [
     "Transpose",
     "adam_step",
     "init_network",
-    "kp_step",
     "load_split",
     "one_hot",
     "run_gradcheck",

@@ -159,13 +159,13 @@ def parse_config_file(path) -> dict:
     """Parse `key = value` lines of UTF-8 text, a byte-order mark allowed;
     '#' at the start of a line or after a blank starts a comment (so
     `out_dir = runs/exp#1` keeps its '#'), and keys may be written with
-    dashes or underscores."""
+    dashes or underscores. A field set on two lines is an error."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text: byte 0x{err.object[err.start]:02x} "
                           f"at offset {err.start}") from None
-    entries = {}
+    entries, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
@@ -176,6 +176,9 @@ def parse_config_file(path) -> dict:
         field = key.strip().replace("-", "_")
         if field not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
+        if field in set_on:
+            raise ConfigError(f"{path}:{lineno}: {field} is already set on line {set_on[field]}")
+        set_on[field] = lineno
         entries[field] = _coerce(field, value)
     return entries
 

@@ -16,8 +16,8 @@ so gathering a minibatch's columns reads whole runs of memory.
 file's bytes: its images are the uint8 pixels, a view of the payload, 1/8
 of the float64 matrix's size (47 vs 376 MB for MNIST's training split).
 `DatasetSplit.columns` is where columns become float64, one batch or
-evaluation chunk (`column_chunks`) at a time, by the rule of
-`load_idx_images`, which still returns the whole float64 matrix.
+evaluation chunk at a time, each into a new array its caller owns, by the
+rule of `load_idx_images`, which still returns the whole float64 matrix.
 
 Both datasets' images are IMAGE_ROWS x IMAGE_COLS pixels, N_FEATURES
 input features (`config.NETWORK_DIMS[0]`); `write_idx_images` and
@@ -78,26 +78,15 @@ class DatasetSplit:
     def n_samples(self) -> int:
         return self.labels.shape[0]
 
-    def columns(self, sel, out=None) -> np.ndarray:
+    def columns(self, sel) -> np.ndarray:
         """The images' columns `sel` (a slice or index array) as floats in
-        [0, 1]. Pixel bytes are divided by 255 into `out` (made when not
-        given, in the gather's layout), the bits of `load_idx_images`;
-        float images are returned as they are (a view for a slice) and
-        `out` is not used."""
+        [0, 1]. Pixel bytes are divided by 255 into a new array in the
+        gather's layout, the bits of `load_idx_images`; float images are
+        returned as they are (a view for a slice)."""
         images = self.images[:, sel]
         if images.dtype != np.uint8:
             return images
-        return np.divide(images, 255.0, out=out)
-
-    def column_chunks(self, bounds):
-        """`columns` of each (lo, hi) of `bounds` in turn. Pixel bytes are
-        scaled into one buffer, as wide as the widest chunk, that the next
-        chunk overwrites: use each chunk before taking the next."""
-        buf = None
-        if self.images.dtype == np.uint8:
-            buf = np.empty((self.images.shape[0], max(hi - lo for lo, hi in bounds)), order="F")
-        for lo, hi in bounds:
-            yield self.columns(slice(lo, hi), None if buf is None else buf[:, :hi - lo])
+        return np.divide(images, 255.0)
 
 
 def _read_payload(path) -> bytes:

@@ -58,8 +58,8 @@ def _sigmoid(x: np.ndarray, out=None, scratch=None, mask=None) -> np.ndarray:
 def activate(kind: ActivationKind, x, out=None, scratch=None, mask=None) -> np.ndarray:
     """Element-wise activation f(x), written into `out` when given (which
     may be x itself). The sigmoid works in `scratch`, a float64 array, and
-    `mask`, a bool array, both shaped like x; each is made when not given."""
-    x = as_matrix(x)
+    `mask`, a bool array, both shaped like x; each is made when not given.
+    x is not converted: callers pass a 2-D float64 array."""
     if kind is ActivationKind.SIGMOID:
         return _sigmoid(x, out, scratch, mask)
     if kind is ActivationKind.TANH:

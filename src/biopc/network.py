@@ -418,19 +418,16 @@ class PCNetwork(LayeredModel):
         return self.objective(state), self.weight_update_direction(state)
 
 
-def kp_step(w: np.ndarray, b: np.ndarray, adjustment: np.ndarray, gamma: float):
-    """Kolen-Pollack update: both matrices receive the same adjustment (one
-    of them transposed) plus matched decay, so they converge toward
-    transposes of each other. `adjustment` is the increment actually applied
-    to the forward weights (for example the optimizer output). Both
-    matrices are updated in place, in their own dtypes, and returned."""
-    w, b, adjustment = np.asarray(w), np.asarray(b), np.asarray(adjustment)
-    if w.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D W, got array with ndim={w.ndim}")
-    if adjustment.shape != w.shape:
-        raise ShapeMismatchError(f"adjustment shape {adjustment.shape} does not match W {w.shape}")
-    if b.shape != (w.shape[1], w.shape[0]):
-        raise ShapeMismatchError(f"B shape {b.shape} is not the transpose of W {w.shape}")
+def kp_step(w: np.ndarray, b: np.ndarray, adjustment: np.ndarray, gamma: float) -> None:
+    """The Kolen-Pollack scheme's in-place update, internal to training:
+    `w` takes the increment `adjustment` actually applied to it (the
+    optimizer's output) and `b` its transpose, each plus the matched decay
+    -gamma times its old value, so the two converge toward transposes of
+    each other. Both are updated in place, in their own dtypes.
+
+    It converts and checks nothing: the model's constructor fixes each B to
+    the shape of Wᵀ, and `adam_step` checks the increment against a state
+    shaped like W."""
     # (m + adj) - gamma * m with the decay from the old m: no bit moves. One
     # buffer holds each decay in turn; two live temporaries ran 2.5x slower.
     decay = np.empty(w.size)
@@ -438,7 +435,6 @@ def kp_step(w: np.ndarray, b: np.ndarray, adjustment: np.ndarray, gamma: float):
         d = np.multiply(m, gamma, out=decay.reshape(m.shape))
         m += adj
         m -= d
-    return w, b
 
 
 def init_network(dims, *, seed: int = 0, model_class: type = PCNetwork,

@@ -80,17 +80,19 @@ def build_model(cfg: TrainConfig):
 # Samples per `predict` call of an evaluation (perfbench times 4096-column calls)
 # and per partial sum of `output_objective`, which the test objective's bits
 # depend on. A split of pixel bytes is scaled to float64 one chunk at a time
-# (`DatasetSplit.column_chunks`; 784 x 4096 is 25.7 MB), never whole.
+# (784 x 4096 is 25.7 MB), never whole.
 EVAL_CHUNK = 4096
 
 
 def predict_split(model, split: dataio.DatasetSplit) -> np.ndarray:
     """Forward-sweep outputs of a split, one column per sample, run per
     EVAL_CHUNK; a last chunk of at most PREDICT_BLOCK samples joins the one
-    before it, so the column blocks, and the bits, are one `predict`'s."""
+    before it, so the column blocks, and the bits, are one `predict`'s.
+    Each chunk's columns are scaled into their own array, which is freed
+    once its `predict` returns."""
     starts = range(0, max(split.n_samples - PREDICT_BLOCK, 1), EVAL_CHUNK)
-    bounds = list(zip(starts, [*starts[1:], split.n_samples]))
-    return np.concatenate([model.predict(x) for x in split.column_chunks(bounds)], axis=1)
+    return np.concatenate([model.predict(split.columns(slice(lo, hi)))
+                           for lo, hi in zip(starts, [*starts[1:], split.n_samples])], axis=1)
 
 
 def _split_outputs(split: dataio.DatasetSplit, outputs) -> np.ndarray:

@@ -136,6 +136,15 @@ class TestTrainCommand:
         assert "config error" in err and str(cfg) in err and "0xe9" in err
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_config_key_is_config_error(self, fake_data_dir, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs = 1\nepochs = 3\n")
+        code = main(_train_args(fake_data_dir, tmp_path / "x", "--config", str(cfg)))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}:2: epochs is already set on line 1" in err
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
+
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--does-not-exist", "1"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

@@ -156,6 +156,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("second", ["epochs = 3", "n-updates = 3"])
+    def test_repeated_key(self, tmp_path, second):
+        # the same field twice, in one spelling or in both
+        field = second.split()[0].replace("-", "_")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field} = 1\nseed = 2\n{second}\n")
+        with pytest.raises(ConfigError, match=rf"run\.cfg:3: {field} is already set on line 1"):
+            parse_config_file(path)
+
 
 class TestPrecedence:
     def test_flag_beats_file_beats_default(self):

@@ -21,7 +21,7 @@ from biopc.dataio import (BatchPlan, DatasetSplit, IdxError, load_idx_images, lo
 from biopc.experiments import TABLE_ROWS
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import FEEDBACK_SCHEMES, KolenPollack, PCNetwork, RandomFixed, init_network
-from biopc.optim import AdamState
+from biopc.optim import AdamState, adam_step
 from biopc.training import (GRADCHECK_THRESHOLD, NonFiniteError, classification_error, evaluate,
                             output_objective, predict_split, run_gradcheck, train)
 
@@ -265,7 +265,7 @@ class TestEvaluate:
         else:
             model = init_network([784, 300, 300, 10], seed=3)
         floats = DatasetSplit(self.ODD.images[:, :n], self.ODD.labels[:n], "odd")
-        # a split of pixel bytes is scaled one chunk at a time, into one buffer
+        # a split of pixel bytes is scaled one chunk at a time, each into its own array
         pixels = DatasetSplit(np.rint(floats.images * 255.0).astype(np.uint8), floats.labels,
                               "pixels")
         for split in (floats, pixels):
@@ -273,8 +273,8 @@ class TestEvaluate:
             assert predict_split(model, split).tobytes() == whole.tobytes()
 
     def test_byte_split_is_never_scaled_whole(self, tmp_path):
-        # 16384 samples: the 4096-column chunk buffer, the file's bytes and
-        # the sweep's arrays fit in half the float64 matrix (51.4 MB)
+        # 16384 samples: one 4096-column chunk at a time, the file's bytes
+        # and the sweep's arrays fit in half the float64 matrix (51.4 MB)
         n = 16384
         rng = np.random.default_rng(11)
         mnist = tmp_path / "mnist"
@@ -318,6 +318,22 @@ class TestKolenPollackTraining:
             cos = b @ wt / (np.linalg.norm(b) * np.linalg.norm(wt))
             assert cos > 0.9
         assert result.metrics[-1].error <= 0.5  # well below the 0.9 chance level
+
+    def test_batch_steps_each_level_pair(self):
+        # a square hidden layer, so that swapping W and B would not fail on shape
+        cfg = _cfg(feedback="kp", gamma=0.05, n_updates=3, beta=0.1)
+        net = init_network([6, 5, 5, 3], seed=5, feedback=KolenPollack(gamma=cfg.gamma))
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(0.0, 1.0, size=(6, 4)), one_hot(rng.integers(0, 3, size=4), classes=3)
+        ws, bs = [w.copy() for w in net.weights], [b.copy() for b in net.feedback_weights]
+        _, directions = net.descent(x, y, cfg.n_updates, cfg.beta)
+        increments = [adam_step(AdamState.for_shape(d.shape, lr=cfg.lr), d).copy()
+                      for d in directions]
+        adams = [AdamState.for_shape(w.shape, lr=cfg.lr) for w in net.weights]
+        training._train_batch(net, x, y, cfg, adams)
+        for w, b, inc, w1, b1 in zip(ws, bs, increments, net.weights, net.feedback_weights):
+            assert w1.tobytes() == ((w + inc) - cfg.gamma * w).tobytes()
+            assert b1.tobytes() == ((b + inc.T) - cfg.gamma * b).tobytes()
 
     def test_random_feedback_stays_fixed(self):
         cfg = _cfg(feedback="random")
