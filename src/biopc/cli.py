@@ -1,23 +1,26 @@
-"""Command-line front end: train, eval and gradcheck.
+"""Command-line front end: train, eval, gradcheck and study.
 
 Each flag that sets a run setting is made from its `TrainConfig` field by
-`add_config_flags`, which the experiment scripts use too. `train` prints
-the finalized config as a run line of `name=value` fields.
+`add_config_flags`. `train` prints the finalized config as a run line of
+`name=value` fields. `study table` and `study positivity` run the paper's
+two studies (`experiments`) and check their gates.
 
-Exit codes, from `run_command` here and in the experiment scripts: 0
-success, 1 configuration error (bad usage included), 2 data error, 3
-gradient check failure, 4 encoding-domain error (an error neuron's input
-left the range its encoding can represent, for example a threshold error
-below e-min; the message names the epoch, the batch and the level), 5
-non-finite training objective (a batch's objective was NaN or infinite;
-training stops at that batch, which the message names, and writes no
-outputs), 6 missed acceptance gate (experiment scripts only).
+Exit codes, from `run_command`: 0 success, 1 configuration error (bad
+usage included), 2 data error, 3 gradient check failure, 4
+encoding-domain error (an error neuron's input left the range its
+encoding can represent, for example a threshold error below e-min; the
+message names the epoch, the batch and the level), 5 non-finite training
+objective (a batch's objective was NaN or infinite; training stops at
+that batch, which the message names, and writes no outputs), 6 missed
+acceptance gate (`study` only), 130 interrupted (Ctrl-C; a `train` run
+stopped early writes no outputs).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 
@@ -26,6 +29,8 @@ from . import encodings as enc
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (_CHOICES, _FIELD_TYPES, ConfigError, TrainConfig, _coerce, merge_config,
                      parse_config_file)
+from .experiments import (POSITIVITY_ROWS, TABLE_ROWS, TABLE_SEEDS, positivity_summary,
+                          run_study, table_summary)
 from .linalg import ActivationKind, ShapeMismatchError
 from .network import FEEDBACK_SCHEMES
 from .training import (GRADCHECK_BATCH, GRADCHECK_DIMS, GRADCHECK_THRESHOLD, NonFiniteError,
@@ -38,6 +43,7 @@ EXIT_GRADCHECK = 3
 EXIT_ENCODING_DOMAIN = 4
 EXIT_NON_FINITE = 5
 EXIT_GATE = 6
+EXIT_INTERRUPT = 130
 
 
 class Parser(argparse.ArgumentParser):
@@ -134,6 +140,24 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_GRADCHECK
 
 
+def _cmd_study(args) -> int:
+    table = args.study == "table"
+    if table and args.tolerance is not None and not math.isfinite(args.tolerance):
+        raise ConfigError(f"--tolerance must be finite, got {args.tolerance}")
+    rows = {name: TABLE_ROWS[name][0] for name in args.rows} if table else POSITIVITY_ROWS
+    out_root = f"{args.out_dir}/{args.dataset}" if table else args.out_dir
+    means = run_study(rows, args.dataset, args.seeds, out_root, epochs=args.epochs,
+                      data_dir=args.data_dir)
+    if table:
+        print(f"\n{args.dataset} summary ({len(args.seeds)} seed(s), {args.epochs} epochs)")
+        lines, passed = table_summary(means, args.dataset, args.tolerance)
+    else:
+        print("\npositivity study summary")
+        lines, passed = positivity_summary(means)
+    print("\n".join(lines))
+    return EXIT_OK if passed else EXIT_GATE
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = Parser(prog="biopc",
                     description="Train and probe predictive-coding networks "
@@ -155,12 +179,30 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare update rules against finite differences")
     add_config_flags(p_grad, ("encoding", "feedback", "hidden_activation", "seed"))
     p_grad.set_defaults(func=_cmd_gradcheck)
+
+    p_study = sub.add_parser("study", help="run one of the paper's studies and check its gates")
+    studies = p_study.add_subparsers(dest="study", required=True)
+    for name, fields, help_text in (
+            ("table", ("dataset", "epochs"), "the six-model comparison table"),
+            ("positivity", ("epochs",), "the positive-activity study on MNIST")):
+        p = studies.add_parser(name, help=help_text)
+        p.add_argument("--data-dir", required=True)
+        add_config_flags(p, fields)
+        p.add_argument("--out-dir", default=f"runs/{name}")
+        p.add_argument("--seeds", type=int, nargs="+", default=list(TABLE_SEEDS))
+    studies.choices["positivity"].set_defaults(dataset="mnist")
+    p_table = studies.choices["table"]
+    p_table.add_argument("--rows", nargs="+", choices=list(TABLE_ROWS), default=list(TABLE_ROWS))
+    p_table.add_argument("--tolerance", type=float, default=None,
+                         help="gate width (default: 0.006 mnist, 0.012 fashion)")
+    p_study.set_defaults(func=_cmd_study)
     return parser
 
 
 def run_command(main, argv=None) -> int:
-    """`main(argv)`, which returns an exit code; a typed error it raises
-    becomes its exit code and a one-line message on stderr, not a traceback."""
+    """`main(argv)`, which returns an exit code; a typed error it raises, or
+    Ctrl-C, becomes its exit code and a one-line message on stderr, not a
+    traceback."""
     try:
         return main(argv)
     except ConfigError as err:
@@ -175,6 +217,9 @@ def run_command(main, argv=None) -> int:
     except NonFiniteError as err:
         print(f"non-finite objective: {err}", file=sys.stderr)
         return EXIT_NON_FINITE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 def _run(argv) -> int:

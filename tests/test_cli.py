@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import os
 import shutil
+import signal
 import string
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from biopc.cli import (
     EXIT_DATA,
     EXIT_ENCODING_DOMAIN,
     EXIT_GRADCHECK,
+    EXIT_INTERRUPT,
     EXIT_NON_FINITE,
     EXIT_OK,
     _describe_config,
@@ -421,11 +423,13 @@ class TestModuleEntry:
     path, no install."""
 
     @staticmethod
-    def _run(*args, cwd):
+    def _env(**extra):
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "biopc", *args], cwd=cwd,
-                              env=dict(os.environ, PYTHONPATH=path),
+        return dict(os.environ, PYTHONPATH=path, **extra)
+
+    def _run(self, *args, cwd):
+        return subprocess.run([sys.executable, "-m", "biopc", *args], cwd=cwd, env=self._env(),
                               capture_output=True, text=True, timeout=120)
 
     def test_gradcheck_exits_0(self, tmp_path):
@@ -438,3 +442,21 @@ class TestModuleEntry:
                          "--data-dir", str(tmp_path), cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith("data error")
+
+    def test_ctrl_c_exits_130_without_a_traceback(self, fake_data_dir, tmp_path):
+        out = tmp_path / "runs" / "pc"
+        proc = subprocess.Popen([sys.executable, "-m", "biopc",
+                                 *_train_args(fake_data_dir, out, "--epochs", "1000")],
+                                cwd=tmp_path, env=self._env(PYTHONUNBUFFERED="1"),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            started = any(line.startswith("epoch   1 ") for line in proc.stdout)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert started and proc.returncode == EXIT_INTERRUPT, err
+        assert err == "interrupted\n"
+        # train removes the directories it made for an unfinished run
+        assert not (tmp_path / "runs").exists()

@@ -1,4 +1,4 @@
-"""The experiment scripts end to end, each in its own interpreter, on a small
+"""`biopc study` end to end, each run in its own interpreter, on a small
 synthetic IDX dataset: the per-row summary, and exit codes with a one-line
 message rather than a traceback."""
 
@@ -12,12 +12,12 @@ import pytest
 from biopc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_GATE, EXIT_OK
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ("run_table.py", "run_positivity.py")
+STUDIES = ("table", "positivity")
 
 
-def _run(script, *args):
+def _run(study, *args):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
+    return subprocess.run([sys.executable, "-m", "biopc", "study", study, *map(str, args)],
                           capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=path))
 
@@ -31,7 +31,7 @@ def _summary(stdout: str, heading: str) -> list:
 @pytest.mark.parametrize("tolerance,code,verdict", [("1", EXIT_OK, "OK"),
                                                     ("-1", EXIT_GATE, "MISS")])
 def test_table_summarizes_each_row(fake_data_dir, tmp_path, tolerance, code, verdict):
-    run = _run("run_table.py", "--data-dir", fake_data_dir, "--out-dir", tmp_path,
+    run = _run("table", "--data-dir", fake_data_dir, "--out-dir", tmp_path,
                "--rows", "pc", "backprop", "--epochs", "1", "--seeds", "1",
                "--tolerance", tolerance)
     assert run.returncode == code, run.stderr
@@ -42,7 +42,7 @@ def test_table_summarizes_each_row(fake_data_dir, tmp_path, tolerance, code, ver
 
 
 def test_positivity_reports_every_row_and_check(fake_data_dir, tmp_path):
-    run = _run("run_positivity.py", "--data-dir", fake_data_dir, "--out-dir", tmp_path,
+    run = _run("positivity", "--data-dir", fake_data_dir, "--out-dir", tmp_path,
                "--epochs", "1", "--seeds", "1")
     assert run.returncode in (EXIT_OK, EXIT_GATE), run.stderr
     lines = _summary(run.stdout, "positivity study summary")
@@ -53,20 +53,24 @@ def test_positivity_reports_every_row_and_check(fake_data_dir, tmp_path):
     assert (run.returncode == EXIT_OK) == (verdicts == ["OK"] * 3)
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_missing_data_is_data_error(script, tmp_path):
-    run = _run(script, "--data-dir", tmp_path / "nowhere", "--out-dir", tmp_path / "out",
+@pytest.mark.parametrize("study", STUDIES)
+def test_missing_data_is_data_error(study, tmp_path):
+    run = _run(study, "--data-dir", tmp_path / "nowhere", "--out-dir", tmp_path / "out",
                "--epochs", "1", "--seeds", "1")
     assert run.returncode == EXIT_DATA
     assert "data error" in run.stderr and "Traceback" not in run.stderr
 
 
-@pytest.mark.parametrize("script,args,message", [
-    (script, ("--epochs", "0"), "epochs must be >= 1") for script in SCRIPTS
-] + [("run_table.py", ("--dataset", "cifar"), "invalid choice")])
-def test_bad_setting_is_config_error_before_data_loads(script, args, message, tmp_path):
+@pytest.mark.parametrize("study,args,message", [
+    (study, ("--epochs", "0"), "epochs must be >= 1") for study in STUDIES
+] + [("table", ("--dataset", "cifar"), "invalid choice"),
+     ("table", ("--tolerance", "nan"), "--tolerance must be finite"),
+     ("table", ("--tolerance", "inf"), "--tolerance must be finite"),
+     ("table", ("--seeds", "1", "1"), "seed 1 is given more than once"),
+     ("positivity", ("--tolerance", "1"), "unrecognized arguments")])
+def test_bad_setting_is_config_error_before_data_loads(study, args, message, tmp_path):
     # the data directory is missing too: loading it first would be exit 2
-    run = _run(script, "--data-dir", tmp_path / "nowhere", "--out-dir", tmp_path / "out",
+    run = _run(study, "--data-dir", tmp_path / "nowhere", "--out-dir", tmp_path / "out",
                "--seeds", "1", *args)
     assert run.returncode == EXIT_CONFIG
     assert "config error" in run.stderr and message in run.stderr
