@@ -59,14 +59,22 @@ Example, against the parent commit:
     cmp parent.json change.json && echo same
     git worktree remove ../parent
 
+`--rows pc,kp_pc` trains only the rows named; the gradcheck and IDX
+sections are written whole. `tests/test_sameseed.py` runs such a subset.
+
 Matrix products can round differently at another BLAS thread count, so
 compare files written at the same one: set OPENBLAS_NUM_THREADS (or the
-variable of the BLAS in use) for both runs. The file's top-level "blas"
-record holds numpy's BLAS name and version, from
-`np.show_config(mode="dicts")`, and the values of OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS the run saw (null when unset), so two
-files written at different thread counts differ in a field that names the
-cause.
+variable of the BLAS in use) for both runs. The file's top-level "key"
+record (`key_record`) names what the bits depend on: the numpy version,
+numpy's BLAS name, version and configuration string (from
+`np.show_config(mode="dicts")`; a DYNAMIC_ARCH OpenBLAS picks its kernels
+by CPU), the CPU model and the effective BLAS thread count (the first of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is set,
+else the usable CPUs, capped at those), so two files written under other
+such conditions differ in a field that names the cause. `key_name` turns
+the record into the name of the stored digests that
+`tests/test_sameseed.py` compares a run with
+(`tests/golden/sameseed-<key_name>.json`).
 """
 
 import argparse
@@ -75,6 +83,7 @@ import gzip
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -112,12 +121,40 @@ def _rows(experiments) -> dict:
     return rows
 
 
-def _blas_record() -> dict:
-    """numpy's BLAS name and version, and the thread-count variables this
-    run saw (None when unset)."""
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _blas_threads() -> int:
+    """The BLAS thread count in effect: the first thread variable set to a
+    positive count, capped at the usable CPUs, else the usable CPUs."""
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), usable)
+    return usable
+
+
+def key_record() -> dict:
+    """What this process's output bits depend on besides the source tree."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"name": blas["name"], "version": blas["version"],
-            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+            "blas_configuration": blas.get("openblas configuration"), "cpu": _cpu_model(),
+            "blas_threads": _blas_threads()}
+
+
+def key_name(record: dict) -> str:
+    """A file-name-safe digest of a key record."""
+    return _sha256(json.dumps(record, sort_keys=True).encode())[:16]
 
 
 def _sha256(data: bytes) -> str:
@@ -185,7 +222,8 @@ def _predict_digests(model, images: np.ndarray) -> dict:
             for width in PREDICT_WIDTHS for order in "CF"}
 
 
-def digests(work_dir: Path) -> dict:
+def digests(work_dir: Path, only=None) -> dict:
+    """The digests of every row, or of the rows named in `only`."""
     from biopc import dataio, experiments
     from biopc import encodings as enc
     from biopc.checkpoint import load_checkpoint
@@ -200,9 +238,14 @@ def digests(work_dir: Path) -> dict:
                                  (eval_split, dataio.synthetic_split(IDX_SHORT, seed=4)))
     train_dir = _write_idx_train_test(dataio, work_dir / "data" / "train_test",
                                       train_split, test_split)
-    out = {"blas": _blas_record(), "rows": {}, "gradcheck": {},
+    out = {"key": key_record(), "rows": {}, "gradcheck": {},
            "idx_sha256": _idx_digests(work_dir / "data")}
-    for name, overrides in _rows(experiments).items():
+    rows = _rows(experiments)
+    unknown = set(only or ()) - set(rows)
+    if unknown:
+        raise SystemExit(f"unknown rows {sorted(unknown)}; the rows are {list(rows)}")
+    for name in only or rows:
+        overrides = rows[name]
         from_idx = name == IDX_ROW
         cfg = experiments.make_config("mnist", SEED, overrides, epochs=EPOCHS,
                                       out_dir=str(work_dir / name),
@@ -245,6 +288,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_dir", help="directory holding the biopc package")
     parser.add_argument("out_json", help="where to write the digests")
+    parser.add_argument("--rows", type=lambda text: text.split(","),
+                        help="comma-separated row names to train (default: every row); "
+                             "the other sections are written whole")
     args = parser.parse_args(argv)
 
     src = Path(args.src_dir).resolve()
@@ -253,7 +299,7 @@ def main(argv=None) -> int:
     if Path(biopc.__file__).resolve().parent.parent != src:
         raise SystemExit(f"biopc was imported from {biopc.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        result = digests(Path(tmp))
+        result = digests(Path(tmp), args.rows)
     Path(args.out_json).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -7,9 +7,9 @@ unshifted, also matching it). Both are a `network.LayeredModel`, so a
 network and an MLP holding equal weights produce bit-identical outputs.
 `MLP.fixed_structure` states backprop's structure once (subtractive errors,
 transpose feedback, no positivity): the shared constructor and `TrainConfig`
-reject anything else. `MODELS` lists both model classes. The loss is the
-mean over the batch of the summed squared output error (1/2)||y - a_L||^2,
-the subtractive output cost.
+reject anything else. `MODELS` lists both model classes, looked up by config
+`name` (the kind byte codes are `checkpoint`'s table). The loss is the
+subtractive output cost, the batch mean of (1/2)||y - a_L||^2.
 `MLP.descent` is backprop's batch entry. It runs on the network's own
 batch state and learning rule: `init_forward` sweeps the batch into a
 `NetworkState` and `clamp_output` puts the targets at the output level;
@@ -32,7 +32,6 @@ from .network import LayeredModel, NetworkState, PCNetwork, Transpose
 
 class MLP(LayeredModel):
     name = "bp"
-    tag = 1
     # `loss` is the subtractive output cost, and `backward` sends errors
     # down through the transposes of unrectified activities.
     fixed_structure = {"encoding": enc.Subtractive(), "feedback": Transpose(),

@@ -3,13 +3,11 @@
 Layout, all little-endian. Each bracketed name is the module-level
 `struct.Struct` that both the writer and the reader use for that record:
 
-    [_HEADER]  magic b"PCCK", version u32 (1), model kind u8 (the class's
-               `tag`: 0 predictive-coding network, 1 MLP), level count u32
+    [_HEADER]  magic b"PCCK", version u32 (1), model kind u8, level count u32
     [_dims(n)] the n layer sizes (input..output), u32 each
-    [_TAGS]    u8 each: hidden activation (0 sigmoid, 1 tanh), output
-               activation (always 0, the sigmoid), encoding `tag` (0
-               subtractive, 1 threshold, 2 division), feedback `tag` (0 transpose,
-               1 random fixed, 2 Kolen-Pollack), positivity of activities (0/1)
+    [_TAGS]    u8 each: hidden activation, output activation (always the
+               sigmoid), encoding, feedback (each code the index of its
+               name in `_CODES`), positivity of activities (0/1)
     [_PARAMS]  f64 each: bias, then e_min, e_max, epsilon, gamma (+0.0 where
                the model's encoding and feedback scheme have no such field)
     [_COUNT]   weight count u32, then per matrix a block: [_SHAPE] rows u32,
@@ -25,16 +23,17 @@ matrix is copied once; an optimizer state's m and v stay read-only views
 of the file's bytes, which its first step copies (see `AdamState`), so a
 load that only needs the model copies no optimizer state.
 
-Every model takes one write path, `_pack`, and loads through one
-constructor call on the class its kind byte names, which owns the
-structure (see `baseline`). The writer is the one statement of the format:
-the loader packs what it built and refuses the file unless each record
-equals the file's bytes at its offset and nothing follows (matrix data,
-the file's own bytes, are skipped), so every file that loads saves back to
-its own bytes. That refusal, any input the loader cannot turn into a model
-and an optimizer state outside Adam's bounds or not one per weight matrix
-shaped as it are `CheckpointError`s naming the path; the writer refuses
-such a state before it opens the file.
+The kind and `_TAGS` code bytes are this module's alone: `_CODES` lists,
+per `TrainConfig` field, the config names at their codes. Every model takes
+one write path, `_pack`, and the loader builds it as a run does, through
+`TrainConfig.model_class()` and `structure()`. The writer is the one
+statement of the format: the loader packs what it built and refuses the
+file unless each record equals the file's bytes at its offset and nothing
+follows (matrix data, the file's own bytes, are skipped), so every file
+that loads saves back to its own bytes. That refusal, an unknown code, any
+input the loader cannot turn into a model and an optimizer state outside
+Adam's bounds or not one per weight matrix shaped as it are
+`CheckpointError`s naming the path; the writer refuses such a state first.
 
 A checkpoint is written whole or not at all. Every record is packed first
 (matrices as views of their data, not copies), and a value a record cannot
@@ -53,10 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import encodings as enc
-from .baseline import MODELS
-from .linalg import ActivationKind
-from .network import FEEDBACK_SCHEMES, LayeredModel
+from .config import TrainConfig
+from .network import LayeredModel
 from .optim import BETA1, BETA2, EPS, AdamState
 
 MAGIC = b"PCCK"
@@ -67,9 +64,11 @@ class CheckpointError(ValueError):
     pass
 
 
-# The records of the layout above, and the parameters after the bias.
+# The records of the layout above, the parameters after the bias, the code tables.
 _PARAM_SLOTS = ("e_min", "e_max", "epsilon", "gamma")
-_ACTIVATIONS = (ActivationKind.SIGMOID, ActivationKind.TANH)  # indexed by tag
+_CODES = {"model": ("pc", "bp"), "hidden_activation": ("sigmoid", "tanh"),
+          "encoding": ("subtractive", "threshold", "division"),
+          "feedback": ("transpose", "random", "kp")}
 _HEADER = struct.Struct("<4sIBI")
 _TAGS = struct.Struct("<5B")
 _PARAMS = struct.Struct("<5d")
@@ -150,15 +149,18 @@ def _pack(path, model: LayeredModel, optimizer_states: list) -> list:
     (see `_Writer`), after the optimizer states are checked."""
     _check_optimizers(path, optimizer_states, model.weights)
     params = {**dataclasses.asdict(model.encoding), **dataclasses.asdict(model.feedback)}
+    activations = _CODES["hidden_activation"]
     fb = model.feedback_weights
     n = len(model.dims)
 
     w = _Writer(path)
-    w.write(_HEADER, "header", MAGIC, VERSION, model.tag, n)
+    w.write(_HEADER, "header", MAGIC, VERSION, _CODES["model"].index(model.name), n)
     w.write(_dims(n), "dims", *model.dims)
-    w.write(_TAGS, "tags", _ACTIVATIONS.index(model.hidden_activation),
-            _ACTIVATIONS.index(model.activation_at(model.n_levels)), model.encoding.tag,
-            model.feedback.tag, 1 if model.positive_activities else 0)
+    w.write(_TAGS, "tags", activations.index(model.hidden_activation.value),
+            activations.index(model.activation_at(model.n_levels).value),
+            _CODES["encoding"].index(model.encoding.name),
+            _CODES["feedback"].index(model.feedback.name),
+            1 if model.positive_activities else 0)
     w.write(_PARAMS, "parameters", model.bias, *(params.get(k, 0.0) for k in _PARAM_SLOTS))
 
     w.write(_COUNT, "weight count", len(model.weights))
@@ -208,11 +210,13 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     dims = list(r.read(_dims(n_levels), "dims"))
-    hidden_tag, _, encoding_tag, feedback_tag, positive = r.read(_TAGS, "tags")
-    if hidden_tag >= len(_ACTIVATIONS):
-        raise CheckpointError(f"{path}: unknown activation tag {hidden_tag}")
+    hidden, _, encoding, feedback, positive = r.read(_TAGS, "tags")
+    names = {}
+    for (field, table), code in zip(_CODES.items(), (model_kind, hidden, encoding, feedback)):
+        if code >= len(table):
+            raise CheckpointError(f"{path}: unknown {field} code {code}")
+        names[field] = table[code]
     bias, *slots = r.read(_PARAMS, "parameters")
-    params = dict(zip(_PARAM_SLOTS, slots))
 
     (n_w,) = r.read(_COUNT, "weight count")
     weights = [r.matrix(f"W[{l}]") for l in range(n_w)]
@@ -233,13 +237,10 @@ def load_checkpoint(path):
         except ValueError as err:
             raise CheckpointError(f"{path}: opt[{i}]: {err}") from None
 
+    cfg = TrainConfig(**names, bias=bias, positive_activities=bool(positive),
+                      **dict(zip(_PARAM_SLOTS, slots)))
     try:
-        model_class = enc.find(MODELS, "tag", model_kind)
-        encoding = enc.build(enc.ENCODINGS, "tag", encoding_tag, params)
-        feedback = enc.build(FEEDBACK_SCHEMES, "tag", feedback_tag, params)
-        model = model_class(dims, weights, feedback_weights, bias=bias,
-                            hidden_activation=_ACTIVATIONS[hidden_tag], encoding=encoding,
-                            feedback=feedback, positive_activities=bool(positive))
+        model = cfg.model_class()(dims, weights, feedback_weights, **cfg.structure())
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
     at = 0

@@ -120,8 +120,8 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     # The seed is a TrainConfig field: the config checks its bound, as for train.
     TrainConfig(seed=args.seed).finalize()
-    encoding = enc.build(enc.ENCODINGS, "name", args.encoding)
-    feedback = enc.build(FEEDBACK_SCHEMES, "name", args.feedback)
+    encoding = enc.build(enc.ENCODINGS, args.encoding)
+    feedback = enc.build(FEEDBACK_SCHEMES, args.feedback)
     report = run_gradcheck(encoding, feedback,
                            hidden_activation=ActivationKind(args.hidden_activation),
                            seed=args.seed)

@@ -107,7 +107,7 @@ class TrainConfig:
         for registry in (enc.ENCODINGS, FEEDBACK_SCHEMES):
             for cls in registry:
                 try:
-                    enc.build(registry, "name", cls.name, vars(self))
+                    enc.build(registry, cls.name, vars(self))
                 except ValueError as err:
                     raise ConfigError(f"{cls.name}: {err}") from None
         try:
@@ -120,12 +120,12 @@ class TrainConfig:
     # -- pieces consumed by the model builders -------------------------------
 
     def model_class(self) -> type:
-        return enc.find(MODELS, "name", self.model)
+        return enc.find(MODELS, self.model)
 
     def structure(self) -> dict:
         """The model constructor's structure keywords (see `init_network`)."""
-        return {"encoding": enc.build(enc.ENCODINGS, "name", self.encoding, vars(self)),
-                "feedback": enc.build(FEEDBACK_SCHEMES, "name", self.feedback, vars(self)),
+        return {"encoding": enc.build(enc.ENCODINGS, self.encoding, vars(self)),
+                "feedback": enc.build(FEEDBACK_SCHEMES, self.feedback, vars(self)),
                 "hidden_activation": ActivationKind(self.hidden_activation),
                 "bias": self.bias, "positive_activities": self.positive_activities}
 

@@ -73,6 +73,8 @@ class DatasetSplit:
         if self.images.dtype != np.uint8 and not np.issubdtype(self.images.dtype, np.floating):
             raise IdxError(f"{self.name}: images are {self.images.dtype}, "
                            "expected uint8 pixels or floats in [0, 1]")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise IdxError(f"{self.name}: labels are {self.labels.dtype}, expected integers")
 
     @property
     def n_samples(self) -> int:
@@ -199,8 +201,10 @@ def load_split(data_dir, dataset: str, split: str) -> DatasetSplit:
 
 
 def one_hot(labels, classes: int = N_CLASSES) -> np.ndarray:
-    """classes x N matrix with a single 1.0 per column."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """classes x N matrix with a single 1.0 per column; labels must be integers."""
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise IdxError(f"labels are {labels.dtype}, expected integers")
     if labels.ndim != 1:
         raise IdxError(f"labels must be 1-D, got ndim={labels.ndim}")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):

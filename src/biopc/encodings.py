@@ -14,14 +14,15 @@ effective prediction f(p) + b:
   objective is the squared log of the ratio.
 
 Each encoding class owns everything that varies with it: its config
-`name` and checkpoint `tag`, whether it `needs_positive` rates, the
-`terms` arrays one level needs, its `error`, the `rising` term that carries
-a level's error into both the bottom-up activity update below it and the
-weight update, the `top_down` term that pulls an activity toward its
-prediction, its per-level `cost` and the `output_cost` of forward-sweep
-outputs against targets. Its dataclass fields are its parameters, named as
-in the run config and the checkpoint. `ENCODINGS` lists the classes;
-`find` looks one up by name or tag in it or in another such registry.
+`name`, whether it `needs_positive` rates, the `terms` arrays one level
+needs, its `error`, the `rising` term that carries a level's error into
+both the bottom-up activity update below it and the weight update, the
+`top_down` term that pulls an activity toward its prediction, its
+per-level `cost` and the `output_cost` of forward-sweep outputs against
+targets. Its dataclass fields are its parameters, named as in the run
+config and the checkpoint. `ENCODINGS` lists the classes; `find` looks one
+up by name in it or in another such registry (the checkpoint's byte codes
+are `checkpoint`'s own tables of these names).
 
 `error` writes a level's error in place into the `LevelTerms` it is given
 (made by `terms`; a network holds them in `NetworkState.terms`) and returns
@@ -90,7 +91,6 @@ class _SubtractiveFamily:
 @dataclass(frozen=True)
 class Subtractive(_SubtractiveFamily):
     name = "subtractive"
-    tag = 0
 
     def terms(self, shape) -> LevelTerms:
         """The arrays one level of this shape needs."""
@@ -105,7 +105,6 @@ class Subtractive(_SubtractiveFamily):
 @dataclass(frozen=True)
 class SubtractiveThreshold(_SubtractiveFamily):
     name = "threshold"
-    tag = 1
 
     e_min: float = -1.0
     e_max: float = 2.1
@@ -141,7 +140,6 @@ class SubtractiveThreshold(_SubtractiveFamily):
 @dataclass(frozen=True)
 class Division:
     name = "division"
-    tag = 2
     needs_positive = True
 
     epsilon: float = 1e-3
@@ -198,18 +196,18 @@ ErrorEncoding = Union[Subtractive, SubtractiveThreshold, Division]
 ENCODINGS = (Subtractive, SubtractiveThreshold, Division)
 
 
-def find(registry, key: str, value) -> type:
-    """The class in `registry` whose `key` ("name" or "tag") is `value`."""
+def find(registry, name: str) -> type:
+    """The class in `registry` whose config `name` is `name`."""
     for cls in registry:
-        if getattr(cls, key) == value:
+        if cls.name == name:
             return cls
-    raise ValueError(f"none of {[c.__name__ for c in registry]} has {key} {value!r}")
+    raise ValueError(f"none of {[c.__name__ for c in registry]} is named {name!r}")
 
 
-def build(registry, key: str, value, params: Optional[dict] = None):
-    """An instance of `find(registry, key, value)`, its fields taken from
-    `params` where present; ValueError when none matches or one is invalid."""
-    cls = find(registry, key, value)
+def build(registry, name: str, params: Optional[dict] = None):
+    """An instance of `find(registry, name)`, its fields taken from `params`
+    where present; ValueError when none matches or one is invalid."""
+    cls = find(registry, name)
     params = params or {}
     return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params})
 

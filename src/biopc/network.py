@@ -13,24 +13,25 @@ products to the weights. With transpose feedback both updates are exact
 negative gradients of the configured objective, which is what `gradcheck`
 verifies.
 
-Each feedback scheme class owns its config `name` and checkpoint `tag`,
-whether it `has_matrices` of its own, and the `matrix` that sends level
-l+1 errors down to level l; its dataclass fields are its parameters, named
-as in the run config and the checkpoint. `FEEDBACK_SCHEMES` lists the
-classes. The encoding (see `encodings`) owns every per-encoding term, so
-`PCNetwork` holds no branch on either. `LayeredModel` is what the network
-and the backprop `MLP` share: one constructor, which takes and checks the
-whole structure, the forward sweep into a batch's `NetworkState`
-(`init_forward`, `clamp_output`) and the local weight rule
-(`weight_update_direction`, from each level's rising term). Its
-`check_structure`, which `TrainConfig` calls too, holds the structure
-rules: a model class's fixed fields, and that an encoding which
+Each feedback scheme class owns its config `name`, whether it
+`has_matrices` of its own, and the `matrix` that sends level l+1 errors
+down to level l; its dataclass fields are its parameters, named as in the
+run config and the checkpoint. `FEEDBACK_SCHEMES` lists the classes, which
+are looked up by name (the checkpoint's byte codes are `checkpoint`'s own
+tables of these names). The encoding (see `encodings`) owns every
+per-encoding term, so `PCNetwork` holds no branch on either.
+`LayeredModel` is what the network and the backprop `MLP` share: one
+constructor, which takes and checks the whole structure, the forward sweep
+into a batch's `NetworkState` (`init_forward`, `clamp_output`) and the
+local weight rule (`weight_update_direction`, from each level's rising
+term). Its `check_structure`, which `TrainConfig` calls too, holds the
+structure rules: a model class's fixed fields, and that an encoding which
 `needs_positive` rates (division) takes `positive_activities`. Each model
-class owns its config `name`, its checkpoint `tag`, the `fixed_structure`
-the constructor holds it to (none for `PCNetwork`, backprop's for `MLP`,
-see `baseline`) and `descent`, which gives a batch's objective and weight
-directions. Every entry that takes an input batch checks it in
-`_check_input`, and a target batch in `_check_target`.
+class owns its config `name`, the `fixed_structure` the constructor holds
+it to (none for `PCNetwork`, backprop's for `MLP`, see `baseline`) and
+`descent`, which gives a batch's objective and weight directions. Every
+entry that takes an input batch checks it in `_check_input`, and a target
+batch in `_check_target`.
 
 A `NetworkState` is either model's batch state: the batch's values, each
 level's activities, predictions and error terms (the paper's value and
@@ -54,7 +55,6 @@ from .linalg import ActivationKind, ShapeMismatchError, activate, as_matrix
 @dataclass(frozen=True)
 class Transpose:
     name = "transpose"
-    tag = 0
     has_matrices = False
 
     def matrix(self, net, l: int) -> np.ndarray:
@@ -71,13 +71,11 @@ class _OwnMatrices:
 @dataclass(frozen=True)
 class RandomFixed(_OwnMatrices):
     name = "random"
-    tag = 1
 
 
 @dataclass(frozen=True)
 class KolenPollack(_OwnMatrices):
     name = "kp"
-    tag = 2
 
     # Decay must be weak enough that the gradient/decay equilibrium sits well
     # above the weight scale the task needs; 0.01 per update strangles
@@ -347,7 +345,6 @@ class LayeredModel:
 
 class PCNetwork(LayeredModel):
     name = "pc"
-    tag = 0
 
     def compute_errors(self, state: NetworkState) -> NetworkState:
         # Shapes were checked when the batch entered (init_forward,

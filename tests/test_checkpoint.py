@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -14,10 +15,12 @@ from conftest import save_with_fresh_adam
 
 from biopc import checkpoint
 from biopc import encodings as enc
-from biopc.baseline import MLP
-from biopc.checkpoint import (_ADAM, _COUNT, _FLAG, _HEADER, _PARAM_SLOTS, _PARAMS, _SHAPE, _TAGS,
-                              MAGIC, CheckpointError, _dims, load_checkpoint, save_checkpoint)
+from biopc.baseline import MLP, MODELS
+from biopc.checkpoint import (_ADAM, _CODES, _COUNT, _FLAG, _HEADER, _PARAM_SLOTS, _PARAMS, _SHAPE,
+                              _TAGS, MAGIC, CheckpointError, _dims, load_checkpoint,
+                              save_checkpoint)
 from biopc.cli import EXIT_DATA, main
+from biopc.config import TrainConfig
 from biopc.linalg import ActivationKind
 from biopc.network import (FEEDBACK_SCHEMES, KolenPollack, PCNetwork, RandomFixed, Transpose,
                            init_network)
@@ -336,15 +339,58 @@ def test_reloaded_model_predicts_bit_identically(tmp_path):
     np.testing.assert_array_equal(net.predict(x), loaded.predict(x))
 
 
-@pytest.mark.parametrize("tag", [2, 3])
-def test_removed_activation_tags_rejected(tmp_path, tag):
+KIND_AT = struct.calcsize(_HEADER.format[:-2])  # the header's magic and version
+
+
+def _code_at(field: str) -> int:
+    """The offset of a 3-level file's code byte for `field`."""
+    if field == "model":
+        return KIND_AT
+    tags_at = _HEADER.size + _dims(3).size
+    return tags_at + {"hidden_activation": 0, "encoding": 2, "feedback": 3}[field]
+
+
+@pytest.mark.parametrize("field", ["model", "hidden_activation", "encoding", "feedback"])
+def test_every_name_has_exactly_one_code(field):
+    names = {"model": [m.name for m in MODELS],
+             "hidden_activation": [k.value for k in ActivationKind],
+             "encoding": [e.name for e in enc.ENCODINGS],
+             "feedback": [s.name for s in FEEDBACK_SCHEMES]}[field]
+    assert sorted(_CODES[field]) == sorted(names)
+    assert len(set(_CODES[field])) == len(_CODES[field])
+
+
+# The version-1 codes, as files written before these tables existed hold them.
+@pytest.mark.parametrize("field,name,code", [
+    ("model", "pc", 0), ("model", "bp", 1),
+    ("hidden_activation", "sigmoid", 0), ("hidden_activation", "tanh", 1),
+    ("encoding", "subtractive", 0), ("encoding", "threshold", 1), ("encoding", "division", 2),
+    ("feedback", "transpose", 0), ("feedback", "random", 1), ("feedback", "kp", 2),
+])
+def test_each_name_saves_as_its_code(tmp_path, field, name, code):
+    cfg = TrainConfig(**{field: name}, e_min=-1.0, positive_activities=name == "division")
+    model = init_network([3, 2, 2], seed=3, model_class=cfg.model_class(), **cfg.structure())
+    path = tmp_path / "model.pcck"
+    save_with_fresh_adam(path, model)
+    blob = path.read_bytes()
+    assert blob[_code_at(field)] == code
+    loaded, adams = load_checkpoint(path)
+    save_checkpoint(tmp_path / "again.pcck", loaded, adams)
+    assert (tmp_path / "again.pcck").read_bytes() == blob
+
+
+@pytest.mark.parametrize("field,code", [("model", 2), ("model", 255), ("hidden_activation", 2),
+                                        ("hidden_activation", 3), ("encoding", 3),
+                                        ("encoding", 255), ("feedback", 3), ("feedback", 255)])
+def test_unknown_code_bytes_rejected(tmp_path, field, code):
+    # codes 2 and 3 were the activation tags of since-removed activations
     path = tmp_path / "net.pcck"
-    save_with_fresh_adam(path, init_network([4, 3], seed=0))
+    save_with_fresh_adam(path, init_network([4, 3, 2], seed=0))
     blob = bytearray(path.read_bytes())
-    hidden_at = _HEADER.size + _dims(2).size  # the first of the tags
-    blob[hidden_at] = tag
+    blob[_code_at(field)] = code
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="activation tag"):
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: unknown {field} code {code}$"):
         load_checkpoint(path)
 
 
@@ -416,9 +462,6 @@ def test_used_parameter_slots_load(tmp_path):
         load_checkpoint(path)
 
 
-KIND_AT = struct.calcsize(_HEADER.format[:-2])  # the header's magic and version
-
-
 @pytest.mark.parametrize("net", [
     dict(dims=[3, 2, 2], feedback=KolenPollack()),
     dict(dims=[5, 4, 3], encoding=enc.Division(), positive_activities=True, bias=0.1),
@@ -428,8 +471,8 @@ def test_pc_record_with_mlp_kind_is_checkpoint_error(tmp_path, net):
     path = tmp_path / "net.pcck"
     save_with_fresh_adam(path, init_network(seed=4, **net))
     blob = bytearray(path.read_bytes())
-    assert blob[KIND_AT] == PCNetwork.tag
-    blob[KIND_AT] = MLP.tag
+    assert blob[KIND_AT] == _CODES["model"].index(PCNetwork.name)
+    blob[KIND_AT] = _CODES["model"].index(MLP.name)
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=str(path)):
         load_checkpoint(path)
@@ -442,8 +485,9 @@ def test_mlp_record_is_the_subtractive_transpose_network(tmp_path):
     save_with_fresh_adam(tmp_path / "mlp.pcck", mlp)
     save_with_fresh_adam(tmp_path / "net.pcck", net)
     a, b = (bytearray((tmp_path / n).read_bytes()) for n in ("mlp.pcck", "net.pcck"))
-    assert (a[KIND_AT], b[KIND_AT]) == (MLP.tag, PCNetwork.tag)
-    b[KIND_AT] = MLP.tag
+    pc_code, mlp_code = (_CODES["model"].index(m.name) for m in (PCNetwork, MLP))
+    assert (a[KIND_AT], b[KIND_AT]) == (mlp_code, pc_code)
+    b[KIND_AT] = mlp_code
     assert a == b
 
 

@@ -248,7 +248,7 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 def finalized_configs(draw):
     fields = {name: draw(st.sampled_from(choices)) for name, choices in _CHOICES.items()}
     fields["positive_activities"] = draw(st.booleans())
-    if enc.build(enc.ENCODINGS, "name", fields["encoding"]).needs_positive:
+    if enc.build(enc.ENCODINGS, fields["encoding"]).needs_positive:
         fields["positive_activities"] = True
     if fields["model"] == MLP.name:
         fields.update({name: getattr(value, "name", value)

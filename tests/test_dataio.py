@@ -218,6 +218,12 @@ class TestSplitColumns:
         with pytest.raises(dataio.IdxError, match="int64"):
             dataio.DatasetSplit(np.zeros((784, 2), dtype=np.int64), np.zeros(2, np.int64), "ints")
 
+    @pytest.mark.parametrize("labels", [np.array([2.7, 1.0]), np.array([True, False])],
+                             ids=["floats", "bools"])
+    def test_labels_other_than_integers_are_rejected(self, labels):
+        with pytest.raises(dataio.IdxError, match=f"^floats: labels are {labels.dtype}, "):
+            dataio.DatasetSplit(np.zeros((784, 2)), labels, "floats")
+
 
 class TestOneHot:
     def test_label_zero(self):
@@ -231,6 +237,13 @@ class TestOneHot:
     def test_argmax_recovers_labels(self):
         labels = np.random.default_rng(4).integers(0, 10, size=50)
         np.testing.assert_array_equal(np.argmax(dataio.one_hot(labels), axis=0), labels)
+
+    @pytest.mark.parametrize("labels", [np.array([2.7, 1.0]), [True, False], [2.0]],
+                             ids=["floats", "bool-list", "float-list"])
+    def test_labels_other_than_integers_are_rejected(self, labels):
+        # they used to be truncated: 2.7 became class 2, True class 1
+        with pytest.raises(dataio.IdxError, match="expected integers"):
+            dataio.one_hot(labels)
 
     def test_out_of_range(self):
         with pytest.raises(dataio.IdxError):

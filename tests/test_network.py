@@ -548,23 +548,22 @@ class TestFeedbackSchemes:
 
 class TestRegistries:
     @pytest.mark.parametrize("registry", [enc.ENCODINGS, FEEDBACK_SCHEMES])
-    def test_names_and_tags_unique(self, registry):
-        assert len({c.name for c in registry}) == len({c.tag for c in registry}) == len(registry)
+    def test_names_unique(self, registry):
+        assert len({c.name for c in registry}) == len(registry)
 
     @pytest.mark.parametrize("scheme", [enc.SubtractiveThreshold(e_min=-1.5, e_max=3.0),
                                         enc.Division(epsilon=5e-4), KolenPollack(gamma=0.01),
                                         Transpose()])
-    def test_build_by_name_and_tag(self, scheme):
+    def test_build_by_name(self, scheme):
         registry = FEEDBACK_SCHEMES if type(scheme) in FEEDBACK_SCHEMES else enc.ENCODINGS
         params = dataclasses.asdict(scheme)
-        assert enc.build(registry, "name", scheme.name, params) == scheme
-        assert enc.build(registry, "tag", scheme.tag, params) == scheme
+        assert enc.build(registry, scheme.name, params) == scheme
 
     def test_build_rejects_unknown(self):
-        with pytest.raises(ValueError, match="tag 9"):
-            enc.build(enc.ENCODINGS, "tag", 9)
+        with pytest.raises(ValueError, match="named 'nine'"):
+            enc.build(enc.ENCODINGS, "nine")
         with pytest.raises(ValueError):
-            enc.build(FEEDBACK_SCHEMES, "name", "kp", {"gamma": 5.0})
+            enc.build(FEEDBACK_SCHEMES, "kp", {"gamma": 5.0})
 
     def test_domain_error_names_the_level(self):
         net = init_network([5, 4, 3], encoding=enc.SubtractiveThreshold(e_min=0.0), seed=1)
