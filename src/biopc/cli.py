@@ -12,16 +12,19 @@ encoding can represent, for example a threshold error below e-min; the
 message names the epoch, the batch and the level), 5 non-finite training
 objective (a batch's objective was NaN or infinite; training stops at
 that batch, which the message names, and writes no outputs), 6 missed
-acceptance gate (`study` only), 130 interrupted (Ctrl-C; a `train` run
-stopped early writes no outputs).
+acceptance gate (`study` only), 130 interrupted (Ctrl-C), 143 terminated
+(SIGTERM). A `train` run stopped early writes no outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
+import signal
 import sys
+import threading
 import time
 
 from . import dataio
@@ -44,6 +47,15 @@ EXIT_ENCODING_DOMAIN = 4
 EXIT_NON_FINITE = 5
 EXIT_GATE = 6
 EXIT_INTERRUPT = 130
+EXIT_TERMINATED = 143
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised while `run_command` runs a command."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 class Parser(argparse.ArgumentParser):
@@ -158,7 +170,9 @@ def _cmd_study(args) -> int:
     return EXIT_OK if passed else EXIT_GATE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use: parsing leaves it unchanged."""
     parser = Parser(prog="biopc",
                     description="Train and probe predictive-coding networks "
                                 "under biological constraints.")
@@ -200,9 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(main, argv=None) -> int:
-    """`main(argv)`, which returns an exit code; a typed error it raises, or
-    Ctrl-C, becomes its exit code and a one-line message on stderr, not a
-    traceback."""
+    """`main(argv)`, which returns an exit code; a typed error it raises,
+    Ctrl-C or SIGTERM becomes its exit code and a one-line message on
+    stderr, not a traceback. The SIGTERM handler is set only on the main
+    thread (the only one that may), and the caller's is restored after."""
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         return main(argv)
     except ConfigError as err:
@@ -220,6 +237,12 @@ def run_command(main, argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        if on_main:  # None: a handler not set from Python, taken as the default
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 def _run(argv) -> int:

@@ -36,8 +36,9 @@ batch in `_check_target`.
 A `NetworkState` is either model's batch state: the batch's values, each
 level's activities, predictions and error terms (the paper's value and
 error neurons), which relaxation updates in place. A step makes its own
-work arrays, and the arrays that `activity_directions` and
-`weight_update_direction` return are new ones that the caller owns.
+work arrays (the sigmoid's per row block, see `_level`), and the arrays
+that `activity_directions` and `weight_update_direction` return are new
+ones that the caller owns. Each activation's formulas are `linalg`'s.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Union
 import numpy as np
 
 from . import encodings as enc
-from .linalg import ActivationKind, ShapeMismatchError, activate, as_matrix
+from .linalg import ActivationKind, ShapeMismatchError, activate, as_matrix, slope
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,10 @@ class NetworkState:
 # 300 to 4500 columns gave outputs other than one whole-batch sweep
 # (OpenBLAS 0.3.31 takes products that small on its small-matrix path).
 PREDICT_BLOCK = 512
+
+# Entries per row block of a level's activation, so that the sigmoid's own
+# temporaries stay in cache; a 300-row level is one block up to 109 columns.
+ACT_BLOCK = 32768
 
 
 def _xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -237,16 +242,17 @@ class LayeredModel:
             raise ShapeMismatchError(f"target batch has {y.shape[1]} columns, input has {batch}")
         return y
 
-    def _level(self, l: int, below: np.ndarray, fp, phat, scratch=None,
-               mask=None) -> np.ndarray:
+    def _level(self, l: int, below: np.ndarray, fp, phat) -> np.ndarray:
         """Level l's effective prediction: its activation f(W_{l-1} below) of
         the activities below it, written into `fp`, plus the level's shift,
-        written into `phat` (which may be `fp`). `scratch` and `mask` serve
-        the sigmoid (see `activate`), which makes its own when they are not
-        given. Where `_phat_is_fp` holds, the prediction is the `fp` array
-        itself and `phat` is not written."""
-        activate(self.activation_at(l), np.matmul(self.weights[l - 1], below, out=fp),
-                 out=fp, scratch=scratch, mask=mask)
+        written into `phat` (which may be `fp`). The activation runs in place,
+        per block of rows of at most ACT_BLOCK entries (or one row), and the
+        sigmoid makes its temporaries per block. Where `_phat_is_fp` holds,
+        the prediction is the `fp` array itself and `phat` is not written."""
+        np.matmul(self.weights[l - 1], below, out=fp)
+        rows = max(1, ACT_BLOCK // fp.shape[1])
+        for r in range(0, fp.shape[0], rows):
+            activate(self.activation_at(l), fp[r:r + rows], out=fp[r:r + rows])
         if self._phat_is_fp(l):
             return fp
         return np.add(fp, self.bias_at(l), out=phat)
@@ -286,13 +292,7 @@ class LayeredModel:
         receives through the feedback matrix, and what the weights into
         `level` learn from. f' is taken from the stored activation value
         into a new array, which the encoding scales."""
-        fl = state.fp[level]
-        if self.activation_at(level) is ActivationKind.SIGMOID:
-            f_up = np.subtract(1.0, fl)
-            f_up *= fl
-        else:
-            f_up = np.multiply(fl, fl)
-            np.subtract(1.0, f_up, out=f_up)
+        f_up = slope(self.activation_at(level), state.fp[level])
         return self.encoding.rising(state.terms[level], f_up)
 
     def weight_update_direction(self, state: NetworkState) -> list:
@@ -317,26 +317,24 @@ class LayeredModel:
         bits as one product over the whole batch (the tests compare the
         two).
 
-        Each level has an activation array, and one scratch and one mask
-        array as tall as the tallest level serve every level's sigmoid; all
-        are C-ordered (a Fortran-ordered hidden operand would move bits) and
-        as wide as the widest block (the last). Every block runs `_level`
-        into their leading rows and columns, shifting a level's activations
-        in place."""
+        Each level has an activation array, C-ordered (a Fortran-ordered
+        hidden operand would move bits) and as wide as the widest block (the
+        last); these and the output are all that a call allocates besides
+        the sigmoid's temporaries, which it makes per row block (see
+        `_level`). Every block runs `_level` into the leading columns of
+        each level's array, shifting a level's activations in place."""
         x = self._check_input(x)
         n = x.shape[1]
         k = max(1, n // PREDICT_BLOCK)
         width = n - (k - 1) * PREDICT_BLOCK
         acts = [np.empty((d, width)) for d in self.dims[1:]]
-        tallest = max(self.dims[1:])
-        scratch, mask = np.empty((tallest, width)), np.empty((tallest, width), dtype=bool)
         out = np.empty((self.dims[-1], n))
         for i in range(k):
             lo, hi = i * PREDICT_BLOCK, n if i == k - 1 else (i + 1) * PREDICT_BLOCK
-            a, cols = x[:, lo:hi], hi - lo
-            for l, (d, act) in enumerate(zip(self.dims[1:], acts), start=1):
-                fp = act[:, :cols]
-                a = self._level(l, a, fp, fp, scratch[:d, :cols], mask[:d, :cols])
+            a = x[:, lo:hi]
+            for l, act in enumerate(acts, start=1):
+                fp = act[:, :hi - lo]
+                a = self._level(l, a, fp, fp)
                 if self.positive_activities:
                     np.maximum(a, 0.0, out=a)
             out[:, lo:hi] = a

@@ -10,6 +10,7 @@ import signal
 import string
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,14 @@ from biopc.cli import (
     EXIT_INTERRUPT,
     EXIT_NON_FINITE,
     EXIT_OK,
+    EXIT_TERMINATED,
     _describe_config,
     build_parser,
     main,
+    run_command,
 )
 from biopc.config import _CHOICES, TrainConfig, merge_config, parse_config_file
+from biopc.experiments import TABLE_ROWS, TABLE_SEEDS
 from biopc.network import init_network
 from biopc.training import GRADCHECK_BATCH, GRADCHECK_DIMS, METRICS_HEADER, run_gradcheck
 
@@ -177,6 +181,21 @@ class TestTrainCommand:
                    if isinstance(a, argparse._SubParsersAction))
         split = next(a for a in sub.choices["eval"]._actions if a.dest == "split")
         assert split.choices == tuple(dataio._SPLIT_FILES)
+
+    def test_one_parser_parses_each_call_on_its_own(self, tmp_path, capsys):
+        # the parser is built once per process; no call's flags carry over
+        # into a later call's defaults
+        assert build_parser() is build_parser()
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.pcck"),
+                     "--data-dir", str(tmp_path)]) == EXIT_DATA
+        assert main(["study", "table", "--data-dir", str(tmp_path), "--epochs", "2",
+                     "--seeds", "1", "1"]) == EXIT_CONFIG
+        assert "seed 1 is given more than once" in capsys.readouterr().err
+        args = build_parser().parse_args(["study", "table", "--data-dir", str(tmp_path)])
+        assert args.seeds == [1, 2, 3] == list(TABLE_SEEDS)
+        assert args.rows == list(TABLE_ROWS) and args.epochs == TrainConfig.epochs
+        args = build_parser().parse_args(["eval", "--checkpoint", "model.pcck"])
+        assert args.data_dir == TrainConfig.data_dir
 
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", "two"), ("--lr", "fast"), ("--positive-activities", "maybe"),
@@ -443,7 +462,13 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert proc.stderr.startswith("data error")
 
-    def test_ctrl_c_exits_130_without_a_traceback(self, fake_data_dir, tmp_path):
+    @pytest.mark.parametrize("sig,code,message", [
+        (signal.SIGINT, EXIT_INTERRUPT, "interrupted"),
+        (signal.SIGTERM, EXIT_TERMINATED, "terminated"),
+    ], ids=["SIGINT", "SIGTERM"])
+    def test_ctrl_c_exits_130_without_a_traceback(self, fake_data_dir, tmp_path, sig, code,
+                                                  message):
+        # SIGTERM gets Ctrl-C's treatment, with its own message and code
         out = tmp_path / "runs" / "pc"
         proc = subprocess.Popen([sys.executable, "-m", "biopc",
                                  *_train_args(fake_data_dir, out, "--epochs", "1000")],
@@ -451,12 +476,32 @@ class TestModuleEntry:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
             started = any(line.startswith("epoch   1 ") for line in proc.stdout)
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(sig)
             _, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
             proc.wait()
-        assert started and proc.returncode == EXIT_INTERRUPT, err
-        assert err == "interrupted\n"
+        assert started and proc.returncode == code, err
+        assert err == message + "\n"
         # train removes the directories it made for an unfinished run
         assert not (tmp_path / "runs").exists()
+
+    def test_sigterm_handler_is_set_only_while_a_command_runs(self, capsys):
+        def callers(signum, frame):
+            raise AssertionError("the caller's handler ran during a command")
+
+        previous = signal.signal(signal.SIGTERM, callers)
+        try:
+            code = run_command(lambda argv: os.kill(os.getpid(), signal.SIGTERM))
+            assert code == EXIT_TERMINATED
+            assert capsys.readouterr().err == "terminated\n"
+            assert signal.getsignal(signal.SIGTERM) is callers
+            # off the main thread no handler can be set, and none is tried
+            codes = []
+            thread = threading.Thread(
+                target=lambda: codes.append(run_command(lambda argv: EXIT_OK)))
+            thread.start()
+            thread.join()
+            assert codes == [EXIT_OK] and signal.getsignal(signal.SIGTERM) is callers
+        finally:
+            signal.signal(signal.SIGTERM, previous)

@@ -15,6 +15,7 @@ from biopc.linalg import (
     _sigmoid,
     activate,
     matmul,
+    slope,
 )
 
 ALL_KINDS = list(ActivationKind)
@@ -102,6 +103,22 @@ class TestActivations:
         np.testing.assert_array_equal(activate(kind, x), activate(kind, x))
         np.testing.assert_array_equal(activate_deriv(kind, x), activate_deriv(kind, x))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_slope_from_the_value_is_the_derivative(self, kind):
+        # the models take f' from the stored activation; the reference takes
+        # it at the pre-activation
+        x = np.random.default_rng(3).uniform(-8.0, 8.0, size=(6, 50))
+        f = activate(kind, x)
+        kept = f.copy()
+        assert _same_bits(slope(kind, f), activate_deriv(kind, x))
+        assert _same_bits(f, kept)
+
+    def test_unknown_kind_is_refused(self):
+        x = np.zeros((1, 1))
+        for function in (activate, slope):
+            with pytest.raises(ValueError, match="unknown activation kind"):
+                function("relu", x)
+
     def test_does_not_mutate_input(self):
         x = np.array([[-1.0, 2.0]])
         kept = x.copy()
@@ -140,11 +157,10 @@ class TestSigmoidMatchesPiecewise:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_in_place_same_bits(self, kind):
-        # written over its input, with given work arrays, as the network's
-        # buffered level step does
+        # written over its input, as the network's level step does per row
+        # block
         x = np.concatenate([self.SPECIAL, -self.SPECIAL], axis=1)
         x = np.concatenate([x, np.random.default_rng(7).normal(0.0, 20.0, size=(5, x.shape[1]))])
         want = _piecewise_sigmoid(x) if kind is ActivationKind.SIGMOID else np.tanh(x)
-        scratch, mask = np.empty_like(x), np.empty(x.shape, dtype=bool)
-        got = activate(kind, x, out=x, scratch=scratch, mask=mask)
+        got = activate(kind, x, out=x)
         assert got is x and _same_bits(got, want)

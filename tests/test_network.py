@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import activate_deriv
 
 from biopc import encodings as enc
+from biopc import network
 from biopc.baseline import MLP
 from biopc.linalg import ActivationKind, ShapeMismatchError
 from biopc.network import (
@@ -463,8 +464,8 @@ class TestPredict:
         x, _ = _random_batch(net, 4, 4)
         np.testing.assert_array_equal(net.predict(x), net.predict(x))
 
-    @pytest.mark.parametrize("width", [1, 7, 9, 10, 11, PREDICT_BLOCK - 1, PREDICT_BLOCK,
-                                       2 * PREDICT_BLOCK - 1, 1204, 4096, 4500])
+    @pytest.mark.parametrize("width", [1, 7, 9, 10, 11, 109, 110, 111, PREDICT_BLOCK - 1,
+                                       PREDICT_BLOCK, 2 * PREDICT_BLOCK - 1, 1204, 4096, 4500])
     def test_wide_batch_matches_one_sweep(self, width):
         # Blocked prediction gives the bits of one product over the whole
         # batch, the last columns (a separate path in BLAS) included, for a
@@ -716,6 +717,24 @@ class TestBufferedStep:
         for width, seed in ((64, 1), (7, 2), (64, 3), (1, 4)):
             x, y = _random_batch(net, width, seed)
             _check_against_reference(net, x, y)
+
+    @pytest.mark.parametrize("act", list(ActivationKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("model_class", [PCNetwork, MLP], ids=["pc", "bp"])
+    def test_descent_in_two_row_blocks_matches_whole_levels(self, model_class, act,
+                                                           monkeypatch):
+        # at batch 128 each 300-row level's activation runs in two row
+        # blocks; a skipped block leaves rows unactivated, an overlapping one
+        # activates them twice
+        net = init_network([784, 300, 300, 10], seed=4, hidden_activation=act,
+                           model_class=model_class)
+        x, y = _random_batch(net, 128, 128)
+        assert 150 <= network.ACT_BLOCK // 128 < 300
+        got = net.descent(x, y, 5, 0.1)
+        monkeypatch.setattr(network, "ACT_BLOCK", 300 * 128)  # activate each whole level
+        want = net.descent(x, y, 5, 0.1)
+        assert got[0] == want[0]
+        for g, w in zip(got[1], want[1]):
+            _same_bits(g, w)
 
     def test_prediction_is_the_activation_only_where_the_shift_moves_no_bit(self):
         # x + 0.0 differs from x only at x = -0.0: tanh(-0.0) is -0.0, but the
